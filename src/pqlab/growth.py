@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .exponents import ExponentParams, alpha_bound_holds, beta_bound_holds
 from .integrand import (
@@ -102,6 +102,10 @@ class GrowthTriple:
     def sqrt_g1_quadrature(self, t: float) -> float:
         if t == 0:
             return 0.0
+        # deferred: scipy.integrate is the largest import on the CLI path and
+        # only this quadrature fallback uses it
+        from scipy import integrate
+
         val, _err = integrate.quad(
             lambda s: math.sqrt(max(float(self.g1(s)), 0.0)), 0.0, t, epsabs=0.0, epsrel=1e-9, limit=200
         )

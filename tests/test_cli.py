@@ -241,6 +241,8 @@ def test_solve_zero_boundary_zero_iterations(tmp_path, capsys):
 
 def test_solve_nonconvergence_exit4_field_still_written(tmp_path, capsys):
     text = BASE_P2.replace("expr = x^2 - y^2", "expr = exp(x)*log(2 + y)").replace(
+        "p = 2", "p = 4"
+    ).replace(
         "max_iter = 8000", "max_iter = 2"
     ).replace("tolerance = 1e-9", "tolerance = 1e-13")
     rc = main(["solve", cfg_file(tmp_path, text), "--out", str(tmp_path / "o")])

@@ -1,10 +1,15 @@
 """Discrete energies, gradient consistency, the NCG solve, field statistics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqlab
 from pqlab.integrand import (
     Coefficient,
     DoublePhase,
@@ -28,6 +33,7 @@ from pqlab.solver import (
     minimize,
     save_field,
 )
+from pqlab.solver import _p2_stiffness, _p2_stiffness_inverse
 
 RNG = np.random.default_rng(411)
 
@@ -153,11 +159,68 @@ def test_minimize_p2_matches_direct_solve():
     # exp(x) cos(y) is not separable: the initial interpolant is far from
     # the solution and the conjugate gradient loop has real work to do
     g = unit_grid(33, boundary=lambda x, y: np.exp(x) * np.cos(y))
+    oracle = harmonic_direct_solve(g)
+    assert np.max(np.abs(bilinear_interpolant(g).values - oracle.values)) >= 1e-3
     u, trace = minimize(g, PLaplacian(2), opts=SolveOptions(tolerance=5e-9, max_iter=40000))
     assert trace.converged
-    assert trace.iterations > 10
-    oracle = harmonic_direct_solve(g)
     assert np.max(np.abs(u.values - oracle.values)) <= 1e-8
+
+
+def test_preconditioner_inverts_direct_solve_stiffness():
+    # the DST-I inverse must not depend on side or origin, as the stiffness does not
+    g = Grid(side=0.7, n=12, boundary=lambda x, y: 0.0 * x, x0=-0.3, y0=1.1)
+    interior = np.flatnonzero(~g.boundary_mask().ravel())
+    K_ii = _p2_stiffness(g)[interior][:, interior].toarray()
+    apply_inverse = _p2_stiffness_inverse(g.n)
+    product = np.column_stack([apply_inverse(col) for col in K_ii.T])
+    np.testing.assert_allclose(product, np.eye(interior.size), rtol=0, atol=1e-12)
+
+
+def test_minimize_p2_converges_in_two_iterations():
+    g = Grid(side=0.7, n=65, boundary=lambda x, y: np.exp(x) * np.cos(y), x0=-0.3, y0=1.1)
+    u, trace = minimize(g, PLaplacian(2), opts=SolveOptions(tolerance=1e-10))
+    assert trace.converged
+    assert trace.iterations <= 2
+    oracle = harmonic_direct_solve(g)
+    assert np.max(np.abs(u.values - oracle.values)) <= 1e-12
+
+
+def test_minimize_iterations_do_not_grow_with_n():
+    fam = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0))
+    iters = []
+    for n in (33, 65, 129):
+        g = unit_grid(n, boundary=lambda x, y: np.sin(3 * x) + y)
+        _, trace = minimize(g, fam, opts=SolveOptions(tolerance=1e-5))
+        assert trace.converged
+        iters.append(trace.iterations)
+    assert max(iters) - min(iters) <= 3, iters
+
+
+_FIELD_DIGEST = """
+import hashlib
+import numpy as np
+from pqlab.integrand import Coefficient, DoublePhase
+from pqlab.solver import Grid, SolveOptions, minimize
+g = Grid(1.0, 129, lambda x, y: np.sin(3 * x) + y)
+fam = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0))
+u, _ = minimize(g, fam, opts=SolveOptions(tolerance=1e-7))
+print(hashlib.sha256(u.values.tobytes()).hexdigest())
+"""
+
+
+def test_minimize_bit_identical_across_blas_threads():
+    # 127^2 interior values: long enough for a threaded BLAS dot product
+    src = str(Path(pqlab.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", _FIELD_DIGEST], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_minimize_affine_boundary_recovers_affine():

@@ -179,7 +179,7 @@ def test_sweep_harmonic_p2_within_band():
 def test_sweep_reports_solve_failures():
     sched = p2_schedule()
     tpl = ProblemTemplate(
-        family=PLaplacian(2),
+        family=PLaplacian(4),
         side=1.0,
         n=25,
         boundary=lambda x, y: np.exp(x) * np.cos(y),
