@@ -561,7 +561,10 @@ def select_mu_nu(
     when solving for mu lands at or below 2*/2 the choice retries toward the
     upper end of the interval, where larger beta become attainable.  If no
     nu admits a valid mu the rejection reports the attainable beta interval.
+    A rejection passed in as ``params`` is returned unchanged.
     """
+    if is_rejected(params):
+        return params
     b = params.beta
     ts = params.two_star
     vsup = nu_upper_bound(params)

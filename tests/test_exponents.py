@@ -275,6 +275,11 @@ def test_select_mu_nu_rejects_unattainable_beta():
     assert out.bound == 2
 
 
+def test_select_mu_nu_passes_a_rejection_through():
+    rejected = ParamRejection("double_phase_params", "q/p outside the admissible range")
+    assert select_mu_nu(rejected) is rejected
+
+
 def test_theta_positivity_sample():
     rng_betas = [F(1), F(11, 10), F(3, 2), F(2)]
     for n in (2, 3, 4):

@@ -1,5 +1,6 @@
 """Structural growth conditions: checker fidelity on the cataloged classes."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -28,6 +29,7 @@ from pqlab.growth import (
     check_exponent_bounds,
     check_growth_A,
     default_t_grid,
+    _sandwich_t_cap,
     paper_triple,
     run_all_checks,
     tail_limit,
@@ -38,9 +40,11 @@ from pqlab.integrand import (
     Coefficient,
     DoublePhase,
     Exponential,
+    LogPxLaplacian,
     MultiPhase,
     PLaplacian,
     PxLaplacian,
+    VeryDegenerate,
 )
 
 BALL = Ball(0.5, 0.5, 0.35)
@@ -104,6 +108,20 @@ def test_sandwich_exponential_catalog():
     assert rep.verdict == "pass"
 
 
+def test_sandwich_and_growth_A_compare_against_scaled_density():
+    # g1(1) = 2 * 0.2 < 1, so the triple is normalized by f_scale = 2.5 and
+    # the density it bounds is 2.5 f
+    a22 = Coefficient(lambda x, y: 0.2 + 0.1 * x, 0.1, "0.2+0.1*x")
+    fam = Anisotropic(2.5, aij=(Coefficient.constant(0.2), Coefficient.constant(0.0), a22))
+    triple = paper_triple(fam, BALL)
+    assert triple.f_scale == pytest.approx(2.5)
+    rep = check_ellipticity_sandwich(fam, triple, SPEC)
+    assert rep.verdict == "pass", rep.row()
+    unscaled = dataclasses.replace(triple, f_scale=1.0)
+    ratio = check_growth_A(fam, triple, SPEC).worst_ratio
+    assert ratio == pytest.approx(2.5 * check_growth_A(fam, unscaled, SPEC).worst_ratio, rel=1e-12)
+
+
 # --- growth-A ------------------------------------------------------------------
 
 
@@ -120,6 +138,43 @@ def test_growth_A_exponential_and_px():
     pfun = Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)")
     fam2 = PxLaplacian(pfun)
     assert check_growth_A(fam2, paper_triple(fam2, BALL), SPEC).verdict == "pass"
+
+
+def growth_A_reference(family, triple, spec):
+    """The per-point loop over (x sample, direction, axis) that check_growth_A batches."""
+    xs, ys = spec.x_samples()
+    ux, uy = spec.directions()
+    tg = spec.t_grid(_sandwich_t_cap(family, spec.ball))
+    tg = tg[tg > 0]
+    g3v = triple.g3(tg)
+    worst = 0.0
+    worst_t = 0.0
+    for x0, y0 in zip(xs, ys):
+        h = 1e-5 * max(1.0, abs(x0), abs(y0))
+        for cx, cy in zip(ux, uy):
+            gx, gy = tg * cx, tg * cy
+            for dx, dy in ((h, 0.0), (0.0, h)):
+                fpx, fpy = family.grad(x0 + dx, y0 + dy, gx, gy)
+                fmx, fmy = family.grad(x0 - dx, y0 - dy, gx, gy)
+                mixed = triple.f_scale * ((np.abs(fpx - fmx) + np.abs(fpy - fmy)) / (2 * h))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(
+                        g3v > 0, mixed / g3v, np.where(mixed <= 1e-9 * np.maximum(1.0, tg), 0.0, np.inf)
+                    )
+                i = int(np.argmax(ratio))
+                if ratio[i] > worst:
+                    worst = float(ratio[i])
+                    worst_t = float(tg[i])
+    verdict = "pass" if worst <= 1 + 1e-6 else "fail"
+    return ConditionReport("growth-A", verdict, worst, worst_t)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_growth_A_matches_per_point_loop(seed):
+    spec = dataclasses.replace(SPEC, seed=seed)
+    for fam, _params in catalog_cases():
+        triple = paper_triple(fam, BALL)
+        assert check_growth_A(fam, triple, spec) == growth_A_reference(fam, triple, spec), fam.kind
 
 
 # --- 11M -----------------------------------------------------------------------
@@ -191,6 +246,57 @@ def test_quadrature_matches_closed_form_antiderivative():
         closed = float(triple.sqrt_g1_antiderivative(t))
         quad = triple.sqrt_g1_quadrature(float(t))
         assert quad == pytest.approx(closed, rel=1e-8)
+
+
+def quadrature_triples():
+    a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x")
+    a_quad = Coefficient(lambda x, y: x * x + y * y, 3.0, "x^2+y^2")
+    pfun = Coefficient(lambda x, y: 2.5 + 0.2 * x, 0.2, "2.5+0.2*x")
+    fams = [
+        DoublePhase(2.0, 3.0, a_quad),
+        MultiPhase(2.0, 3.0, a_quad, 0.5),
+        PxLaplacian(pfun),  # kink at t = 1
+        LogPxLaplacian(pfun),
+        VeryDegenerate(3.0),
+        Anisotropic(2.5, aij=(Coefficient.constant(1.0), Coefficient.constant(0.1), a_lin)),
+    ]
+    triples = [(fam.kind, paper_triple(fam, BALL)) for fam in fams]
+    singular = GrowthTriple(g1=power_fn(1.5, -0.5), g2=power_fn(1.5, -0.5), g3=power_fn(0, 0))
+    return triples + [("p=1.5", singular)]
+
+
+def pointwise_sqrt_g1_integral(triple, t):
+    """Per-point adaptive quadrature with a breakpoint at the kink t = 1.
+
+    Tighter than ``sqrt_g1_quadrature`` (epsrel 1e-9 without breakpoints),
+    whose own error reaches 5e-7 relative on [0, 1e4] for the p(x) triple.
+    """
+    from scipy import integrate
+
+    if t == 0:
+        return 0.0
+    val, _err = integrate.quad(
+        lambda s: math.sqrt(max(float(triple.g1(s)), 0.0)), 0.0, t,
+        epsabs=0.0, epsrel=1e-12, limit=1000, points=[1.0] if t > 1 else None,
+    )
+    return val
+
+
+@pytest.mark.parametrize("name,triple", quadrature_triples(), ids=lambda v: v if isinstance(v, str) else "")
+def test_cumulative_sqrt_g1_integral_matches_pointwise_quadrature(name, triple):
+    assert triple.sqrt_g1_antiderivative is None
+    rng = np.random.default_rng(11)
+    grid = default_t_grid()
+    probes = 10.0 * math.sqrt(10.0) ** np.arange(13)
+    mixed = rng.permutation(np.concatenate([[0.0, 0.0], grid[::37], grid[::37], probes[:4]]))
+    for ts, every in ((grid, 8), (probes, 1), (mixed, 1)):
+        got = triple.sqrt_g1_integral(ts)
+        logs = triple.log_one_plus_sqrt_g1_integral(ts)
+        # every panel error feeds all later t, so a stride still sees each one
+        ref = np.array([pointwise_sqrt_g1_integral(triple, float(t)) for t in ts[::every]])
+        np.testing.assert_allclose(got[::every], ref, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(logs[::every], np.log1p(ref), rtol=1e-9, atol=0.0)
+    assert triple.sqrt_g1_integral(np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
 
 
 # --- 12M -----------------------------------------------------------------------
@@ -294,8 +400,10 @@ def catalog_cases():
                                                    F(hi).limit_denominator(10**9), n=2)))
     px_fam = PxLaplacian(pfun)
     plo, phi = pfun.range_on_ball(BALL)
-    cases.append((px_fam, auto_px_params(F(plo).limit_denominator(10**9),
-                                         F(phi).limit_denominator(10**9), n=2)))
+    px_params = auto_px_params(F(plo).limit_denominator(10**9), F(phi).limit_denominator(10**9), n=2)
+    cases.append((px_fam, px_params))
+    cases.append((LogPxLaplacian(pfun), px_params))
+    cases.append((VeryDegenerate(3.0), default_params(2, 2, 0)))
     return cases
 
 
@@ -319,8 +427,6 @@ def test_report_rows_render():
 
 def test_catalog_triples_sampled_valid():
     # nonnegative, nondecreasing, g2 >= g1, normalized g2(1) >= g1(1) >= 1
-    from pqlab.integrand import VeryDegenerate
-
     a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x")
     a_quad = Coefficient(lambda x, y: x * x + y * y, 3.0, "x^2+y^2")
     pfun = Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)")
