@@ -131,7 +131,9 @@ class GrowthTriple:
         return out
 
     def sqrt_g1_quadrature(self, t: float, t0: float = 0.0) -> float:
-        """int_t0^t sqrt(g1(s)) ds by adaptive quadrature (QUADPACK, epsrel 1e-9)."""
+        """int_t0^t sqrt(g1(s)) ds by adaptive quadrature (QUADPACK, epsrel 1e-9),
+        with a breakpoint at the kink t = 1 of the min/max-power and very
+        degenerate triples when [t0, t] holds it."""
         if t == t0:
             return 0.0
         # deferred: scipy.integrate is the largest import on the CLI path and
@@ -139,7 +141,8 @@ class GrowthTriple:
         from scipy import integrate
 
         val, _err = integrate.quad(
-            lambda s: math.sqrt(max(float(self.g1(s)), 0.0)), t0, t, epsabs=0.0, epsrel=1e-9, limit=200
+            lambda s: math.sqrt(max(float(self.g1(s)), 0.0)), t0, t,
+            epsabs=0.0, epsrel=1e-9, limit=200, points=[1.0] if t0 < 1.0 < t else None,
         )
         return val
 
@@ -384,50 +387,50 @@ def _grid_tail_report(
 # ---------------------------------------------------------------------------
 
 
-def _sandwich_t_cap(family: IntegrandFamily, ball: Ball) -> Optional[float]:
-    """Largest |xi| at which the family's Hessian is representable."""
-    if isinstance(family, Exponential):
-        hi = family.a.range_on_ball(ball)[1]
-        return 0.9 * ((LOG_MAX - 60.0) / max(hi, 1e-12)) ** (1.0 / family.tau)
-    return None
-
-
 def check_ellipticity_sandwich(
     family: IntegrandFamily, triple: GrowthTriple, spec: SampleSpec
 ) -> ConditionReport:
     """Pointwise sandwich g1 |lam|^2 <= QF <= g2 |lam|^2 on random samples;
-    QF is the Hessian form of the scaled density ``triple.f_scale * f``."""
+    QF is the Hessian form of the scaled density ``triple.f_scale * f``.
+
+    Axes are (x sample, t, direction, lam).  Only QF and the ratios are
+    full size; lam enters ``hess_qf`` as (1, 1, 1, n_lam) arrays and the
+    bounds g1 |lam|^2, g2 |lam|^2 stay (1, n_t, 1, n_lam), so each element
+    gets the same arithmetic as on fully broadcast inputs.
+    """
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
     lx, ly = spec.directions(offset=7)
-    cap = _sandwich_t_cap(family, spec.ball)
+    cap = family.hessian_t_cap(spec.ball)
     tg = spec.t_grid(cap)
     tg = tg[tg > 0]
-    X = xs[:, None, None, None]
-    Y = ys[:, None, None, None]
+    shape = (len(xs), len(tg), len(ux), len(lx))
     T = tg[None, :, None, None]
-    GX = T * ux[None, None, :, None]
-    GY = T * uy[None, None, :, None]
-    LX = np.broadcast_to(lx[None, None, None, :], (len(xs), len(tg), len(ux), len(lx)))
-    LY = np.broadcast_to(ly[None, None, None, :], LX.shape)
+    LX = lx[None, None, None, :]
+    LY = ly[None, None, None, :]
     try:
-        qf = triple.f_scale * family.hess_qf(X, Y, GX, GY, LX, LY)
+        qf = family.hess_qf(
+            xs[:, None, None, None], ys[:, None, None, None],
+            T * ux[None, None, :, None], T * uy[None, None, :, None], LX, LY,
+        )
     except (ProfileDomainError, SaturationError) as exc:
         return ConditionReport(
             "ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc)
         )
-    g1v = triple.g1(tg)[None, :, None, None]
-    g2v = triple.g2(tg)[None, :, None, None]
+    qf = triple.f_scale * np.broadcast_to(qf, shape)
     lam2 = LX**2 + LY**2
-    lo_bound = g1v * lam2
-    hi_bound = g2v * lam2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_lo = np.where(lo_bound <= 0, 0.0, np.where(qf > 0, lo_bound / qf, np.inf))
-        r_hi = np.where(qf <= 0, 0.0, np.where(hi_bound > 0, qf / hi_bound, np.inf))
-    ratios = np.maximum(r_lo, r_hi)
+    lo_bound = triple.g1(tg)[None, :, None, None] * lam2
+    hi_bound = triple.g2(tg)[None, :, None, None] * lam2
+    # r_lo = lo/qf where qf > 0 (else inf), 0 where lo <= 0; r_hi likewise
+    with np.errstate(invalid="ignore"):
+        r_lo = np.divide(lo_bound, qf, out=np.full(shape, np.inf), where=qf > 0)
+        r_hi = np.divide(qf, hi_bound, out=np.full(shape, np.inf), where=hi_bound > 0)
+    np.copyto(r_lo, 0.0, where=lo_bound <= 0)
+    np.copyto(r_hi, 0.0, where=qf <= 0)
+    ratios = np.maximum(r_lo, r_hi, out=r_lo)
     worst_flat = int(np.argmax(ratios))
     worst = float(ratios.ravel()[worst_flat])
-    worst_t = float(np.broadcast_to(T, ratios.shape).ravel()[worst_flat])
+    worst_t = float(tg[np.unravel_index(worst_flat, shape)[1]])
     verdict = "pass" if worst <= 1 + _RATIO_TOL else "fail"
     notes = "" if cap is None else f"t capped at {tg[-1]:.3g} (density representability)"
     return ConditionReport("ellipticity-sandwich", verdict, worst, worst_t, notes=notes)
@@ -442,8 +445,7 @@ def check_growth_A(
     and t at once."""
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
-    cap = _sandwich_t_cap(family, spec.ball)
-    tg = spec.t_grid(cap)
+    tg = spec.t_grid(family.hessian_t_cap(spec.ball))
     tg = tg[tg > 0]
     g3v = triple.g3(tg)
     # axes: (x sample, direction, t); the difference axis is stacked third

@@ -154,6 +154,10 @@ class IntegrandFamily:
     def hess_qf(self, x, y, gx, gy, lx, ly):
         raise NotImplementedError
 
+    def hessian_t_cap(self, ball: Ball) -> Optional[float]:
+        """Largest |xi| at which the Hessian is representable on the ball; None if unbounded."""
+        return None
+
     def describe(self) -> str:
         return self.kind
 
@@ -199,13 +203,13 @@ class _RadialFamily(IntegrandFamily):
         t = np.hypot(gx, gy)
         s = self.profile_slope(x, y, t)
         r = self.profile_dtt(x, y, t)
-        lam2 = lx * lx + ly * ly
+        s_lam2 = s * (lx * lx + ly * ly)
         dot = gx * lx + gy * ly
         tsafe = np.where(t > 0, t, 1.0)
         aligned = np.where(t > 0, (dot / tsafe) ** 2, 0.0)
         # at t = 0 slope and dtt coincide for every smooth catalog profile,
         # so the formula degenerates to the constant form s * |lam|^2
-        return np.where(t > 0, (r - s) * aligned + s * lam2, s * lam2)
+        return np.where(t > 0, (r - s) * aligned + s_lam2, s_lam2)
 
     # value with the smoothed modulus (|xi|^2 + eps^2)^(1/2); used by the solver
     def value_smoothed(self, x, y, gx, gy, eps):
@@ -272,6 +276,9 @@ class Exponential(_RadialFamily):
 
     def describe(self):
         return f"exponential(a={self.a.source}, tau={self.tau:g})"
+
+    def hessian_t_cap(self, ball: Ball) -> Optional[float]:
+        return 0.9 * ((LOG_MAX - 60.0) / max(self.a.range_on_ball(ball)[1], 1e-12)) ** (1.0 / self.tau)
 
     def log_value(self, x, y, gx, gy):
         t = np.hypot(gx, gy)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pqlab.exponents import (
     ExponentParams,
@@ -18,6 +20,7 @@ from pqlab.exponents import (
     sobolev_context,
 )
 from pqlab.growth import (
+    _RATIO_TOL,
     ConditionReport,
     GrowthFn,
     GrowthTriple,
@@ -29,7 +32,6 @@ from pqlab.growth import (
     check_exponent_bounds,
     check_growth_A,
     default_t_grid,
-    _sandwich_t_cap,
     paper_triple,
     run_all_checks,
     tail_limit,
@@ -43,7 +45,9 @@ from pqlab.integrand import (
     LogPxLaplacian,
     MultiPhase,
     PLaplacian,
+    ProfileDomainError,
     PxLaplacian,
+    SaturationError,
     VeryDegenerate,
 )
 
@@ -122,6 +126,97 @@ def test_sandwich_and_growth_A_compare_against_scaled_density():
     assert ratio == pytest.approx(2.5 * check_growth_A(fam, unscaled, SPEC).worst_ratio, rel=1e-12)
 
 
+def sandwich_reference(family, triple, spec):
+    """The sandwich on lam materialized to the full (x, t, direction, lam)
+    shape; check_ellipticity_sandwich must match it exactly."""
+    xs, ys = spec.x_samples()
+    ux, uy = spec.directions()
+    lx, ly = spec.directions(offset=7)
+    cap = family.hessian_t_cap(spec.ball)
+    tg = spec.t_grid(cap)
+    tg = tg[tg > 0]
+    X = xs[:, None, None, None]
+    Y = ys[:, None, None, None]
+    T = tg[None, :, None, None]
+    GX = T * ux[None, None, :, None]
+    GY = T * uy[None, None, :, None]
+    LX = np.broadcast_to(lx[None, None, None, :], (len(xs), len(tg), len(ux), len(lx)))
+    LY = np.broadcast_to(ly[None, None, None, :], LX.shape)
+    try:
+        qf = triple.f_scale * family.hess_qf(X, Y, GX, GY, LX, LY)
+    except (ProfileDomainError, SaturationError) as exc:
+        return ConditionReport("ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc))
+    g1v = triple.g1(tg)[None, :, None, None]
+    g2v = triple.g2(tg)[None, :, None, None]
+    lam2 = LX**2 + LY**2
+    lo_bound = g1v * lam2
+    hi_bound = g2v * lam2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_lo = np.where(lo_bound <= 0, 0.0, np.where(qf > 0, lo_bound / qf, np.inf))
+        r_hi = np.where(qf <= 0, 0.0, np.where(hi_bound > 0, qf / hi_bound, np.inf))
+    ratios = np.maximum(r_lo, r_hi)
+    worst_flat = int(np.argmax(ratios))
+    worst = float(ratios.ravel()[worst_flat])
+    worst_t = float(np.broadcast_to(T, ratios.shape).ravel()[worst_flat])
+    verdict = "pass" if worst <= 1 + _RATIO_TOL else "fail"
+    notes = "" if cap is None else f"t capped at {tg[-1]:.3g} (density representability)"
+    return ConditionReport("ellipticity-sandwich", verdict, worst, worst_t, notes=notes)
+
+
+class SingularHessian(PLaplacian):
+    def hess_qf(self, x, y, gx, gy, lx, ly):
+        raise ProfileDomainError("Hessian form singular at the origin")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sandwich_matches_materialized_reference(seed):
+    spec = dataclasses.replace(SPEC, seed=seed)
+    for fam, _params in catalog_cases():
+        triple = paper_triple(fam, BALL)
+        rep = check_ellipticity_sandwich(fam, triple, spec)
+        assert rep == sandwich_reference(fam, triple, spec), fam.kind
+        assert ("t capped at" in rep.notes) == isinstance(fam, Exponential)
+    fam = SingularHessian(3.0)
+    rep = check_ellipticity_sandwich(fam, paper_triple(fam, BALL), spec)
+    assert (rep.verdict, rep.notes) == ("inconclusive", "Hessian form singular at the origin")
+    assert math.isnan(rep.worst_ratio) and math.isnan(rep.worst_t)
+
+
+def test_sandwich_peak_memory_on_cli_sampling():
+    # the CLI sampling plan: 37 x samples, 160 t, 6 directions, 6 lam; log-px
+    # is among the catalog families with the largest peak
+    fam = LogPxLaplacian(Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)"))
+    triple = paper_triple(fam, BALL)
+    tracemalloc.start()
+    try:
+        check_ellipticity_sandwich(fam, triple, SampleSpec(ball=BALL, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
+def test_hess_qf_broadcasts_lambda():
+    # lam as (1, 1, 1, k) must give, element for element, what lam
+    # materialized to the full (x, t, direction, lam) shape gives
+    spec = SampleSpec(ball=BALL, seed=4)
+    xs, ys = spec.x_samples()
+    ux, uy = spec.directions()
+    lx, ly = spec.directions(offset=7)
+    fams = [fam for fam, _params in catalog_cases()] + [Anisotropic(3.0, base_p=2.0)]
+    for fam in fams:
+        T = spec.t_grid(fam.hessian_t_cap(BALL))[None, :, None, None]
+        args = (
+            xs[:, None, None, None], ys[:, None, None, None],
+            T * ux[None, None, :, None], T * uy[None, None, :, None],
+        )
+        shape = (len(xs), T.size, len(ux), len(lx))
+        LX, LY = lx[None, None, None, :], ly[None, None, None, :]
+        thin = np.broadcast_to(fam.hess_qf(*args, LX, LY), shape)
+        full = fam.hess_qf(*args, np.broadcast_to(LX, shape), np.broadcast_to(LY, shape))
+        assert np.array_equal(thin, full), fam.describe()
+
+
 # --- growth-A ------------------------------------------------------------------
 
 
@@ -144,7 +239,7 @@ def growth_A_reference(family, triple, spec):
     """The per-point loop over (x sample, direction, axis) that check_growth_A batches."""
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
-    tg = spec.t_grid(_sandwich_t_cap(family, spec.ball))
+    tg = spec.t_grid(family.hessian_t_cap(spec.ball))
     tg = tg[tg > 0]
     g3v = triple.g3(tg)
     worst = 0.0
@@ -297,6 +392,33 @@ def test_cumulative_sqrt_g1_integral_matches_pointwise_quadrature(name, triple):
         np.testing.assert_allclose(got[::every], ref, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(logs[::every], np.log1p(ref), rtol=1e-9, atol=0.0)
     assert triple.sqrt_g1_integral(np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+
+
+def gauss_legendre_sqrt_g1(triple, t, n_panels=3000):
+    """int_0^t sqrt(g1) by 40-point Gauss-Legendre on panels split at t = 1:
+    half of them uniform on [0, 1], half geometric on [1, t]."""
+    x, w = special.roots_legendre(40)
+    k = n_panels // 2
+    edges = np.concatenate([np.linspace(0.0, 1.0, k + 1), np.geomspace(1.0, t, n_panels - k + 1)[1:]])
+    a, b = edges[:-1, None], edges[1:, None]
+    f = np.sqrt(np.maximum(triple.g1(0.5 * (a + b) + 0.5 * (b - a) * x), 0.0))
+    return float(np.sum(0.5 * (b - a)[:, 0] * (f @ w)))
+
+
+@pytest.mark.parametrize(
+    "fam,t",
+    [
+        (PxLaplacian(Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)")), 1e4),
+        (VeryDegenerate(3.0), 3.2e4),
+    ],
+    ids=["px_laplacian", "very_degenerate"],
+)
+def test_sqrt_g1_quadrature_meets_its_tolerance_across_the_kink(fam, t):
+    # g1 switches power (or leaves 0) at t = 1; without that breakpoint
+    # QUADPACK reports success while 3.6e-6 (px) and 3.5e-7 (very
+    # degenerate) off in relative terms
+    triple = paper_triple(fam, BALL)
+    assert triple.sqrt_g1_quadrature(t) == pytest.approx(gauss_legendre_sqrt_g1(triple, t), rel=1e-9, abs=0.0)
 
 
 # --- 12M -----------------------------------------------------------------------
