@@ -154,13 +154,14 @@ class ExponentParams:
     def alpha_upper_bound(self) -> Number:
         return self.two_star - 2 * (self.gamma - 1)
 
+    def alpha_ok(self) -> bool:
+        return at_most(2, self.alpha) and strictly_less(self.alpha, self.alpha_upper_bound())
+
+    def beta_ok(self) -> bool:
+        return at_most(1, self.beta) and strictly_less(self.beta, self.beta_upper_bound())
+
     def bounds_ok(self) -> bool:
-        return (
-            at_most(2, self.alpha)
-            and strictly_less(self.alpha, self.alpha_upper_bound())
-            and at_most(1, self.beta)
-            and strictly_less(self.beta, self.beta_upper_bound())
-        )
+        return self.alpha_ok() and self.beta_ok()
 
 
 @dataclass(frozen=True)
@@ -404,19 +405,6 @@ def auto_exponential_params(
             params.beta_upper_bound(),
         )
     return params
-
-
-# ---------------------------------------------------------------------------
-# Exponent-bound checking (report form lives in growth.ConditionReport)
-# ---------------------------------------------------------------------------
-
-
-def alpha_bound_holds(params: ExponentParams) -> bool:
-    return at_most(2, params.alpha) and strictly_less(params.alpha, params.alpha_upper_bound())
-
-
-def beta_bound_holds(params: ExponentParams) -> bool:
-    return at_most(1, params.beta) and strictly_less(params.beta, params.beta_upper_bound())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ fitted M = sup ratio; a user-supplied M is honored when present.
 
 Ratios for the exponential class are formed in log space throughout, so the
 tail probes at t = 10^k never overflow.
+
+scipy is imported inside the functions that call it, never at module top.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
-from .exponents import ExponentParams, alpha_bound_holds, beta_bound_holds
+from .exponents import ExponentParams
 from .integrand import (
     Anisotropic,
     Ball,
@@ -118,6 +119,8 @@ class GrowthTriple:
         starts = np.concatenate([[0.0], ends[:-1]])
         mid = 0.5 * (starts + ends)[:, None]
         half = 0.5 * (ends - starts)[:, None]
+        from scipy import special
+
         x10, w10 = special.roots_legendre(10)
         x20, w20 = special.roots_legendre(20)
         f = np.sqrt(np.maximum(self.g1(mid + half * np.concatenate([x10, x20])), 0.0))
@@ -136,8 +139,9 @@ class GrowthTriple:
         degenerate triples when [t0, t] holds it."""
         if t == t0:
             return 0.0
-        # deferred: scipy.integrate is the largest import on the CLI path and
-        # only this quadrature fallback uses it
+        # deferred, like every scipy import in pqlab: importing any scipy
+        # subpackage runs scipy's shared _array_api chain, the bulk of a CLI
+        # process's start-up, which no import or config build should pay for
         from scipy import integrate
 
         val, _err = integrate.quad(
@@ -555,8 +559,8 @@ def check_A3(triple: GrowthTriple, params: ExponentParams, t_grid=None) -> Condi
 
 def check_exponent_bounds(params: ExponentParams) -> ConditionReport:
     """Strict bounds on alpha and beta; exact arithmetic on rational inputs."""
-    a_ok = alpha_bound_holds(params)
-    b_ok = beta_bound_holds(params)
+    a_ok = params.alpha_ok()
+    b_ok = params.beta_ok()
     if a_ok and b_ok:
         return ConditionReport(
             "alpha-bound", "pass", 0.0, 0.0, notes="beta-bound verified as well"
@@ -572,8 +576,8 @@ def check_exponent_bounds(params: ExponentParams) -> ConditionReport:
 
 def exponent_bound_reports(params: ExponentParams) -> tuple:
     """One report per bound, for table output."""
-    a_ok = alpha_bound_holds(params)
-    b_ok = beta_bound_holds(params)
+    a_ok = params.alpha_ok()
+    b_ok = params.beta_ok()
     ra = ConditionReport(
         "alpha-bound",
         "pass" if a_ok else "fail",
@@ -653,6 +657,8 @@ def _power_sum_fn(terms, source="") -> GrowthFn:
         parts = np.stack(
             [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
         )
+        from scipy import special
+
         return special.logsumexp(parts, axis=0)
 
     return GrowthFn(fn, log_fn, source)
@@ -779,10 +785,14 @@ def paper_triple(family: IntegrandFamily, ball: Ball, omega: float = 0.01) -> Gr
         amp = math.sqrt(c1 * math.pi / (2 * p))
 
         def anti(t):
+            from scipy import special
+
             t = np.asarray(t, float)
             return amp * special.erfi(np.sqrt(p / 2) * t)
 
         def anti_log(t):
+            from scipy import special
+
             t = np.asarray(t, float)
             xx = np.sqrt(p / 2) * t
             with np.errstate(divide="ignore"):

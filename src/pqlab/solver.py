@@ -18,6 +18,8 @@ amplitude rescale with a warning in the trace.
 Energy and gradient assembly and the solver's inner products reduce with
 numpy's pairwise summation in a fixed order, never through BLAS, so results
 are bit-reproducible run to run and across BLAS thread counts.
+
+scipy is imported inside the functions that call it, never at module top.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.fft import dstn, idstn
-from scipy.sparse.linalg import spsolve
 
 from .growth import GrowthTriple, paper_triple
 from .integrand import Ball, Exponential, IntegrandFamily, LOG_MAX
@@ -275,6 +274,8 @@ def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     ``2 - 2 cos(k pi / (n - 1)) cos(l pi / (n - 1))``, k, l = 1 .. n - 2.
     The returned map takes and returns flat interior vectors.
     """
+    from scipy.fft import dstn, idstn
+
     m = n - 2
     c = np.cos(np.pi * np.arange(1, m + 1) / (n - 1))
     eig = 2.0 - 2.0 * np.outer(c, c)
@@ -526,8 +527,11 @@ def field_stats(
 # ---------------------------------------------------------------------------
 
 
-def _p2_stiffness(grid: Grid) -> sparse.csr_matrix:
-    """Cell-by-cell assembly of the p = 2 stiffness over all n^2 nodes."""
+def _p2_stiffness(grid: Grid):
+    """Cell-by-cell assembly of the p = 2 stiffness over all n^2 nodes, as a
+    scipy.sparse CSR matrix."""
+    from scipy import sparse
+
     n = grid.n
     h = grid.h
     ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
@@ -555,6 +559,8 @@ def harmonic_direct_solve(grid: Grid) -> DiscreteField:
     of the solver's preconditioner, so it serves as an oracle for the
     iterative path.
     """
+    from scipy.sparse.linalg import spsolve
+
     n = grid.n
     K = _p2_stiffness(grid)
     mask = grid.boundary_mask().ravel()
