@@ -21,11 +21,17 @@ from pqlab import (
     VeryDegenerate,
     eval_f,
     eval_grad_xi,
-    exp_profile,
     hessian_quadratic_form,
-    power_profile,
     radial_bounds,
 )
+
+
+class SubquadraticPower(PLaplacian):
+    """t^p for 1 < p < 2, which the catalog p-Laplacian refuses."""
+
+    def __init__(self, p):
+        self.p = float(p)
+
 
 x = (0.4, 0.6)
 xi = np.array([3.0, 4.0])
@@ -81,12 +87,12 @@ for p in (2.0, 3.0, 4.0):
 print("\n" + "=" * 72)
 print("RADIAL TWO-SIDED BOUNDS AND MONOTONICITY CASES")
 print("=" * 72)
-for label, prof, t in (
-    ("t^3 (p >= 2)", power_profile(3.0), 2.0),
-    ("t^1.5 (1 < p < 2)", power_profile(1.5), 1.0),
-    ("exp(t^2)", exp_profile(), 1.3),
+for label, fam, t in (
+    ("t^3 (p >= 2)", PLaplacian(3.0), 2.0),
+    ("t^1.5 (1 < p < 2)", SubquadraticPower(1.5), 1.0),
+    ("exp(t^2)", Exponential(Coefficient.constant(1.0), 2.0), 1.3),
 ):
-    lo, up, case = radial_bounds(prof, x, t)
+    lo, up, case = radial_bounds(fam, x, t)
     print(f"  {label:<22} case ({case}):  {lo:.6g} <= QF/|lam|^2 <= {up:.6g}   at t = {t:g}")
 
 print("\n" + "=" * 72)

@@ -21,9 +21,9 @@ from pqlab import (
     auto_exponential_params,
     default_params,
     double_phase_params,
+    measure,
     moser_exponents,
     radius_sweep,
-    second_derivative_check,
     select_mu_nu,
     sweep_amplitudes,
 )
@@ -91,7 +91,7 @@ print(f"  monotone in rho: {rrep.monotone_ok}; (R-rho)-normalized bounded: {rrep
 print("\n" + "=" * 78)
 print("SECOND-DERIVATIVE QUANTITY")
 print("=" * 78)
-rec = second_derivative_check(solved, sched, rho=0.2, R=0.4)
+rec = measure(solved, sched, rho=0.2, R=0.4)
 print(f"  weighted integral = {rec.w22_weighted:.6g}; unweighted = {rec.w22_unweighted:.6g}")
-print(f"  nondegenerate (g1(0) = {rec.m:g} > 0): the unweighted quantity is controlled "
-      f"with the 1/m factor; implied constant = {rec.implied_constant:.6g}")
+print(f"  nondegenerate (g1(0) = {rec.g1_at_zero:g} > 0): the unweighted quantity is controlled "
+      f"with the 1/m factor; implied constant = {rec.c_hat_w22:.6g}")

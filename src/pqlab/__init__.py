@@ -2,15 +2,21 @@
 
 Pieces:
 
-* :mod:`pqlab.integrand` - the density catalog f(x, xi) with analytic
-  gradients, Hessian quadratic forms, and the radial decomposition;
-* :mod:`pqlab.growth` - growth triples (g1, g2, g3) and finite-sample
-  verification of the structural conditions tying them to a density;
-* :mod:`pqlab.exponents` - admissible exponent parameters and the
-  sup-bound iteration bookkeeping (lambda_k, nu, mu, theta_0..theta_4);
+* :mod:`pqlab.expressions` - the arithmetic expressions of coefficient
+  and boundary fields in configs;
+* :mod:`pqlab.exponents` - admissible exponent parameters, the recipes
+  per integrand class and the sup-bound iteration bookkeeping (lambda_k,
+  nu, mu, theta_0..theta_4);
+* :mod:`pqlab.integrand` - the growth functions and triples (g1, g2, g3),
+  and the density catalog f(x, xi) with analytic gradients, Hessian
+  quadratic forms and the radial decomposition; each family supplies its
+  own triple, exponent recipe and capabilities (the family protocol);
+* :mod:`pqlab.growth` - finite-sample verification of the structural
+  conditions tying a triple to a density;
 * :mod:`pqlab.solver` - discrete energy minimization on 2D grids;
 * :mod:`pqlab.validator` - empirical stress tests of the a-priori
   gradient and second-derivative estimates;
+* :mod:`pqlab.config` - the sectioned problem configurations;
 * :mod:`pqlab.cli` - the check | params | solve | validate front end.
 """
 
@@ -42,7 +48,6 @@ from .growth import (
     check_12M,
     check_A3,
     check_ellipticity_sandwich,
-    check_exponent_bounds,
     check_growth_A,
     paper_triple,
     run_all_checks,
@@ -60,14 +65,11 @@ from .integrand import (
     PLaplacian,
     ProfileDomainError,
     PxLaplacian,
-    RadialProfile,
     SaturationError,
     VeryDegenerate,
     eval_f,
     eval_grad_xi,
-    exp_profile,
     hessian_quadratic_form,
-    power_profile,
     radial_bounds,
 )
 from .solver import (
@@ -77,7 +79,6 @@ from .solver import (
     SolveOptions,
     bilinear_interpolant,
     discrete_energy,
-    discrete_energy_gradient,
     field_stats,
     harmonic_direct_solve,
     load_field,
@@ -91,7 +92,6 @@ from .validator import (
     ThetaOscillationError,
     measure,
     radius_sweep,
-    second_derivative_check,
     sweep_amplitudes,
 )
 

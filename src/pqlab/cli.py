@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    ResolvedSchedule,
     build_ball,
     build_boundary,
     build_family,
@@ -81,7 +80,7 @@ def cmd_check(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     if is_rejected(params):
         print(f"parameter recipe rejected: {params.describe()}")
         return EXIT_FAIL
-    params = params.params if isinstance(params, ResolvedSchedule) else params
+    params = params.params
     triple = paper_triple(family, ball)
     spec = SampleSpec(ball=ball, seed=seed)
     reports = run_all_checks(family, triple, params, spec)

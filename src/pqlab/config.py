@@ -52,12 +52,6 @@ from .exponents import (
     ExponentParams,
     MU_UNBOUNDED,
     MoserSchedule,
-    ParamRejection,
-    anisotropic_params,
-    auto_exponential_params,
-    auto_px_params,
-    default_params,
-    double_phase_params,
     is_rejected,
     moser_exponents,
     select_mu_nu,
@@ -342,8 +336,8 @@ def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float]
 
 
 def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
-    """ExponentParams from the [schedule] section: 'auto' per family kind,
-    or explicit (alpha, beta, gamma, delta)."""
+    """ExponentParams from the [schedule] section: 'auto' asks the family for
+    its recipe (``auto_params``), 'explicit' gives (alpha, beta, gamma, delta)."""
     mode = cfg.get_str("schedule", "mode", default="auto")
     n = cfg.get_int("schedule", "n", default=2)
     ts = cfg.get_number("schedule", "two_star", default=None)
@@ -363,43 +357,14 @@ def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
         return ExponentParams(alpha, beta, gamma, delta, ctx, theta=theta)
     if mode != "auto":
         raise ConfigError(f"schedule mode must be auto or explicit, got {mode!r}", cfg.path, 0)
-    omega = cfg.get_number("schedule", "omega", default=Fraction(1, 100))
-    if isinstance(family, PLaplacian) or isinstance(family, VeryDegenerate):
-        return default_params(n, cfg.get_number("schedule", "alpha", default=Fraction(2)),
-                              cfg.get_number("schedule", "delta", default=Fraction(0)), ts)
-    if isinstance(family, Anisotropic):
-        p = Fraction(family.p).limit_denominator(10**9)
-        q = Fraction(family.q).limit_denominator(10**9)
-        return anisotropic_params(p, q, n, ts)
-    if isinstance(family, MultiPhase):
-        p = Fraction(family.p).limit_denominator(10**9)
-        q = Fraction(family.q).limit_denominator(10**9)
-        return double_phase_params(p, q, n, ts, third_phase=True)
-    if isinstance(family, DoublePhase):
-        p = Fraction(family.p).limit_denominator(10**9)
-        q = Fraction(family.q).limit_denominator(10**9)
-        return double_phase_params(p, q, n, ts)
-    if isinstance(family, Exponential):
-        lo, hi = family.a.range_on_ball(ball)
-        return auto_exponential_params(
-            Fraction(lo).limit_denominator(10**9), Fraction(hi).limit_denominator(10**9), n, ts
-        )
-    if isinstance(family, PxLaplacian):
-        lo, hi = family.pfun.range_on_ball(ball)
-        return auto_px_params(
-            Fraction(lo).limit_denominator(10**9),
-            Fraction(hi).limit_denominator(10**9),
-            n,
-            omega,
-            ts,
-        )
-    if isinstance(family, LogPxLaplacian):
-        return ParamRejection(
-            "resolve_params",
-            "no certified auto recipe for the log-variant exponent class; "
-            "supply an explicit schedule",
-        )
-    raise ConfigError(f"no auto schedule for family kind {family.kind!r}", cfg.path, 0)
+    return family.auto_params(
+        ball,
+        n,
+        ts,
+        omega=cfg.get_number("schedule", "omega", default=Fraction(1, 100)),
+        alpha=cfg.get_number("schedule", "alpha", default=Fraction(2)),
+        delta=cfg.get_number("schedule", "delta", default=Fraction(0)),
+    )
 
 
 @dataclass

@@ -15,10 +15,12 @@ has a finite limit, the reduction the boundedness-via-limit lemma makes
 exact).  The constant M is an output: each M-carrying condition reports the
 fitted M = sup ratio; a user-supplied M is honored when present.
 
-Ratios for the exponential class are formed in log space throughout, so the
-tail probes at t = 10^k never overflow.
+Ratios for log-domain families (the exponential class) are formed in log
+space throughout, so the tail probes at t = 10^k never overflow.
 
-scipy is imported inside the functions that call it, never at module top.
+Everything family-specific comes from the family (:mod:`pqlab.integrand`):
+its triple, its Hessian t-cap and its log-domain flag.  The growth-function
+layer (GrowthFn, GrowthTriple) lives there and is re-exported here.
 """
 
 from __future__ import annotations
@@ -30,157 +32,19 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .exponents import ExponentParams
-from .integrand import (
-    Anisotropic,
+from .integrand import (  # noqa: F401  (GrowthFn: re-exported)
     Ball,
-    DoublePhase,
-    Exponential,
+    GrowthFn,
+    GrowthTriple,
     IntegrandFamily,
-    LOG_MAX,
-    LogPxLaplacian,
-    MultiPhase,
-    PLaplacian,
     ProfileDomainError,
-    PxLaplacian,
     SaturationError,
-    VeryDegenerate,
+    default_t_grid,
 )
 
 _RATIO_TOL = 1e-9   # pointwise conditions (sandwich)
 _FD_TOL = 1e-6      # conditions verified through finite differences
 _TAIL_AGREE = 1e-3  # relative agreement declaring a stabilized tail
-
-
-class GrowthFn:
-    """Monotone scalar function on [0, inf) with an optional exact log form."""
-
-    def __init__(self, fn: Callable, log_fn: Optional[Callable] = None, source: str = ""):
-        self._fn = fn
-        self._log_fn = log_fn
-        self.source = source
-
-    def __call__(self, t):
-        return np.asarray(self._fn(np.asarray(t, float)), float)
-
-    def log(self, t):
-        """Natural log of the value; -inf where the function vanishes."""
-        if self._log_fn is not None:
-            return np.asarray(self._log_fn(np.asarray(t, float)), float)
-        with np.errstate(divide="ignore"):
-            return np.log(self(t))
-
-    def __repr__(self):
-        return f"GrowthFn({self.source})"
-
-
-@dataclass
-class GrowthTriple:
-    """The triple (g1, g2, g3) with the constant M and antiderivative metadata.
-
-    ``f_scale`` multiplies the density inside the energy condition: the
-    normalization g2(1) >= g1(1) >= 1 is achieved by scaling f and the
-    triple together, and the scale is recorded here.  ``degenerate`` marks
-    triples (the very degenerate class) that cannot meet the normalization.
-    """
-
-    g1: GrowthFn
-    g2: GrowthFn
-    g3: GrowthFn
-    M: Optional[float] = None
-    sqrt_g1_antiderivative: Optional[GrowthFn] = None
-    f_scale: float = 1.0
-    label: str = ""
-    degenerate: bool = False
-    theta: Optional[float] = None
-    coeff_range: Optional[tuple] = None
-
-    def sqrt_g1_integral(self, t) -> np.ndarray:
-        """int_0^t sqrt(g1(s)) ds at every entry of ``t`` (any order, repeats
-        and zeros allowed); closed form when supplied, else one cumulative
-        integral over the sorted distinct t > 0.
-
-        The cumulative integral splits [0, max t] into panels at those t and
-        integrates all panels at once with 10- and 20-point Gauss-Legendre
-        rules (one vectorized g1 call).  A panel keeps its 20-point value when
-        the two rules agree to 1e-11 relative; otherwise, and always on the
-        first panel [0, t_1], where g1 may be singular (t^(p-2), p < 2), it
-        falls back to adaptive quadrature (``sqrt_g1_quadrature``).  The
-        fallback catches panels holding a kink, such as t = 1 for the
-        min/max-power and very degenerate triples.
-        """
-        t = np.atleast_1d(np.asarray(t, float))
-        if self.sqrt_g1_antiderivative is not None:
-            return self.sqrt_g1_antiderivative(t)
-        out = np.zeros_like(t)
-        pos = t > 0
-        ends = np.unique(t[pos])
-        if ends.size == 0:
-            return out
-        starts = np.concatenate([[0.0], ends[:-1]])
-        mid = 0.5 * (starts + ends)[:, None]
-        half = 0.5 * (ends - starts)[:, None]
-        from scipy import special
-
-        x10, w10 = special.roots_legendre(10)
-        x20, w20 = special.roots_legendre(20)
-        f = np.sqrt(np.maximum(self.g1(mid + half * np.concatenate([x10, x20])), 0.0))
-        lo = half[:, 0] * np.sum(f[:, :10] * w10, axis=1)
-        panels = half[:, 0] * np.sum(f[:, 10:] * w20, axis=1)
-        refine = ~(np.abs(panels - lo) <= 1e-11 * np.abs(panels))
-        refine[0] = True
-        for k in np.flatnonzero(refine):
-            panels[k] = self.sqrt_g1_quadrature(ends[k], starts[k])
-        out[pos] = np.cumsum(panels)[np.searchsorted(ends, t[pos])]
-        return out
-
-    def sqrt_g1_quadrature(self, t: float, t0: float = 0.0) -> float:
-        """int_t0^t sqrt(g1(s)) ds by adaptive quadrature (QUADPACK, epsrel 1e-9),
-        with a breakpoint at the kink t = 1 of the min/max-power and very
-        degenerate triples when [t0, t] holds it."""
-        if t == t0:
-            return 0.0
-        # deferred, like every scipy import in pqlab: importing any scipy
-        # subpackage runs scipy's shared _array_api chain, the bulk of a CLI
-        # process's start-up, which no import or config build should pay for
-        from scipy import integrate
-
-        val, _err = integrate.quad(
-            lambda s: math.sqrt(max(float(self.g1(s)), 0.0)), t0, t,
-            epsabs=0.0, epsrel=1e-9, limit=200, points=[1.0] if t0 < 1.0 < t else None,
-        )
-        return val
-
-    def log_one_plus_sqrt_g1_integral(self, t) -> np.ndarray:
-        """log(1 + int_0^t sqrt(g1)), stable for huge integrals: the log form
-        of the closed-form antiderivative when supplied, else the cumulative
-        panel integral of ``sqrt_g1_integral``."""
-        t = np.atleast_1d(np.asarray(t, float))
-        if self.sqrt_g1_antiderivative is not None:
-            la = self.sqrt_g1_antiderivative.log(t)
-            return np.logaddexp(0.0, la)
-        return np.log1p(self.sqrt_g1_integral(t))
-
-    def sample_valid(self, t_grid=None) -> bool:
-        """Nonnegative, nondecreasing, g2 >= g1 and normalized on a grid."""
-        t = default_t_grid() if t_grid is None else np.asarray(t_grid, float)
-        v1, v2, v3 = self.g1(t), self.g2(t), self.g3(t)
-        tol = 1e-9
-        ok = (
-            np.all(v1 >= -tol)
-            and np.all(v2 >= -tol)
-            and np.all(v3 >= -tol)
-            and np.all(np.diff(v1) >= -tol * np.maximum(1.0, np.abs(v1[:-1])))
-            and np.all(np.diff(v2) >= -tol * np.maximum(1.0, np.abs(v2[:-1])))
-            and np.all(v2 >= v1 * (1 - 1e-12))
-        )
-        if self.degenerate:
-            return bool(ok)
-        return bool(ok and self.g2(1.0) >= self.g1(1.0) >= 1.0 - 1e-12)
-
-
-def default_t_grid(t_max: float = 1e3, n: int = 400) -> np.ndarray:
-    """{0} plus a log-spaced grid on [1e-3, t_max]."""
-    return np.concatenate([[0.0], np.logspace(-3, math.log10(t_max), n)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +84,6 @@ def _classify_log_tail(logs: np.ndarray) -> TailResult:
         steady = (logs[-1] - logs[-6]) > 0.05 and diffs[-1] >= 0.5 * diffs[-5]
         if fast or steady:
             return TailResult(math.inf, False, True, tuple(logs))
-    if logs.size >= 4 and np.all(diffs[-3:] <= 1e-12):
-        # steadily decreasing: bounded above by the last probe
-        return TailResult(math.exp(min(logs[-1], 700.0)), False, False, tuple(logs))
     return TailResult(math.exp(min(float(logs[-1]), 700.0)), False, False, tuple(logs))
 
 
@@ -355,7 +216,6 @@ def _grid_tail_report(
         idx = int(np.argmax(d)) if d.size else 0
         worst = float(np.exp(min(d[idx], 700.0))) if d.size else 0.0
         worst_t = float(pos[idx]) if d.size else 0.0
-    fitted_report = fitted
     if M is not None:
         worst /= M
 
@@ -381,7 +241,7 @@ def _grid_tail_report(
         worst_ratio=worst,
         worst_t=worst_t,
         tail_limit_estimate=tail_est,
-        fitted_M=fitted_report,
+        fitted_M=fitted,
         notes=note,
     )
 
@@ -522,7 +382,7 @@ def check_12M(
         Y = ys[:, None, None]
         GX = ts[None, :, None] * ux[None, None, :]
         GY = ts[None, :, None] * uy[None, None, :]
-        if isinstance(family, Exponential):
+        if family.log_domain:
             logf = family.log_value(X, Y, GX, GY) + math.log(scale)
         else:
             with np.errstate(over="ignore"):
@@ -555,23 +415,6 @@ def check_A3(triple: GrowthTriple, params: ExponentParams, t_grid=None) -> Condi
             return lhs - rhs
 
     return _grid_tail_report("A3", tg, log_ratio, triple.M)
-
-
-def check_exponent_bounds(params: ExponentParams) -> ConditionReport:
-    """Strict bounds on alpha and beta; exact arithmetic on rational inputs."""
-    a_ok = params.alpha_ok()
-    b_ok = params.beta_ok()
-    if a_ok and b_ok:
-        return ConditionReport(
-            "alpha-bound", "pass", 0.0, 0.0, notes="beta-bound verified as well"
-        )
-    cond = "alpha-bound" if not a_ok else "beta-bound"
-    if not a_ok:
-        note = f"alpha = {float(params.alpha):.6g} outside [2, {float(params.alpha_upper_bound()):.6g})"
-    else:
-        ub = params.beta_upper_bound()
-        note = f"beta = {float(params.beta):.6g} outside [1, {float(ub):.6g})"
-    return ConditionReport(cond, "fail", math.inf, 0.0, notes=note)
 
 
 def exponent_bound_reports(params: ExponentParams) -> tuple:
@@ -615,320 +458,6 @@ def run_all_checks(
     return reports
 
 
-# ---------------------------------------------------------------------------
-# Triple catalog: honest constants on a working ball
-# ---------------------------------------------------------------------------
-
-
-def _power_growth_fn(coef: float, expo: float, source="") -> GrowthFn:
-    def fn(t):
-        return coef * np.power(np.asarray(t, float), expo)
-
-    def log_fn(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        if coef == 0:
-            return np.full_like(t, -np.inf)
-        if expo == 0:
-            return np.full_like(t, math.log(coef))
-        return math.log(coef) + expo * lt
-
-    return GrowthFn(fn, log_fn, source or f"{coef:g} t^{expo:g}")
-
-
-def _power_sum_fn(terms, source="") -> GrowthFn:
-    """sum of c_i t^(e_i) with a stable log via the dominant term."""
-    terms = [(float(c), float(e)) for c, e in terms if c != 0]
-
-    def fn(t):
-        t = np.asarray(t, float)
-        out = np.zeros_like(t)
-        for c, e in terms:
-            out = out + c * np.power(t, e)
-        return out
-
-    def log_fn(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        if not terms:
-            return np.full_like(t, -np.inf)
-        parts = np.stack(
-            [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
-        )
-        from scipy import special
-
-        return special.logsumexp(parts, axis=0)
-
-    return GrowthFn(fn, log_fn, source)
-
-
-def _min_max_power_fns(coef_lo, coef_hi, e_small, e_big):
-    """(g1, g2) = (coef_lo min(t^e_small, t^e_big), coef_hi max(...)).
-
-    The min/max swap at t = 1 mirrors the inf/sup over the ball of a
-    variable power t^(p(x) - 2) with exponent range [e_small, e_big] + 2.
-    """
-
-    def lo(t):
-        t = np.asarray(t, float)
-        return coef_lo * np.minimum(np.power(t, e_small), np.power(t, e_big))
-
-    def hi(t):
-        t = np.asarray(t, float)
-        return coef_hi * np.maximum(np.power(t, e_small), np.power(t, e_big))
-
-    def _elog(e, lt):
-        return e * lt if e != 0 else np.zeros_like(lt)
-
-    def lo_log(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        return math.log(coef_lo) + np.minimum(_elog(e_small, lt), _elog(e_big, lt))
-
-    def hi_log(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        return math.log(coef_hi) + np.maximum(_elog(e_small, lt), _elog(e_big, lt))
-
-    return GrowthFn(lo, lo_log), GrowthFn(hi, hi_log)
-
-
 def paper_triple(family: IntegrandFamily, ball: Ball, omega: float = 0.01) -> GrowthTriple:
-    """The growth triple for a catalog family on a working ball.
-
-    Constants are honest bounds on the ball (inf/sup of coefficients taken
-    there), so the sandwich holds pointwise; the scale conditions then carry
-    a finite fitted M.
-    """
-    n_dim = 2
-    sn = math.sqrt(n_dim)
-    if isinstance(family, PLaplacian):
-        p = family.p
-        t = GrowthTriple(
-            g1=_power_growth_fn(p, p - 2),
-            g2=_power_growth_fn(p * (p - 1), p - 2),
-            g3=_power_growth_fn(0.0, 0.0, source="0"),
-            sqrt_g1_antiderivative=_power_growth_fn(math.sqrt(p) / (p / 2), p / 2),
-            label=family.describe(),
-        )
-        return t
-    if isinstance(family, MultiPhase):
-        p, q, r = family.p, family.q, family.r
-        a_lo, a_hi = family.a.range_on_ball(ball)
-        b = family.b
-        g1 = _power_sum_fn([(p, p - 2), (a_lo * q, q - 2), (b * r, r - 2)])
-        g2 = _power_sum_fn(
-            [(p * (p - 1), p - 2), (a_hi * q * (q - 1), q - 2), (b * r * (r - 1), r - 2)]
-        )
-        g3 = _power_growth_fn(sn * family.a.lipschitz * q, q - 1)
-        return GrowthTriple(g1=g1, g2=g2, g3=g3, label=family.describe(),
-                            coeff_range=(a_lo, a_hi))
-    if isinstance(family, DoublePhase):
-        p, q = family.p, family.q
-        a_lo, a_hi = family.a.range_on_ball(ball)
-        g1 = _power_sum_fn([(p, p - 2), (a_lo * q, q - 2)])
-        g2 = _power_sum_fn([(p * (p - 1), p - 2), (a_hi * q * (q - 1), q - 2)])
-        g3 = _power_growth_fn(sn * family.a.lipschitz * q, q - 1)
-        return GrowthTriple(g1=g1, g2=g2, g3=g3, label=family.describe(),
-                            coeff_range=(a_lo, a_hi))
-    if isinstance(family, Exponential):
-        if family.tau != 2:
-            raise ValueError("the triple catalog certifies the exponential class at tau = 2 only")
-        p, q = family.a.range_on_ball(ball)
-        if p <= 0:
-            raise ValueError("exponential coefficient must be positive on the ball")
-        c1 = 2 * p
-        c2 = max(4 * q * q, 2 * q)
-        c3 = 2 * sn * family.a.lipschitz * max(1.0, q)
-
-        def g1(t):
-            t = np.asarray(t, float)
-            s = p * t * t
-            if np.max(s, initial=0.0) > LOG_MAX:
-                raise SaturationError(float(np.max(s)))
-            return c1 * np.exp(s)
-
-        def g1_log(t):
-            t = np.asarray(t, float)
-            return math.log(c1) + p * t * t
-
-        def g2(t):
-            t = np.asarray(t, float)
-            s = q * t * t
-            if np.max(s, initial=0.0) > LOG_MAX:
-                raise SaturationError(float(np.max(s)))
-            return c2 * (1 + t * t) * np.exp(s)
-
-        def g2_log(t):
-            t = np.asarray(t, float)
-            return math.log(c2) + np.log1p(t * t) + q * t * t
-
-        def g3(t):
-            t = np.asarray(t, float)
-            s = q * t * t
-            if np.max(s, initial=0.0) > LOG_MAX:
-                raise SaturationError(float(np.max(s)))
-            return c3 * t * (1 + t * t) * np.exp(s)
-
-        def g3_log(t):
-            t = np.asarray(t, float)
-            with np.errstate(divide="ignore"):
-                lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-            return math.log(c3) + lt + np.log1p(t * t) + q * t * t
-
-        # int_0^t sqrt(c1) e^(p s^2 / 2) ds = sqrt(c1 pi/(2p)) erfi(sqrt(p/2) t);
-        # erfi via dawsn keeps the log form overflow-free
-        amp = math.sqrt(c1 * math.pi / (2 * p))
-
-        def anti(t):
-            from scipy import special
-
-            t = np.asarray(t, float)
-            return amp * special.erfi(np.sqrt(p / 2) * t)
-
-        def anti_log(t):
-            from scipy import special
-
-            t = np.asarray(t, float)
-            xx = np.sqrt(p / 2) * t
-            with np.errstate(divide="ignore"):
-                ld = np.where(xx > 0, np.log(np.maximum(special.dawsn(xx), 1e-300)), -np.inf)
-            return math.log(amp) + math.log(2 / math.sqrt(math.pi)) + xx * xx + ld
-
-        theta = q / p
-        return GrowthTriple(
-            g1=GrowthFn(g1, g1_log),
-            g2=GrowthFn(g2, g2_log),
-            g3=GrowthFn(g3, g3_log),
-            sqrt_g1_antiderivative=GrowthFn(anti, anti_log),
-            label=family.describe(),
-            theta=theta,
-            coeff_range=(p, q),
-        )
-    if isinstance(family, PxLaplacian):
-        p, q = family.pfun.range_on_ball(ball)
-        g1, g2 = _min_max_power_fns(p, q * (q - 1), p - 2, q - 2)
-        c3 = sn * family.pfun.lipschitz * max(
-            1 + q / omega, 1 + q / (math.e * max(p - 1, 1e-9))
-        )
-        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + omega)])
-        return GrowthTriple(
-            g1=g1, g2=g2, g3=g3, label=family.describe(), theta=q / p, coeff_range=(p, q)
-        )
-    if isinstance(family, LogPxLaplacian):
-        p, q = family.pfun.range_on_ball(ball)
-
-        def ell(t):
-            return np.log1p(np.asarray(t, float) ** 2)
-
-        base_lo, base_hi = _min_max_power_fns(1.0, 1.0, p - 2, q - 2)
-        c2 = max(q * (q - 1), 4 * q) + 1.0
-
-        def g1(t):
-            return p * base_lo(t) * ell(t)
-
-        def g2(t):
-            return c2 * base_hi(t) * (ell(t) + 1)
-
-        # |g_t x_k| has no clean closed constant; fit c3 on a dense scan
-        c3 = _fit_logpx_g3_constant(family, ball, q, omega) * 1.05
-        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + omega)])
-        return GrowthTriple(
-            g1=GrowthFn(g1),
-            g2=GrowthFn(g2),
-            g3=g3,
-            label=family.describe(),
-            theta=q / p,
-            coeff_range=(p, q),
-        )
-    if isinstance(family, VeryDegenerate):
-        pp = family.p
-
-        def g1(t):
-            t = np.asarray(t, float)
-            s = np.maximum(t - 1.0, 0.0)
-            return np.where(t > 1, np.power(s, pp - 1) / np.where(t > 0, t, 1.0), 0.0)
-
-        def g2(t):
-            t = np.asarray(t, float)
-            s = np.maximum(t - 1.0, 0.0)
-            return np.where(t > 1, (pp - 1) * np.power(np.where(t > 1, s, 1.0), pp - 2), 0.0)
-
-        return GrowthTriple(
-            g1=GrowthFn(g1),
-            g2=GrowthFn(g2),
-            g3=_power_growth_fn(0.0, 0.0, source="0"),
-            label=family.describe(),
-            degenerate=True,
-        )
-    if isinstance(family, Anisotropic):
-        q = family.q
-        if family.aij is not None:
-            lo, hi = family.eigen_range_on_ball(ball)
-            if lo <= 0:
-                raise ValueError("anisotropic coefficient matrix must stay positive definite")
-            c1 = 2 * lo
-            c2 = 2 * hi
-            L = max(c.lipschitz for c in family.aij)
-            c3 = 2 * n_dim * sn * L
-            p = 2.0
-        else:
-            p = family.base_p
-            c1, c2_base, c3 = family.base_constants
-            c2 = c2_base
-        g1 = _power_growth_fn(c1, p - 2)
-        g2 = _power_sum_fn([(max(c2, 1.0), p - 2), (q * (q - 1), q - 2)])
-        g3 = _power_growth_fn(c3, p - 1) if c3 else _power_growth_fn(0.0, 0.0, source="0")
-        triple = GrowthTriple(g1=g1, g2=g2, g3=g3, label=family.describe())
-        return _normalize(triple)
-    raise TypeError(f"no cataloged triple for {family!r}")
-
-
-def _fit_logpx_g3_constant(family: LogPxLaplacian, ball: Ball, q: float, omega: float) -> float:
-    xs, ys = ball.sample_points(6, 8)
-    X, Y = xs[:, None], ys[:, None]
-    ts = np.logspace(-3, 3, 160)
-    h = 1e-6
-    envelope = 1.0 + np.power(ts, q - 1 + omega)
-    worst = 0.0
-    for dx, dy in ((h, 0.0), (0.0, h)):
-        gp = family.profile_dt(X + dx, Y + dy, ts)
-        gm = family.profile_dt(X - dx, Y - dy, ts)
-        mixed = math.sqrt(2.0) * np.abs(gp - gm) / (2 * h)
-        worst = max(worst, float(np.max(mixed / envelope)))
-    return max(worst, 1e-6)
-
-
-def _normalize(triple: GrowthTriple) -> GrowthTriple:
-    """Rescale (g1, g2, g3, f) together until g2(1) >= g1(1) >= 1."""
-    v1 = float(triple.g1(1.0))
-    if v1 >= 1.0 or triple.degenerate:
-        return triple
-    if v1 <= 0:
-        raise ValueError("triple cannot be normalized: g1(1) = 0")
-    s = 1.0 / v1
-
-    def scaled(g, factor=s):
-        return GrowthFn(
-            lambda t: factor * g(t), lambda t: math.log(factor) + g.log(t), g.source
-        )
-
-    anti = triple.sqrt_g1_antiderivative
-    if anti is not None:
-        anti = scaled(anti, math.sqrt(s))
-    return GrowthTriple(
-        g1=scaled(triple.g1),
-        g2=scaled(triple.g2),
-        g3=scaled(triple.g3),
-        M=triple.M,
-        sqrt_g1_antiderivative=anti,
-        f_scale=triple.f_scale * s,
-        label=triple.label,
-        degenerate=triple.degenerate,
-        theta=triple.theta,
-        coeff_range=triple.coeff_range,
-    )
+    """The growth triple of a family on a working ball (``family.triple``)."""
+    return family.triple(ball, omega)

@@ -14,24 +14,61 @@ The exponential family stores the density in log space and refuses to
 silently return IEEE infinities; it raises :class:`SaturationError` instead
 so callers (the solver's line search, the condition checkers) can switch to
 log-domain arithmetic.
+
+Family protocol: the checks, the solver, the schedule resolver and the
+validator use a family only through what it supplies here, never through
+its type.  A family must supply ``value``, ``grad`` and ``hess_qf`` (a
+radial family subclasses ``_RadialFamily``, supplies ``profile_value``,
+``profile_dt``, ``profile_dtt`` and ``profile_slope`` and inherits them),
+``triple(ball, omega)`` - its growth triple with honest constants on the
+ball - and ``auto_params(ball, n, two_star, *, omega, alpha, delta)`` - its
+exponent recipe, an ExponentParams or a ParamRejection.  It may override
+the class defaults ``radial``, ``needs_smoothing``, ``log_domain`` (minimize
+and check through log f, which needs ``log_value`` and
+``grad_coeff_over_f``), ``oscillating_coefficient`` (the coefficient whose
+oscillation on a ball the schedule's theta must cover) and
+``hessian_t_cap(ball)``.
+
+The growth-function layer (GrowthFn, GrowthTriple and the power-law
+builders) lives here, ahead of the families that build their triples
+from it; :mod:`pqlab.growth` re-exports it.  scipy is imported inside the
+functions that call it, never at module top.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
+from .exponents import (
+    ParamRejection,
+    anisotropic_params,
+    auto_exponential_params,
+    auto_px_params,
+    default_params,
+    double_phase_params,
+)
+
 # Largest exponent exp() can take before overflowing a double, with margin.
 LOG_MAX = 700.0
+# The plane: dimension and sqrt(n) in the mixed-derivative constants.
+_N_DIM = 2
+_SQRT_N = math.sqrt(_N_DIM)
 
 
 def _const_like(value: float, *arrays):
     """Array filled with ``value``, broadcast to the common shape of ``arrays``."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
     return np.full(shape, float(value)) if shape else float(value)
+
+
+def _frac(value: float) -> Fraction:
+    """The exact rational the exponent recipes take for a float parameter."""
+    return Fraction(value).limit_denominator(10**9)
 
 
 class SaturationError(ArithmeticError):
@@ -56,9 +93,6 @@ class Ball:
     cx: float
     cy: float
     r: float
-
-    def contains(self, x, y):
-        return (x - self.cx) ** 2 + (y - self.cy) ** 2 <= self.r**2
 
     def sample_points(self, n_radial: int = 12, n_angular: int = 16):
         """Deterministic polar sampling grid (includes the center)."""
@@ -99,37 +133,243 @@ class Coefficient:
         return f"Coefficient({self.source}, L={self.lipschitz})"
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial profile g(x, t) with its first two t-derivatives.
+# ---------------------------------------------------------------------------
+# Growth functions and triples
+# ---------------------------------------------------------------------------
 
-    ``dt(x, y, 0)`` must vanish; ``dt(x,y,t)/t`` and ``dtt`` must be finite
-    for t > 0.  ``singular_at_origin`` marks profiles whose Hessian form has
-    no limit at xi = 0 (then the form raises :class:`ProfileDomainError`).
+
+class GrowthFn:
+    """Monotone scalar function on [0, inf) with an optional exact log form."""
+
+    def __init__(self, fn: Callable, log_fn: Optional[Callable] = None, source: str = ""):
+        self._fn = fn
+        self._log_fn = log_fn
+        self.source = source
+
+    def __call__(self, t):
+        return np.asarray(self._fn(np.asarray(t, float)), float)
+
+    def log(self, t):
+        """Natural log of the value; -inf where the function vanishes."""
+        if self._log_fn is not None:
+            return np.asarray(self._log_fn(np.asarray(t, float)), float)
+        with np.errstate(divide="ignore"):
+            return np.log(self(t))
+
+    def __repr__(self):
+        return f"GrowthFn({self.source})"
+
+
+@dataclass
+class GrowthTriple:
+    """The triple (g1, g2, g3) with the constant M and antiderivative metadata.
+
+    ``f_scale`` multiplies the density inside the energy condition: the
+    normalization g2(1) >= g1(1) >= 1 is achieved by scaling f and the
+    triple together, and the scale is recorded here.  ``degenerate`` marks
+    triples (the very degenerate class) that cannot meet the normalization.
     """
 
-    value: Callable
-    dt: Callable
-    dtt: Callable
-    label: str = ""
-    singular_at_origin: bool = False
-    slope0: Optional[Callable] = None
+    g1: GrowthFn
+    g2: GrowthFn
+    g3: GrowthFn
+    M: Optional[float] = None
+    sqrt_g1_antiderivative: Optional[GrowthFn] = None
+    f_scale: float = 1.0
+    degenerate: bool = False
 
-    def slope(self, x, y, t):
-        """g_t / t, computed without dividing at t = 0 when a limit exists."""
+    def sqrt_g1_integral(self, t) -> np.ndarray:
+        """int_0^t sqrt(g1(s)) ds at every entry of ``t`` (any order, repeats
+        and zeros allowed); closed form when supplied, else one cumulative
+        integral over the sorted distinct t > 0.
+
+        The cumulative integral splits [0, max t] into panels at those t and
+        integrates all panels at once with 10- and 20-point Gauss-Legendre
+        rules (one vectorized g1 call).  A panel keeps its 20-point value when
+        the two rules agree to 1e-11 relative; otherwise, and always on the
+        first panel [0, t_1], where g1 may be singular (t^(p-2), p < 2), it
+        falls back to adaptive quadrature (``sqrt_g1_quadrature``).  The
+        fallback catches panels holding a kink, such as t = 1 for the
+        min/max-power and very degenerate triples.
+        """
+        t = np.atleast_1d(np.asarray(t, float))
+        if self.sqrt_g1_antiderivative is not None:
+            return self.sqrt_g1_antiderivative(t)
+        out = np.zeros_like(t)
+        pos = t > 0
+        ends = np.unique(t[pos])
+        if ends.size == 0:
+            return out
+        starts = np.concatenate([[0.0], ends[:-1]])
+        mid = 0.5 * (starts + ends)[:, None]
+        half = 0.5 * (ends - starts)[:, None]
+        from scipy import special
+
+        x10, w10 = special.roots_legendre(10)
+        x20, w20 = special.roots_legendre(20)
+        f = np.sqrt(np.maximum(self.g1(mid + half * np.concatenate([x10, x20])), 0.0))
+        lo = half[:, 0] * np.sum(f[:, :10] * w10, axis=1)
+        panels = half[:, 0] * np.sum(f[:, 10:] * w20, axis=1)
+        refine = ~(np.abs(panels - lo) <= 1e-11 * np.abs(panels))
+        refine[0] = True
+        for k in np.flatnonzero(refine):
+            panels[k] = self.sqrt_g1_quadrature(ends[k], starts[k])
+        out[pos] = np.cumsum(panels)[np.searchsorted(ends, t[pos])]
+        return out
+
+    def sqrt_g1_quadrature(self, t: float, t0: float = 0.0) -> float:
+        """int_t0^t sqrt(g1(s)) ds by adaptive quadrature (QUADPACK, epsrel 1e-9),
+        with a breakpoint at the kink t = 1 of the min/max-power and very
+        degenerate triples when [t0, t] holds it."""
+        if t == t0:
+            return 0.0
+        # deferred, like every scipy import in pqlab: importing any scipy
+        # subpackage runs scipy's shared _array_api chain, the bulk of a CLI
+        # process's start-up, which no import or config build should pay for
+        from scipy import integrate
+
+        val, _err = integrate.quad(
+            lambda s: math.sqrt(max(float(self.g1(s)), 0.0)), t0, t,
+            epsabs=0.0, epsrel=1e-9, limit=200, points=[1.0] if t0 < 1.0 < t else None,
+        )
+        return val
+
+    def log_one_plus_sqrt_g1_integral(self, t) -> np.ndarray:
+        """log(1 + int_0^t sqrt(g1)), stable for huge integrals: the log form
+        of the closed-form antiderivative when supplied, else the cumulative
+        panel integral of ``sqrt_g1_integral``."""
+        t = np.atleast_1d(np.asarray(t, float))
+        if self.sqrt_g1_antiderivative is not None:
+            la = self.sqrt_g1_antiderivative.log(t)
+            return np.logaddexp(0.0, la)
+        return np.log1p(self.sqrt_g1_integral(t))
+
+    def sample_valid(self, t_grid=None) -> bool:
+        """Nonnegative, nondecreasing, g2 >= g1 and normalized on a grid."""
+        t = default_t_grid() if t_grid is None else np.asarray(t_grid, float)
+        v1, v2, v3 = self.g1(t), self.g2(t), self.g3(t)
+        tol = 1e-9
+        ok = (
+            np.all(v1 >= -tol)
+            and np.all(v2 >= -tol)
+            and np.all(v3 >= -tol)
+            and np.all(np.diff(v1) >= -tol * np.maximum(1.0, np.abs(v1[:-1])))
+            and np.all(np.diff(v2) >= -tol * np.maximum(1.0, np.abs(v2[:-1])))
+            and np.all(v2 >= v1 * (1 - 1e-12))
+        )
+        if self.degenerate:
+            return bool(ok)
+        return bool(ok and self.g2(1.0) >= self.g1(1.0) >= 1.0 - 1e-12)
+
+
+def default_t_grid(t_max: float = 1e3, n: int = 400) -> np.ndarray:
+    """{0} plus a log-spaced grid on [1e-3, t_max]."""
+    return np.concatenate([[0.0], np.logspace(-3, math.log10(t_max), n)])
+
+
+def _power_growth_fn(coef: float, expo: float, source="") -> GrowthFn:
+    def fn(t):
+        return coef * np.power(np.asarray(t, float), expo)
+
+    def log_fn(t):
         t = np.asarray(t, float)
-        safe = np.where(t > 0, t, 1.0)
-        return np.where(t > 0, self.dt(x, y, safe) / safe, self._slope_at_zero(x, y))
+        with np.errstate(divide="ignore"):
+            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+        if coef == 0:
+            return np.full_like(t, -np.inf)
+        if expo == 0:
+            return np.full_like(t, math.log(coef))
+        return math.log(coef) + expo * lt
 
-    def _slope_at_zero(self, x, y):
-        if self.slope0 is not None:
-            return self.slope0(x, y)
-        if self.singular_at_origin:
-            return _const_like(np.nan, x, y)
-        # limit of g_t/t at 0 by a small-t probe; families with exact limits
-        # install slope0 instead
-        eps = 1e-8
-        return self.dt(x, y, eps) / eps
+    return GrowthFn(fn, log_fn, source or f"{coef:g} t^{expo:g}")
+
+
+def _power_sum_fn(terms, source="") -> GrowthFn:
+    """sum of c_i t^(e_i) with a stable log via the dominant term."""
+    terms = [(float(c), float(e)) for c, e in terms if c != 0]
+
+    def fn(t):
+        t = np.asarray(t, float)
+        out = np.zeros_like(t)
+        for c, e in terms:
+            out = out + c * np.power(t, e)
+        return out
+
+    def log_fn(t):
+        t = np.asarray(t, float)
+        with np.errstate(divide="ignore"):
+            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+        if not terms:
+            return np.full_like(t, -np.inf)
+        parts = np.stack(
+            [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
+        )
+        from scipy import special
+
+        return special.logsumexp(parts, axis=0)
+
+    return GrowthFn(fn, log_fn, source)
+
+
+def _min_max_power_fns(coef_lo, coef_hi, e_small, e_big):
+    """(g1, g2) = (coef_lo min(t^e_small, t^e_big), coef_hi max(...)).
+
+    The min/max swap at t = 1 mirrors the inf/sup over the ball of a
+    variable power t^(p(x) - 2) with exponent range [e_small, e_big] + 2.
+    """
+
+    def lo(t):
+        t = np.asarray(t, float)
+        return coef_lo * np.minimum(np.power(t, e_small), np.power(t, e_big))
+
+    def hi(t):
+        t = np.asarray(t, float)
+        return coef_hi * np.maximum(np.power(t, e_small), np.power(t, e_big))
+
+    def _elog(e, lt):
+        return e * lt if e != 0 else np.zeros_like(lt)
+
+    def lo_log(t):
+        t = np.asarray(t, float)
+        with np.errstate(divide="ignore"):
+            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+        return math.log(coef_lo) + np.minimum(_elog(e_small, lt), _elog(e_big, lt))
+
+    def hi_log(t):
+        t = np.asarray(t, float)
+        with np.errstate(divide="ignore"):
+            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+        return math.log(coef_hi) + np.maximum(_elog(e_small, lt), _elog(e_big, lt))
+
+    return GrowthFn(lo, lo_log), GrowthFn(hi, hi_log)
+
+
+def _normalize(triple: GrowthTriple) -> GrowthTriple:
+    """Rescale (g1, g2, g3, f) together until g2(1) >= g1(1) >= 1."""
+    v1 = float(triple.g1(1.0))
+    if v1 >= 1.0 or triple.degenerate:
+        return triple
+    if v1 <= 0:
+        raise ValueError("triple cannot be normalized: g1(1) = 0")
+    s = 1.0 / v1
+
+    def scaled(g, factor=s):
+        return GrowthFn(
+            lambda t: factor * g(t), lambda t: math.log(factor) + g.log(t), g.source
+        )
+
+    anti = triple.sqrt_g1_antiderivative
+    if anti is not None:
+        anti = scaled(anti, math.sqrt(s))
+    return GrowthTriple(
+        g1=scaled(triple.g1),
+        g2=scaled(triple.g2),
+        g3=scaled(triple.g3),
+        M=triple.M,
+        sqrt_g1_antiderivative=anti,
+        f_scale=triple.f_scale * s,
+        degenerate=triple.degenerate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +384,10 @@ class IntegrandFamily:
     radial: bool = True
     # solver hint: profile has kinks/plateaus worth smoothing during iteration
     needs_smoothing: bool = False
+    # minimized and checked through log f (log_value, grad_coeff_over_f)
+    log_domain: bool = False
+    # the coefficient whose oscillation on a ball the schedule's theta covers
+    oscillating_coefficient: Optional[Coefficient] = None
 
     def value(self, x, y, gx, gy):
         raise NotImplementedError
@@ -157,6 +401,22 @@ class IntegrandFamily:
     def hessian_t_cap(self, ball: Ball) -> Optional[float]:
         """Largest |xi| at which the Hessian is representable on the ball; None if unbounded."""
         return None
+
+    def triple(self, ball: Ball, omega: float) -> GrowthTriple:
+        """The growth triple on a working ball.
+
+        Constants are honest bounds on the ball (inf/sup of coefficients taken
+        there), so the sandwich holds pointwise; the scale conditions then
+        carry a finite fitted M.  ``omega`` is the margin of the variable
+        exponent triples.
+        """
+        raise TypeError(f"no cataloged triple for {self!r}")
+
+    def auto_params(self, ball: Ball, n: int, two_star, *, omega, alpha, delta):
+        """The certified exponent recipe on the ball: ExponentParams or a
+        ParamRejection.  ``omega`` feeds the variable exponent recipes,
+        ``alpha`` and ``delta`` the natural-growth one."""
+        raise NotImplementedError(f"no auto schedule for family kind {self.kind!r}")
 
     def describe(self) -> str:
         return self.kind
@@ -180,15 +440,6 @@ class _RadialFamily(IntegrandFamily):
     def profile_slope(self, x, y, t):
         """g_t(x,t)/t with the correct t = 0 limit."""
         raise NotImplementedError
-
-    def profile(self) -> RadialProfile:
-        return RadialProfile(
-            value=self.profile_value,
-            dt=self.profile_dt,
-            dtt=self.profile_dtt,
-            label=self.describe(),
-            slope0=lambda x, y: self.profile_slope(x, y, 0.0),
-        )
 
     def value(self, x, y, gx, gy):
         t = np.hypot(gx, gy)
@@ -258,6 +509,18 @@ class PLaplacian(_RadialFamily):
             return _const_like(2.0, t, x)
         return p * np.power(np.asarray(t, float), p - 2)
 
+    def triple(self, ball, omega):
+        p = self.p
+        return GrowthTriple(
+            g1=_power_growth_fn(p, p - 2),
+            g2=_power_growth_fn(p * (p - 1), p - 2),
+            g3=_power_growth_fn(0.0, 0.0, source="0"),
+            sqrt_g1_antiderivative=_power_growth_fn(math.sqrt(p) / (p / 2), p / 2),
+        )
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        return default_params(n, alpha, delta, two_star)
+
 
 class Exponential(_RadialFamily):
     """f(x, xi) = exp(a(x) |xi|^tau), a > 0 locally Lipschitz, tau >= 2.
@@ -267,11 +530,13 @@ class Exponential(_RadialFamily):
     """
 
     kind = "exponential"
+    log_domain = True
 
     def __init__(self, a: Coefficient, tau: float = 2.0):
         if tau < 2:
             raise ValueError(f"exponential family requires tau >= 2, got {tau}")
         self.a = a
+        self.oscillating_coefficient = a
         self.tau = float(tau)
 
     def describe(self):
@@ -321,6 +586,72 @@ class Exponential(_RadialFamily):
         w = self.a(x, y) * self.tau * np.power(t, self.tau - 2) if self.tau != 2 else 2.0 * self.a(x, y)
         return w * gx, w * gy
 
+    def triple(self, ball, omega):
+        if self.tau != 2:
+            raise ValueError("the triple catalog certifies the exponential class at tau = 2 only")
+        p, q = self.a.range_on_ball(ball)
+        if p <= 0:
+            raise ValueError("exponential coefficient must be positive on the ball")
+        c1 = 2 * p
+        c2 = max(4 * q * q, 2 * q)
+        c3 = 2 * _SQRT_N * self.a.lipschitz * max(1.0, q)
+
+        def g1(t):
+            t = np.asarray(t, float)
+            return c1 * self._exp_guarded(p * t * t)
+
+        def g1_log(t):
+            t = np.asarray(t, float)
+            return math.log(c1) + p * t * t
+
+        def g2(t):
+            t = np.asarray(t, float)
+            return c2 * (1 + t * t) * self._exp_guarded(q * t * t)
+
+        def g2_log(t):
+            t = np.asarray(t, float)
+            return math.log(c2) + np.log1p(t * t) + q * t * t
+
+        def g3(t):
+            t = np.asarray(t, float)
+            return c3 * t * (1 + t * t) * self._exp_guarded(q * t * t)
+
+        def g3_log(t):
+            t = np.asarray(t, float)
+            with np.errstate(divide="ignore"):
+                lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+            return math.log(c3) + lt + np.log1p(t * t) + q * t * t
+
+        # int_0^t sqrt(c1) e^(p s^2 / 2) ds = sqrt(c1 pi/(2p)) erfi(sqrt(p/2) t);
+        # erfi via dawsn keeps the log form overflow-free
+        amp = math.sqrt(c1 * math.pi / (2 * p))
+
+        def anti(t):
+            from scipy import special
+
+            t = np.asarray(t, float)
+            return amp * special.erfi(np.sqrt(p / 2) * t)
+
+        def anti_log(t):
+            from scipy import special
+
+            t = np.asarray(t, float)
+            xx = np.sqrt(p / 2) * t
+            with np.errstate(divide="ignore"):
+                ld = np.where(xx > 0, np.log(np.maximum(special.dawsn(xx), 1e-300)), -np.inf)
+            return math.log(amp) + math.log(2 / math.sqrt(math.pi)) + xx * xx + ld
+
+        return GrowthTriple(
+            g1=GrowthFn(g1, g1_log),
+            g2=GrowthFn(g2, g2_log),
+            g3=GrowthFn(g3, g3_log),
+            sqrt_g1_antiderivative=GrowthFn(anti, anti_log),
+        )
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        lo, hi = self.a.range_on_ball(ball)
+        return auto_exponential_params(_frac(lo), _frac(hi), n, two_star)
+
 
 class PxLaplacian(_RadialFamily):
     """f(x, xi) = |xi|^p(x) with a variable exponent p(x) >= 2."""
@@ -329,6 +660,7 @@ class PxLaplacian(_RadialFamily):
 
     def __init__(self, p: Coefficient):
         self.pfun = p
+        self.oscillating_coefficient = p
 
     def describe(self):
         return f"px_laplacian(p={self.pfun.source})"
@@ -348,6 +680,19 @@ class PxLaplacian(_RadialFamily):
     def profile_slope(self, x, y, t):
         p = self.pfun(x, y)
         return p * np.power(np.asarray(t, float), p - 2)
+
+    def triple(self, ball, omega):
+        p, q = self.pfun.range_on_ball(ball)
+        g1, g2 = _min_max_power_fns(p, q * (q - 1), p - 2, q - 2)
+        c3 = _SQRT_N * self.pfun.lipschitz * max(
+            1 + q / omega, 1 + q / (math.e * max(p - 1, 1e-9))
+        )
+        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + omega)])
+        return GrowthTriple(g1=g1, g2=g2, g3=g3)
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        lo, hi = self.pfun.range_on_ball(ball)
+        return auto_px_params(_frac(lo), _frac(hi), n, omega, two_star)
 
 
 class LogPxLaplacian(_RadialFamily):
@@ -384,6 +729,47 @@ class LogPxLaplacian(_RadialFamily):
         t = np.asarray(t, float)
         p = self.pfun(x, y)
         return np.power(t, p - 2) * (p * np.log1p(t * t) + 2 * t * t / (1 + t * t))
+
+    def triple(self, ball, omega):
+        p, q = self.pfun.range_on_ball(ball)
+
+        def ell(t):
+            return np.log1p(np.asarray(t, float) ** 2)
+
+        base_lo, base_hi = _min_max_power_fns(1.0, 1.0, p - 2, q - 2)
+        c2 = max(q * (q - 1), 4 * q) + 1.0
+
+        def g1(t):
+            return p * base_lo(t) * ell(t)
+
+        def g2(t):
+            return c2 * base_hi(t) * (ell(t) + 1)
+
+        # |g_t x_k| has no clean closed constant; fit c3 on a dense scan
+        c3 = self._fit_g3_constant(ball, q, omega) * 1.05
+        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + omega)])
+        return GrowthTriple(g1=GrowthFn(g1), g2=GrowthFn(g2), g3=g3)
+
+    def _fit_g3_constant(self, ball: Ball, q: float, omega: float) -> float:
+        xs, ys = ball.sample_points(6, 8)
+        X, Y = xs[:, None], ys[:, None]
+        ts = np.logspace(-3, 3, 160)
+        h = 1e-6
+        envelope = 1.0 + np.power(ts, q - 1 + omega)
+        worst = 0.0
+        for dx, dy in ((h, 0.0), (0.0, h)):
+            gp = self.profile_dt(X + dx, Y + dy, ts)
+            gm = self.profile_dt(X - dx, Y - dy, ts)
+            mixed = math.sqrt(2.0) * np.abs(gp - gm) / (2 * h)
+            worst = max(worst, float(np.max(mixed / envelope)))
+        return max(worst, 1e-6)
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        return ParamRejection(
+            "resolve_params",
+            "no certified auto recipe for the log-variant exponent class; "
+            "supply an explicit schedule",
+        )
 
 
 class DoublePhase(_RadialFamily):
@@ -437,6 +823,16 @@ class DoublePhase(_RadialFamily):
             out = out + w * e * np.power(t, e - 2)
         return out
 
+    def triple(self, ball, omega):
+        ranges = [(e, (1.0, 1.0) if c is None else c.range_on_ball(ball)) for e, c in self._terms()]
+        g1 = _power_sum_fn([(lo * e, e - 2) for e, (lo, _hi) in ranges])
+        g2 = _power_sum_fn([(hi * e * (e - 1), e - 2) for e, (_lo, hi) in ranges])
+        g3 = _power_growth_fn(_SQRT_N * self.a.lipschitz * self.q, self.q - 1)
+        return GrowthTriple(g1=g1, g2=g2, g3=g3)
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        return double_phase_params(_frac(self.p), _frac(self.q), n, two_star)
+
 
 class MultiPhase(DoublePhase):
     """Double phase plus the auxiliary constant term b |xi|^(2q - p).
@@ -460,6 +856,9 @@ class MultiPhase(DoublePhase):
     def _terms(self):
         bcoef = Coefficient.constant(self.b)
         return [(self.p, None), (self.q, self.a), (self.r, bcoef)]
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        return double_phase_params(_frac(self.p), _frac(self.q), n, two_star, third_phase=True)
 
 
 class VeryDegenerate(_RadialFamily):
@@ -499,6 +898,18 @@ class VeryDegenerate(_RadialFamily):
         s = np.maximum(t - 1.0, 0.0)
         safe = np.where(t > 0, t, 1.0)
         return np.where(t > 1.0, np.power(s, self.p - 1) / safe, 0.0)
+
+    def triple(self, ball, omega):
+        # x-independent: g1 = g_t/t and g2 = g_tt themselves
+        return GrowthTriple(
+            g1=GrowthFn(lambda t: self.profile_slope(0.0, 0.0, t)),
+            g2=GrowthFn(lambda t: self.profile_dtt(0.0, 0.0, t)),
+            g3=_power_growth_fn(0.0, 0.0, source="0"),
+            degenerate=True,
+        )
+
+    # natural growth: the p-Laplacian recipe
+    auto_params = PLaplacian.auto_params
 
 
 class Anisotropic(IntegrandFamily):
@@ -599,6 +1010,28 @@ class Anisotropic(IntegrandFamily):
         rad = np.sqrt(((m - d) / 2) ** 2 + o * o)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
 
+    def triple(self, ball, omega):
+        q = self.q
+        if self.aij is not None:
+            lo, hi = self.eigen_range_on_ball(ball)
+            if lo <= 0:
+                raise ValueError("anisotropic coefficient matrix must stay positive definite")
+            c1 = 2 * lo
+            c2 = 2 * hi
+            L = max(c.lipschitz for c in self.aij)
+            c3 = 2 * _N_DIM * _SQRT_N * L
+            p = 2.0
+        else:
+            p = self.base_p
+            c1, c2, c3 = self.base_constants
+        g1 = _power_growth_fn(c1, p - 2)
+        g2 = _power_sum_fn([(max(c2, 1.0), p - 2), (q * (q - 1), q - 2)])
+        g3 = _power_growth_fn(c3, p - 1) if c3 else _power_growth_fn(0.0, 0.0, source="0")
+        return _normalize(GrowthTriple(g1=g1, g2=g2, g3=g3))
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        return anisotropic_params(_frac(self.p), _frac(self.q), n, two_star)
+
 
 # ---------------------------------------------------------------------------
 # Module-level operations on points
@@ -626,18 +1059,21 @@ def hessian_quadratic_form(family: IntegrandFamily, x, xi, lam) -> float:
     )
 
 
-def radial_bounds(profile: RadialProfile, x, t: float, t_scan=None):
+def radial_bounds(family: IntegrandFamily, x, t: float, t_scan=None):
     """Pointwise Hessian bounds and the monotonicity case of g_t/t at x.
 
     Returns ``(lower, upper, case)`` where case is 'ii' when g_t/t is
     increasing in t at this x, 'iii' when decreasing, 'i' otherwise, and
-    (lower, upper) = (min, max) of {g_t/t, g_tt} at the given t.
+    (lower, upper) = (min, max) of {g_t/t, g_tt} at the given t, read from
+    the family's radial profile.
     """
+    if not family.radial:
+        raise ProfileDomainError(f"{family.kind} has no radial profile")
     if t <= 0:
         raise ProfileDomainError("radial bounds need t > 0")
     px, py = float(x[0]), float(x[1])
-    s = float(profile.dt(px, py, t) / t)
-    r = float(profile.dtt(px, py, t))
+    s = float(family.profile_dt(px, py, t) / t)
+    r = float(family.profile_dtt(px, py, t))
     if not (math.isfinite(s) and math.isfinite(r)):
         raise ProfileDomainError(f"profile not finite at t={t}")
     if t_scan is None:
@@ -648,8 +1084,8 @@ def radial_bounds(profile: RadialProfile, x, t: float, t_scan=None):
     for _ in range(24):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                d = profile.dtt(px, py, t_scan) * t_scan - profile.dt(px, py, t_scan)
-                scale = np.abs(profile.dt(px, py, t_scan))
+                d = family.profile_dtt(px, py, t_scan) * t_scan - family.profile_dt(px, py, t_scan)
+                scale = np.abs(family.profile_dt(px, py, t_scan))
             finite = np.isfinite(d) & np.isfinite(scale)
             if np.all(finite):
                 break
@@ -667,41 +1103,3 @@ def radial_bounds(profile: RadialProfile, x, t: float, t_scan=None):
     else:
         case = "i"
     return min(s, r), max(s, r), case
-
-
-def power_profile(p: float, coeff: Coefficient | None = None) -> RadialProfile:
-    """Profile of a(x) t^p for any p > 1; p < 2 is singular at the origin."""
-    c = coeff if coeff is not None else Coefficient.constant(1.0)
-
-    def value(x, y, t):
-        return c(x, y) * np.power(np.asarray(t, float), p)
-
-    def dt(x, y, t):
-        return c(x, y) * p * np.power(np.asarray(t, float), p - 1)
-
-    def dtt(x, y, t):
-        return c(x, y) * p * (p - 1) * np.power(np.asarray(t, float), p - 2)
-
-    return RadialProfile(
-        value=value, dt=dt, dtt=dtt, label=f"{c.source}*t^{p:g}", singular_at_origin=p < 2
-    )
-
-
-def exp_profile(coeff: Coefficient | None = None) -> RadialProfile:
-    """Profile of exp(a(x) t^2)."""
-    c = coeff if coeff is not None else Coefficient.constant(1.0)
-
-    def value(x, y, t):
-        return np.exp(c(x, y) * np.asarray(t, float) ** 2)
-
-    def dt(x, y, t):
-        t = np.asarray(t, float)
-        a = c(x, y)
-        return 2 * a * t * np.exp(a * t * t)
-
-    def dtt(x, y, t):
-        t = np.asarray(t, float)
-        a = c(x, y)
-        return (4 * a * a * t * t + 2 * a) * np.exp(a * t * t)
-
-    return RadialProfile(value=value, dt=dt, dtt=dtt, label=f"exp({c.source}*t^2)")

@@ -11,9 +11,10 @@ sine transform applies; its iteration count does not grow with N.  A
 backtracking line search polishes every trial by a secant step on the
 directional derivative, which makes the method coincide with
 preconditioned linear CG on quadratic energies (p = 2 converges in one
-step).  Exponential densities are minimized through their logarithm (same
-minimizer, overflow-free); a saturated initial state triggers an automatic
-amplitude rescale with a warning in the trace.
+step).  Log-domain families (the exponential class) are minimized through
+the logarithm of the energy (same minimizer, overflow-free); a saturated
+initial state triggers an automatic amplitude rescale with a warning in the
+trace.
 
 Energy and gradient assembly and the solver's inner products reduce with
 numpy's pairwise summation in a fixed order, never through BLAS, so results
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .growth import GrowthTriple, paper_triple
-from .integrand import Ball, Exponential, IntegrandFamily, LOG_MAX
+from .integrand import Ball, IntegrandFamily, LOG_MAX
 
 
 class GeometryError(ValueError):
@@ -152,25 +153,31 @@ def _accumulate_cells(n: int, h: float, wx: np.ndarray, wy: np.ndarray) -> np.nd
     return G
 
 
-def discrete_energy(grid: Grid, family: IntegrandFamily, u: DiscreteField) -> float:
-    """sum over cells of f(x_c, Du_c) h^2."""
-    XC, YC = grid.cell_coords()
-    gx, gy = cell_gradients(grid, u.values)
-    vals = family.value(XC, YC, gx, gy)
-    return float(np.sum(vals) * grid.h**2)
+def discrete_energy(
+    grid: Grid, family: IntegrandFamily, u: np.ndarray, eps: float = 0.0, cells=None, interior=None
+):
+    """(E, G): E = sum over cells of f(x_c, Du_c) h^2 for the nodal values u,
+    and G its exact gradient in the nodal values, zero on the boundary nodes
+    (Dirichlet constraint).
 
-
-def discrete_energy_gradient(grid: Grid, family: IntegrandFamily, u: DiscreteField) -> np.ndarray:
-    """Exact gradient of discrete_energy in the interior nodal values.
-
-    Boundary entries are zero (Dirichlet constraint).
+    ``eps > 0`` smooths the modulus of radial families to (|xi|^2 + eps^2)^(1/2).
+    The solver passes its cached cell-center coordinates as ``cells`` and its
+    interior-node mask as ``interior``, which returns G on those nodes only.
     """
-    XC, YC = grid.cell_coords()
-    gx, gy = cell_gradients(grid, u.values)
-    wx, wy = family.grad(XC, YC, gx, gy)
+    XC, YC = grid.cell_coords() if cells is None else cells
+    gx, gy = cell_gradients(grid, u)
+    if eps > 0 and family.radial:
+        vals = family.value_smoothed(XC, YC, gx, gy, eps)
+        wx, wy = family.grad_smoothed(XC, YC, gx, gy, eps)
+    else:
+        vals = family.value(XC, YC, gx, gy)
+        wx, wy = family.grad(XC, YC, gx, gy)
     G = _accumulate_cells(grid.n, grid.h, wx * grid.h**2, wy * grid.h**2)
     G[grid.boundary_mask()] = 0.0
-    return G
+    # restricted here, while the cell arrays are alive: restricting after the
+    # return lets malloc trim the freed heap top on every call, which doubled
+    # the page faults and slowed N = 129 solves by ~10%
+    return float(np.sum(vals) * grid.h**2), G if interior is None else G[interior]
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,7 @@ class _Objective:
         self.grid = grid
         self.family = family
         self.eps = float(eps)
-        self.log_domain = isinstance(family, Exponential)
+        self.log_domain = family.log_domain
         self.XC, self.YC = grid.cell_coords()
         self.interior = ~grid.boundary_mask()
         self._frame = grid.boundary_values()
@@ -225,29 +232,20 @@ class _Objective:
     def __call__(self, interior_flat: np.ndarray):
         grid, fam = self.grid, self.family
         u = self.assemble(interior_flat)
+        if not self.log_domain:
+            return discrete_energy(grid, fam, u, self.eps, (self.XC, self.YC), self.interior)
         gx, gy = cell_gradients(grid, u)
-        if self.log_domain:
-            s = fam.log_value(self.XC, self.YC, gx, gy)
-            smax = float(np.max(s))
-            logE = smax + math.log(float(np.sum(np.exp(s - smax)))) + 2 * math.log(grid.h)
-            w = np.exp(s - smax)
-            w /= np.sum(w)
-            # grad log E = sum_c softmax_c * (d s_c / d u); the xi factor is
-            # already inside grad_coeff_over_f
-            cwx, cwy = fam.grad_coeff_over_f(self.XC, self.YC, gx, gy)
-            G = _accumulate_cells(grid.n, grid.h, w * cwx, w * cwy)
-            G[grid.boundary_mask()] = 0.0
-            return logE, G[self.interior]
-        if self.eps > 0 and self.family.radial:
-            vals = fam.value_smoothed(self.XC, self.YC, gx, gy, self.eps)
-            wx, wy = fam.grad_smoothed(self.XC, self.YC, gx, gy, self.eps)
-        else:
-            vals = fam.value(self.XC, self.YC, gx, gy)
-            wx, wy = fam.grad(self.XC, self.YC, gx, gy)
-        E = float(np.sum(vals) * grid.h**2)
-        G = _accumulate_cells(grid.n, grid.h, wx * grid.h**2, wy * grid.h**2)
+        s = fam.log_value(self.XC, self.YC, gx, gy)
+        smax = float(np.max(s))
+        logE = smax + math.log(float(np.sum(np.exp(s - smax)))) + 2 * math.log(grid.h)
+        w = np.exp(s - smax)
+        w /= np.sum(w)
+        # grad log E = sum_c softmax_c * (d s_c / d u); the xi factor is
+        # already inside grad_coeff_over_f
+        cwx, cwy = fam.grad_coeff_over_f(self.XC, self.YC, gx, gy)
+        G = _accumulate_cells(grid.n, grid.h, w * cwx, w * cwy)
         G[grid.boundary_mask()] = 0.0
-        return E, G[self.interior]
+        return logE, G[self.interior]
 
     def raw_grad_inf(self, value, grad_interior) -> float:
         """Infinity norm of the energy gradient (not the log-energy one)."""
@@ -377,7 +375,7 @@ def minimize(
 
     # saturation guard: rescale the whole problem until the initial state is
     # comfortably representable, and say so
-    if isinstance(family, Exponential):
+    if family.log_domain:
         gx, gy = cell_gradients(grid, u.values)
         XC, YC = grid.cell_coords()
         smax = float(np.max(family.log_value(XC, YC, gx, gy)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exponents import MoserSchedule
 from .growth import GrowthTriple, paper_triple
-from .integrand import Ball, Exponential, IntegrandFamily, PxLaplacian
+from .integrand import Ball, IntegrandFamily
 from .solver import (
     DiscreteField,
     Grid,
@@ -77,13 +77,12 @@ class SolvedProblem:
 
 
 def coefficient_oscillation_theta(family: IntegrandFamily, ball: Ball) -> Optional[float]:
-    """q/p of the active coefficient on the ball; None for x-homogeneous kinds."""
-    if isinstance(family, Exponential):
-        lo, hi = family.a.range_on_ball(ball)
-    elif isinstance(family, PxLaplacian):
-        lo, hi = family.pfun.range_on_ball(ball)
-    else:
+    """q/p of the family's oscillating coefficient on the ball; None for
+    families without one."""
+    coeff = family.oscillating_coefficient
+    if coeff is None:
         return None
+    lo, hi = coeff.range_on_ball(ball)
     if lo <= 0:
         raise ValueError("coefficient must stay positive on the measurement ball")
     return hi / lo
@@ -92,14 +91,10 @@ def coefficient_oscillation_theta(family: IntegrandFamily, ball: Ball) -> Option
 def oscillation_radius(family: IntegrandFamily, ball: Ball, theta: float) -> Optional[float]:
     """Sufficient radius R0 = (theta - 1) p / (3 L) for the ball condition
     q <= theta p, with p the coefficient minimum on the ball and L its
-    declared Lipschitz constant.  None for x-homogeneous kinds or L = 0."""
-    if theta is None:
-        return None
-    if isinstance(family, Exponential):
-        coeff = family.a
-    elif isinstance(family, PxLaplacian):
-        coeff = family.pfun
-    else:
+    declared Lipschitz constant.  None without an oscillating coefficient
+    or for L = 0."""
+    coeff = family.oscillating_coefficient
+    if theta is None or coeff is None:
         return None
     if coeff.lipschitz == 0:
         return None  # constant coefficient: any radius works
@@ -129,6 +124,8 @@ class MeasureRecord:
     sup_grad_sq: float      # sup over B_rho of |Du|^2
     outer_energy: float     # E_R
     w22_weighted: float     # int_{B_rho} g1(|Du|) |D^2 u|^2
+    w22_unweighted: float   # int_{B_rho} |D^2 u|^2
+    g1_at_zero: float       # m = g1(0); m > 0 gives w22_unweighted <= w22_weighted / m
     v_integral: float
     rho: float
     R: float
@@ -193,6 +190,8 @@ def measure(
         sup_grad_sq=sup_sq,
         outer_energy=e_r,
         w22_weighted=st.w22_weighted,
+        w22_unweighted=st.w22_unweighted,
+        g1_at_zero=st.g1_at_zero,
         v_integral=st.v_integral,
         rho=rho,
         R=R,
@@ -415,51 +414,4 @@ def radius_sweep(
         normalized=tuple(normalized),
         monotone_ok=monotone_ok,
         bounded_ok=bounded_ok,
-    )
-
-
-@dataclass(frozen=True)
-class SecondDerivativeRecord:
-    w22_weighted: float
-    w22_unweighted: float
-    implied_constant: float      # W22 (R - rho)^theta4 / E_R^theta3
-    nondegenerate: bool          # g1(0) = m > 0
-    m: float
-    unweighted_bound_constant: Optional[float]  # c / m form when nondegenerate
-
-
-def second_derivative_check(
-    problem: SolvedProblem,
-    schedule: MoserSchedule,
-    rho: float,
-    R: float,
-    center: Optional[tuple] = None,
-) -> SecondDerivativeRecord:
-    """The weighted second-derivative quantity and its implied constant.
-
-    For densities with g1(0) = m > 0 the unweighted integral is also
-    reported with the 1/m factor of the nondegenerate corollary.
-    """
-    grid = problem.grid
-    cx, cy = center if center is not None else grid.center()
-    ball = Ball(cx, cy, R)
-    _guard_oscillation(problem, schedule, ball)
-    triple = paper_triple(problem.family, ball)
-    st = field_stats(
-        grid, problem.family, problem.field, rho, R, center=(cx, cy), triple=triple,
-        gamma=float(schedule.params.gamma),
-    )
-    gap = R - rho
-    t3, t4 = float(schedule.theta3), float(schedule.theta4)
-    implied = st.w22_weighted * gap**t4 / st.outer_energy**t3 if st.outer_energy > 0 else 0.0
-    m = st.g1_at_zero
-    nondeg = m > 0
-    unweighted_c = (st.w22_unweighted * m) * gap**t4 / st.outer_energy**t3 if nondeg else None
-    return SecondDerivativeRecord(
-        w22_weighted=st.w22_weighted,
-        w22_unweighted=st.w22_unweighted,
-        implied_constant=implied,
-        nondegenerate=nondeg,
-        m=m,
-        unweighted_bound_constant=unweighted_c,
     )

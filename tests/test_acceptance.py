@@ -277,14 +277,13 @@ def test_A6_numerical_hygiene():
         for fam in families:
             if not fam.radial:
                 continue
-            prof = fam.profile()
             for _ in range(30):
                 x = rng.uniform(0.1, 0.9, 2)
                 t = rng.uniform(0.05, 3.0)
                 th = rng.uniform(0, 2 * math.pi)
                 xi = t * np.array([math.cos(th), math.sin(th)])
                 lam = rng.normal(size=2)
-                lo, up, _case = radial_bounds(prof, x, t)
+                lo, up, _case = radial_bounds(fam, x, t)
                 qf = hessian_quadratic_form(fam, x, xi, lam)
                 l2 = float(lam @ lam)
                 slack = 1e-12 * max(1.0, abs(up) * l2)

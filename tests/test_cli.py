@@ -226,8 +226,8 @@ def test_solve_p2_exit0_and_field_file(tmp_path, capsys):
     from pqlab.solver import discrete_energy, harmonic_direct_solve
 
     oracle = harmonic_direct_solve(field.grid)
-    e_solver = discrete_energy(field.grid, PLaplacian(2), field)
-    e_oracle = discrete_energy(field.grid, PLaplacian(2), oracle)
+    e_solver = discrete_energy(field.grid, PLaplacian(2), field.values)[0]
+    e_oracle = discrete_energy(field.grid, PLaplacian(2), oracle.values)[0]
     assert abs(e_solver - e_oracle) <= 1e-8 * max(1.0, e_oracle)
 
 

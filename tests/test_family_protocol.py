@@ -1,0 +1,77 @@
+"""The family protocol: a family defined outside the catalog, here and only
+here, runs through the condition checks, the schedule resolver, the solver
+and the validator without any of them knowing its type."""
+
+import math
+
+import numpy as np
+
+from pqlab.config import parse_config, resolve_schedule
+from pqlab.exponents import ExponentParams, double_phase_params
+from pqlab.growth import GrowthFn, GrowthTriple, SampleSpec, paper_triple, run_all_checks
+from pqlab.integrand import Ball, _RadialFamily
+from pqlab.solver import SolveOptions
+from pqlab.validator import ProblemTemplate, measure
+
+BALL = Ball(0.5, 0.5, 0.35)
+AUTO = parse_config("[schedule]\nmode = auto\n")
+
+
+class QuadQuartic(_RadialFamily):
+    """f(xi) = |xi|^2 + |xi|^4: profile g(t) = t^2 + t^4."""
+
+    kind = "quad_quartic"
+
+    def profile_value(self, x, y, t):
+        t = np.asarray(t, float)
+        return t * t + t**4
+
+    def profile_dt(self, x, y, t):
+        t = np.asarray(t, float)
+        return 2 * t + 4 * t**3
+
+    def profile_dtt(self, x, y, t):
+        t = np.asarray(t, float)
+        return 2 + 12 * t * t
+
+    def profile_slope(self, x, y, t):
+        t = np.asarray(t, float)
+        return 2 + 4 * t * t
+
+    def triple(self, ball, omega):
+        # g_t/t <= g_tt, and no x-dependence: g3 = 0
+        return GrowthTriple(
+            g1=GrowthFn(lambda t: 2 + 4 * t * t),
+            g2=GrowthFn(lambda t: 2 + 12 * t * t),
+            g3=GrowthFn(lambda t: 0.0 * t),
+        )
+
+    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+        # t^2 + t^4 is the multi phase density p = 2, q = 3 with a = 0, b = 1
+        return double_phase_params(2, 3, n, two_star, third_phase=True)
+
+
+def test_outside_family_passes_the_condition_suite():
+    fam = QuadQuartic()
+    params = resolve_schedule(AUTO, fam, BALL).params
+    assert isinstance(params, ExponentParams)
+    reports = run_all_checks(fam, paper_triple(fam, BALL), params, SampleSpec(ball=BALL, seed=0))
+    assert [r.verdict for r in reports] == ["pass"] * 7, "\n".join(r.row() for r in reports)
+
+
+def test_outside_family_solves_and_measures():
+    fam = QuadQuartic()
+    tpl = ProblemTemplate(
+        family=fam, side=1.0, n=33, boundary=lambda x, y: np.sin(2 * x) + 0.5 * y,
+        opts=SolveOptions(tolerance=1e-6, max_iter=5000),
+    )
+    solved = tpl.solve(1.0)
+    assert solved.trace.converged
+    assert np.all(np.diff(solved.trace.energies) <= 0.0)
+    sched = resolve_schedule(AUTO, fam, BALL).schedule
+    rec = measure(solved, sched, 0.2, 0.35, center=(0.5, 0.5))
+    values = (rec.sup_grad_sq, rec.outer_energy, rec.w22_weighted, rec.w22_unweighted, rec.c_hat, rec.c_hat_w22)
+    assert all(math.isfinite(v) for v in values)
+    assert rec.sup_grad_sq > 0 and rec.w22_weighted > 0
+    assert rec.g1_at_zero == 2.0
+

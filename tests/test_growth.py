@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from pqlab.growth import (
     check_12M,
     check_A3,
     check_ellipticity_sandwich,
-    check_exponent_bounds,
     check_growth_A,
     default_t_grid,
+    exponent_bound_reports,
     paper_triple,
     run_all_checks,
     tail_limit,
@@ -490,12 +491,12 @@ def test_A3_anisotropic_gamma1_passes():
 
 def test_exponent_bounds_examples():
     ctx3 = sobolev_context(3)
-    assert check_exponent_bounds(ExponentParams(2, 1, 1, 0, ctx3)).verdict == "pass"
+    assert all(r.verdict == "pass" for r in exponent_bound_reports(ExponentParams(2, 1, 1, 0, ctx3)))
     boundary = ExponentParams(6, 1, 1, 0, ctx3)
-    rep = check_exponent_bounds(boundary)
+    rep, _beta = exponent_bound_reports(boundary)
     assert rep.verdict == "fail" and rep.condition == "alpha-bound"
     ok = ExponentParams(F(5, 2), F(5, 4), 1, 0, ctx3)
-    assert check_exponent_bounds(ok).verdict == "pass"
+    assert all(r.verdict == "pass" for r in exponent_bound_reports(ok))
 
 
 # --- the whole catalog passes its own derivation --------------------------------
@@ -527,6 +528,22 @@ def catalog_cases():
     cases.append((LogPxLaplacian(pfun), px_params))
     cases.append((VeryDegenerate(3.0), default_params(2, 2, 0)))
     return cases
+
+
+GOLDEN_ROWS = Path(__file__).with_name("golden_check_rows.txt")
+
+
+def test_catalog_report_rows_match_golden():
+    # row() text of the whole table on the CLI sampling plan, every catalog
+    # case at seeds 0 and 1, recorded from the code before the triples and
+    # exponent recipes moved onto the families; compared exactly
+    lines = []
+    for seed in (0, 1):
+        for fam, params in catalog_cases():
+            reports = run_all_checks(fam, paper_triple(fam, BALL), params, SampleSpec(ball=BALL, seed=seed))
+            lines.append(f"[{fam.describe()} seed={seed}]")
+            lines += [r.row() for r in reports]
+    assert lines == GOLDEN_ROWS.read_text().splitlines()
 
 
 @pytest.mark.parametrize("fam,params", catalog_cases(), ids=lambda v: getattr(v, "kind", ""))

@@ -1,6 +1,8 @@
-"""scipy stays out of the import and config-build path, and every deferred
-scipy import resolves on its own in a fresh interpreter."""
+"""scipy stays out of the import and config-build path, every deferred
+scipy import resolves on its own in a fresh interpreter, and no package
+module keeps an unused top-level import."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -130,6 +132,29 @@ def test_deferred_scipy_imports_resolve_cold(tmp_path):
     for key, value in warm.items():
         assert cold[key].shape == value.shape, key
         assert (cold[key] == value).all(), key
+
+
+def test_no_unused_top_level_imports():
+    # the unused-import rule of a linter (F401), with the stdlib parser;
+    # __init__.py re-exports by design, and an import marked "noqa: F401"
+    # is a deliberate re-export
+    unused = []
+    for path in sorted(Path(pqlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            if "noqa: F401" in text.splitlines()[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, unused
 
 
 if __name__ == "__main__":

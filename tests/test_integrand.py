@@ -20,9 +20,7 @@ from pqlab.integrand import (
     VeryDegenerate,
     eval_f,
     eval_grad_xi,
-    exp_profile,
     hessian_quadratic_form,
-    power_profile,
     radial_bounds,
 )
 
@@ -160,14 +158,13 @@ def test_hessian_sandwich_on_radial_catalog():
     for fam in catalog_families():
         if not fam.radial:
             continue
-        prof = fam.profile()
         for _ in range(60):
             x = RNG.uniform(0.1, 0.9, size=2)
             t = RNG.uniform(0.05, 4.0)
             th = RNG.uniform(0, 2 * math.pi)
             xi = t * np.array([math.cos(th), math.sin(th)])
             lam = RNG.normal(size=2)
-            lo, up, _ = radial_bounds(prof, x, t)
+            lo, up, _ = radial_bounds(fam, x, t)
             qf = hessian_quadratic_form(fam, x, xi, lam)
             lam2 = float(lam @ lam)
             slack = 1e-12 * max(1.0, abs(up) * lam2)
@@ -189,26 +186,30 @@ def test_convexity_spot_check():
 # --- radial bounds and profile cases -----------------------------------------
 
 
+class SubquadraticPower(PLaplacian):
+    """t^p for 1 < p < 2, which the catalog p-Laplacian refuses."""
+
+    def __init__(self, p):
+        self.p = float(p)
+
+
 def test_radial_bounds_power_p_ge_2():
-    prof = power_profile(3.0)
-    lo, up, case = radial_bounds(prof, (0.2, 0.3), 2.0)
+    lo, up, case = radial_bounds(PLaplacian(3.0), (0.2, 0.3), 2.0)
     assert case == "ii"
     assert lo == pytest.approx(3 * 2.0)        # p t^(p-2)
     assert up == pytest.approx(6 * 2.0)        # p (p-1) t^(p-2)
 
 
 def test_radial_bounds_power_p_below_2_is_case_iii():
-    prof = power_profile(1.5)
-    lo, up, case = radial_bounds(prof, (0.0, 0.0), 1.0)
+    lo, up, case = radial_bounds(SubquadraticPower(1.5), (0.0, 0.0), 1.0)
     assert case == "iii"
     assert lo == pytest.approx(1.5 * 0.5)      # g_tt = p (p-1) t^(p-2)
     assert up == pytest.approx(1.5)            # g_t / t
 
 
 def test_radial_bounds_exponential():
-    prof = exp_profile()
     t = 1.3
-    lo, up, case = radial_bounds(prof, (0.4, 0.5), t)
+    lo, up, case = radial_bounds(Exponential(Coefficient.constant(1.0), 2.0), (0.4, 0.5), t)
     assert case == "ii"
     assert lo == pytest.approx(2 * math.exp(t * t), rel=1e-12)
     assert up == pytest.approx((4 * t * t + 2) * math.exp(t * t), rel=1e-12)
@@ -216,7 +217,14 @@ def test_radial_bounds_exponential():
 
 def test_radial_bounds_requires_positive_t():
     with pytest.raises(ProfileDomainError):
-        radial_bounds(power_profile(3.0), (0, 0), 0.0)
+        radial_bounds(PLaplacian(3.0), (0, 0), 0.0)
+
+
+def test_radial_bounds_rejects_non_radial_family():
+    # the anisotropic density has no radial profile: a typed rejection, not an AttributeError
+    fam = Anisotropic(3.0, base_p=2.5)
+    with pytest.raises(ProfileDomainError):
+        radial_bounds(fam, (0.2, 0.3), 1.0)
 
 
 def test_multi_phase_third_exponent_is_derived():

@@ -26,7 +26,6 @@ from pqlab.validator import (
     measure,
     oscillation_radius,
     radius_sweep,
-    second_derivative_check,
     sweep_amplitudes,
 )
 
@@ -228,17 +227,20 @@ def test_radius_sweep_preconditions():
 
 def test_second_derivative_affine_zero():
     sched = p2_schedule()
-    rec = second_derivative_check(solved_affine(1.5), sched, 0.2, 0.4)
+    rec = measure(solved_affine(1.5), sched, 0.2, 0.4)
     assert rec.w22_weighted == 0.0
-    assert rec.implied_constant == 0.0
+    assert rec.c_hat_w22 == 0.0
 
 
 def test_second_derivative_p2_weight_factor_two():
     sched = p2_schedule()
-    rec = second_derivative_check(solved_harmonic(), sched, 0.2, 0.4)
-    assert rec.nondegenerate and rec.m == pytest.approx(2.0)
+    rec = measure(solved_harmonic(), sched, 0.2, 0.4)
+    m = rec.g1_at_zero
+    assert m > 0 and m == pytest.approx(2.0)
     assert rec.w22_weighted == pytest.approx(2.0 * rec.w22_unweighted, rel=1e-12)
-    assert rec.unweighted_bound_constant is not None
+    # the unweighted bound constant of the nondegenerate corollary: m W22 (R - rho)^theta4 / E_R^theta3
+    unweighted_c = m * rec.w22_unweighted * 0.2 ** float(sched.theta4) / rec.outer_energy ** float(sched.theta3)
+    assert unweighted_c == pytest.approx(rec.c_hat_w22, rel=1e-9)
 
 
 def test_second_derivative_very_degenerate_plateau():
@@ -248,11 +250,11 @@ def test_second_derivative_very_degenerate_plateau():
     tr = SolveTrace(converged=True)
     prob = SolvedProblem(grid=g, family=VeryDegenerate(2.0), field=u, trace=tr)
     sched = p2_schedule()
-    rec = second_derivative_check(prob, sched, 0.2, 0.4)
+    rec = measure(prob, sched, 0.2, 0.4)
     # |Du| < 1 everywhere: the weighted quantity vanishes identically
     assert rec.w22_weighted == 0.0
     assert rec.w22_unweighted > 0.0
-    assert not rec.nondegenerate
+    assert not rec.g1_at_zero > 0
 
 
 # --- nested-ball sup monotonicity on every solved field ----------------------------
