@@ -15,6 +15,7 @@ from pqlab import (
     Coefficient,
     DoublePhase,
     Exponential,
+    Grid,
     PLaplacian,
     ProblemTemplate,
     SolveOptions,
@@ -36,7 +37,7 @@ params = default_params(2, 2, 0)
 nu, mu = select_mu_nu(params)
 sched = moser_exponents(params, nu, mu)
 tpl = ProblemTemplate(
-    family=PLaplacian(2), side=1.0, n=65, boundary=lambda x, y: x * x - y * y,
+    family=PLaplacian(2), grid=Grid(1.0, 65, lambda x, y: x * x - y * y),
     opts=SolveOptions(tolerance=1e-9, max_iter=40000),
 )
 rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, rho=0.2, R=0.4)
@@ -51,7 +52,7 @@ dpp = double_phase_params(2, 3, 2)
 nu, mu = select_mu_nu(dpp)
 dps = moser_exponents(dpp, nu, mu)
 tpl = ProblemTemplate(
-    family=dp, side=1.0, n=65, boundary=lambda x, y: x * y + 0.5 * (x + y),
+    family=dp, grid=Grid(1.0, 65, lambda x, y: x * y + 0.5 * (x + y)),
     opts=SolveOptions(tolerance=1e-5, max_iter=30000),
 )
 rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], dps, rho=0.2, R=0.35)
@@ -68,7 +69,7 @@ exp_params = auto_exponential_params(F(lo).limit_denominator(10**9), F(hi).limit
 pair = select_mu_nu(exp_params)
 exs = moser_exponents(exp_params, *pair)
 tpl = ProblemTemplate(
-    family=ex, side=1.0, n=65, boundary=lambda x, y: 0.35 * (x + y),
+    family=ex, grid=Grid(1.0, 65, lambda x, y: 0.35 * (x + y)),
     opts=SolveOptions(tolerance=1e-5, max_iter=30000),
 )
 rep = sweep_amplitudes(tpl, [0.25, 0.5, 1, 2, 4], exs, rho=0.2, R=0.35)
@@ -78,7 +79,7 @@ print("\n" + "=" * 78)
 print("RADIUS SWEEP: HARMONIC SOLVE, NESTED BALLS")
 print("=" * 78)
 tpl = ProblemTemplate(
-    family=PLaplacian(2), side=1.0, n=65, boundary=lambda x, y: np.exp(x) * np.cos(y),
+    family=PLaplacian(2), grid=Grid(1.0, 65, lambda x, y: np.exp(x) * np.cos(y)),
     opts=SolveOptions(tolerance=1e-9, max_iter=40000),
 )
 solved = tpl.solve(1.0)

@@ -65,6 +65,7 @@ from .integrand import (
     PLaplacian,
     ProfileDomainError,
     PxLaplacian,
+    RadialFamily,
     SaturationError,
     VeryDegenerate,
     eval_f,

@@ -28,7 +28,6 @@ from .solver import Grid, minimize, save_field
 from .validator import (
     ProblemTemplate,
     ThetaOscillationError,
-    coefficient_oscillation_theta,
     oscillation_radius,
     radius_sweep,
     sweep_amplitudes,
@@ -81,7 +80,11 @@ def cmd_check(cfg_path: str, seed: int, out_dir, tolerance) -> int:
         print(f"parameter recipe rejected: {params.describe()}")
         return EXIT_FAIL
     params = params.params
-    triple = paper_triple(family, ball)
+    try:
+        triple = paper_triple(family, ball)
+    except ValueError as exc:
+        print(f"growth triple rejected: {exc}")
+        return EXIT_FAIL
     spec = SampleSpec(ball=ball, seed=seed)
     reports = run_all_checks(family, triple, params, spec)
     lines = [ConditionReport.header()]
@@ -99,23 +102,11 @@ def cmd_params(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     if is_rejected(resolved):
         print(f"rejected: {resolved.describe()}")
         return EXIT_FAIL
-    lines = []
-    if resolved.schedule is not None:
-        for key, val in resolved.schedule.rows():
-            lines.append(f"{key:<12} = {_fmt(val)}")
-    else:
+    sched = resolved.schedule
+    rows = sched.rows() if sched is not None else resolved.params.rows()
+    lines = [f"{key:<12} = {_fmt(val)}" for key, val in rows]
+    if sched is None:
         p = resolved.params
-        for key, val in (
-            ("n", p.n),
-            ("two_star", p.two_star),
-            ("alpha", p.alpha),
-            ("beta", p.beta),
-            ("gamma", p.gamma),
-            ("delta", p.delta),
-        ):
-            lines.append(f"{key:<12} = {_fmt(val)}")
-        if p.theta is not None:
-            lines.append(f"{'theta':<12} = {_fmt(p.theta)}")
         for k, lam in enumerate(lambda_sequence(p, cfg.get_int('schedule', 'K', default=8)), 1):
             lines.append(f"{f'lambda_{k}':<12} = {_fmt(lam)}")
         lines.append(f"note: iteration exponents degenerate ({resolved.degenerate_reason})")
@@ -166,18 +157,13 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
         print(f"schedule degenerate: {resolved.degenerate_reason}")
         return EXIT_FAIL
     sched = resolved.schedule
-    theta_ball = coefficient_oscillation_theta(family, ball)
-    if theta_ball is not None:
-        r0 = oscillation_radius(family, ball, sched.params.theta)
-        if r0 is not None and R > r0:
-            print(
-                f"note: R = {R:g} exceeds the sufficient oscillation radius "
-                f"R0 = {r0:.6g}; the empirical theta check below is binding"
-            )
-    tpl = ProblemTemplate(
-        family=family, side=grid.side, n=grid.n, boundary=grid.boundary,
-        opts=opts, x0=grid.x0, y0=grid.y0,
-    )
+    r0 = oscillation_radius(family, ball, sched.params.theta)
+    if r0 is not None and R > r0:
+        print(
+            f"note: R = {R:g} exceeds the sufficient oscillation radius "
+            f"R0 = {r0:.6g}; the empirical theta check below is binding"
+        )
+    tpl = ProblemTemplate(family=family, grid=grid, opts=opts)
     amps = cfg.get_float_list("sweep", "amplitudes")
     pairs = cfg.get_pair_list("sweep", "pairs")
     try:

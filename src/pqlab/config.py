@@ -2,8 +2,7 @@
 
 Format::
 
-    # comment
-    seed = 7
+    # comment; every key belongs to a section
 
     [family]
     kind = double_phase
@@ -32,7 +31,7 @@ Format::
     amplitudes = 0.5, 1, 2, 4, 8
     # or: pairs = (0.05, 0.45), (0.25, 0.45), (0.33, 0.45), (0.41, 0.45)
 
-    [solver]
+    [solver]               # tolerance and max_iter only
     tolerance = 1e-8
     max_iter = 20000
 
@@ -52,6 +51,7 @@ from .exponents import (
     ExponentParams,
     MU_UNBOUNDED,
     MoserSchedule,
+    ParamRejection,
     is_rejected,
     moser_exponents,
     select_mu_nu,
@@ -97,7 +97,6 @@ class ProblemConfig:
 
     path: str
     sections: dict
-    top: dict
 
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})
@@ -195,7 +194,6 @@ class ProblemConfig:
 
 def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
     sections: dict = {}
-    top: dict = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,14 +212,12 @@ def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
         value = value.strip()
         if not key:
             raise ConfigError("empty key", path, lineno)
-        entry = _Entry(value=value, line=lineno)
         if current is None:
-            top[key] = entry
-        else:
-            if key in sections[current]:
-                raise ConfigError(f"duplicate key {key!r} in [{current}]", path, lineno)
-            sections[current][key] = entry
-    return ProblemConfig(path=path, sections=sections, top=top)
+            raise ConfigError(f"key {key!r} comes before the first section", path, lineno)
+        if key in sections[current]:
+            raise ConfigError(f"duplicate key {key!r} in [{current}]", path, lineno)
+        sections[current][key] = _Entry(value=value, line=lineno)
+    return ProblemConfig(path=path, sections=sections)
 
 
 def load_config(path) -> ProblemConfig:
@@ -326,45 +322,45 @@ def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float]
     tol = cfg.get_float("solver", "tolerance", default=1e-8)
     if tolerance_override is not None:
         tol = tolerance_override
-    return SolveOptions(
-        max_iter=cfg.get_int("solver", "max_iter", default=20000),
-        tolerance=tol,
-        c1=cfg.get_float("solver", "c1", default=1e-4),
-        backtrack=cfg.get_float("solver", "backtrack", default=0.5),
-        epsilon=cfg.get_float("solver", "epsilon", default=1e-8),
-    )
+    return SolveOptions(max_iter=cfg.get_int("solver", "max_iter", default=20000), tolerance=tol)
 
 
 def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
     """ExponentParams from the [schedule] section: 'auto' asks the family for
-    its recipe (``auto_params``), 'explicit' gives (alpha, beta, gamma, delta)."""
-    mode = cfg.get_str("schedule", "mode", default="auto")
-    n = cfg.get_int("schedule", "n", default=2)
-    ts = cfg.get_number("schedule", "two_star", default=None)
-    if mode == "explicit":
-        alpha = cfg.get_number("schedule", "alpha", required=True)
-        gamma = cfg.get_number("schedule", "gamma", default=None)
-        delta = cfg.get_number("schedule", "delta", default=None)
-        if gamma is None and delta is None:
-            gamma, delta = Fraction(1), Fraction(0)
-        elif gamma is None:
-            gamma = 1 + delta
-        elif delta is None:
-            delta = gamma - 1
-        beta = cfg.get_number("schedule", "beta", required=True)
-        ctx = sobolev_context(n, ts, alpha=alpha, gamma=gamma)
-        theta = cfg.get_number("schedule", "theta", default=None)
-        return ExponentParams(alpha, beta, gamma, delta, ctx, theta=theta)
-    if mode != "auto":
-        raise ConfigError(f"schedule mode must be auto or explicit, got {mode!r}", cfg.path, 0)
-    return family.auto_params(
-        ball,
-        n,
-        ts,
-        omega=cfg.get_number("schedule", "omega", default=Fraction(1, 100)),
-        alpha=cfg.get_number("schedule", "alpha", default=Fraction(2)),
-        delta=cfg.get_number("schedule", "delta", default=Fraction(0)),
-    )
+    its recipe (``auto_params``), 'explicit' gives (alpha, beta, gamma, delta).
+    Values a recipe or the exponent region declines give a ParamRejection."""
+    try:
+        mode = cfg.get_str("schedule", "mode", default="auto")
+        n = cfg.get_int("schedule", "n", default=2)
+        ts = cfg.get_number("schedule", "two_star", default=None)
+        if mode == "explicit":
+            alpha = cfg.get_number("schedule", "alpha", required=True)
+            gamma = cfg.get_number("schedule", "gamma", default=None)
+            delta = cfg.get_number("schedule", "delta", default=None)
+            if gamma is None and delta is None:
+                gamma, delta = Fraction(1), Fraction(0)
+            elif gamma is None:
+                gamma = 1 + delta
+            elif delta is None:
+                delta = gamma - 1
+            beta = cfg.get_number("schedule", "beta", required=True)
+            ctx = sobolev_context(n, ts, alpha=alpha, gamma=gamma)
+            theta = cfg.get_number("schedule", "theta", default=None)
+            return ExponentParams(alpha, beta, gamma, delta, ctx, theta=theta)
+        if mode != "auto":
+            raise ConfigError(f"schedule mode must be auto or explicit, got {mode!r}", cfg.path, 0)
+        return family.auto_params(
+            ball,
+            n,
+            ts,
+            omega=cfg.get_number("schedule", "omega", default=Fraction(1, 100)),
+            alpha=cfg.get_number("schedule", "alpha", default=Fraction(2)),
+            delta=cfg.get_number("schedule", "delta", default=Fraction(0)),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        return ParamRejection("resolve_params", str(exc))
 
 
 @dataclass

@@ -163,6 +163,16 @@ class ExponentParams:
     def bounds_ok(self) -> bool:
         return self.alpha_ok() and self.beta_ok()
 
+    def rows(self):
+        yield "n", self.n
+        yield "two_star", self.two_star
+        yield "alpha", self.alpha
+        yield "beta", self.beta
+        yield "gamma", self.gamma
+        yield "delta", self.delta
+        if self.theta is not None:
+            yield "theta", self.theta
+
 
 @dataclass(frozen=True)
 class ParamRejection:
@@ -464,14 +474,7 @@ class MoserSchedule:
     theta4: Number
 
     def rows(self):
-        yield "n", self.params.n
-        yield "two_star", self.params.two_star
-        yield "alpha", self.params.alpha
-        yield "beta", self.params.beta
-        yield "gamma", self.params.gamma
-        yield "delta", self.params.delta
-        if self.params.theta is not None:
-            yield "theta", self.params.theta
+        yield from self.params.rows()
         yield "nu", self.nu
         yield "mu", "unbounded" if self.mu == MU_UNBOUNDED else self.mu
         for k, lam in enumerate(self.lambdas, start=1):

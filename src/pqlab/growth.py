@@ -183,8 +183,6 @@ def _grid_tail_report(
     t_grid: np.ndarray,
     log_ratio_at,               # callable t-array -> log(LHS/RHS) array (M excluded)
     M: Optional[float],
-    tail_t0: float = 10.0,
-    notes: str = "",
 ) -> ConditionReport:
     t_grid = np.asarray(t_grid, float)
     pos = t_grid[t_grid > 0]
@@ -202,7 +200,7 @@ def _grid_tail_report(
             pos = np.concatenate([[0.0], pos])
             d = np.concatenate([[d0], d])
         # NaN means 0 <= M * 0: satisfied, nothing to record
-    probes = tail_t0 * math.sqrt(10.0) ** np.arange(13)
+    probes = 10.0 * math.sqrt(10.0) ** np.arange(13)
     dp = np.asarray(log_ratio_at(probes), float)
     tail = _classify_log_tail(dp)
 
@@ -232,9 +230,6 @@ def _grid_tail_report(
     else:
         verdict = "inconclusive"
     tail_est = math.inf if tail.diverging else (tail.estimate if (tail.stabilized or bounded_tail) else None)
-    note = notes
-    if skipped_origin:
-        note = (note + "; " if note else "") + "t=0 sample skipped (bound degenerate at the origin)"
     return ConditionReport(
         condition=condition,
         verdict=verdict,
@@ -242,7 +237,7 @@ def _grid_tail_report(
         worst_t=worst_t,
         tail_limit_estimate=tail_est,
         fitted_M=fitted,
-        notes=note,
+        notes="t=0 sample skipped (bound degenerate at the origin)" if skipped_origin else "",
     )
 
 

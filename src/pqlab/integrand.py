@@ -18,16 +18,18 @@ log-domain arithmetic.
 Family protocol: the checks, the solver, the schedule resolver and the
 validator use a family only through what it supplies here, never through
 its type.  A family must supply ``value``, ``grad`` and ``hess_qf`` (a
-radial family subclasses ``_RadialFamily``, supplies ``profile_value``,
-``profile_dt``, ``profile_dtt`` and ``profile_slope`` and inherits them),
+radial family subclasses ``RadialFamily``, supplies ``profile_value``,
+``profile_dt``, ``profile_dtt`` and ``profile_slope`` and inherits them;
+``radial`` is False on the base class and True on ``RadialFamily``),
 ``triple(ball, omega)`` - its growth triple with honest constants on the
 ball - and ``auto_params(ball, n, two_star, *, omega, alpha, delta)`` - its
 exponent recipe, an ExponentParams or a ParamRejection.  It may override
-the class defaults ``radial``, ``needs_smoothing``, ``log_domain`` (minimize
-and check through log f, which needs ``log_value`` and
-``grad_coeff_over_f``), ``oscillating_coefficient`` (the coefficient whose
-oscillation on a ball the schedule's theta must cover) and
-``hessian_t_cap(ball)``.
+the class defaults ``needs_smoothing``, ``log_domain`` (minimize and check
+through log f, which needs ``log_value`` and ``grad_coeff_over_f``),
+``oscillating_coefficient`` (the coefficient whose oscillation on a ball the
+schedule's theta must cover) and ``hessian_t_cap(ball)``.  The p-Laplacian,
+double phase and multi phase families share one power-sum profile
+sum_i c_i(x) t^(e_i) over their ``_terms()``.
 
 The growth-function layer (GrowthFn, GrowthTriple and the power-law
 builders) lives here, ahead of the families that build their triples
@@ -381,7 +383,7 @@ class IntegrandFamily:
     """Base interface; concrete families fill in the evaluators."""
 
     kind: str = ""
-    radial: bool = True
+    radial: bool = False
     # solver hint: profile has kinks/plateaus worth smoothing during iteration
     needs_smoothing: bool = False
     # minimized and checked through log f (log_value, grad_coeff_over_f)
@@ -425,8 +427,10 @@ class IntegrandFamily:
         return self.describe()
 
 
-class _RadialFamily(IntegrandFamily):
+class RadialFamily(IntegrandFamily):
     """Radial families implement profile_* and inherit the decomposition."""
+
+    radial = True
 
     def profile_value(self, x, y, t):
         raise NotImplementedError
@@ -473,12 +477,47 @@ class _RadialFamily(IntegrandFamily):
         return w * gx, w * gy
 
 
+class _PowerSum(RadialFamily):
+    """Profile g(x, t) = sum_i c_i(x) t^(e_i) over ``_terms()``, the
+    (exponent, coefficient or None for 1) pairs of the subclass."""
+
+    def _power_sum(self, x, y, t, factors, shift):
+        # sum_i c_i e_i (e_i - 1) ... t^(e_i - shift), one factor per derivative.
+        # A bare t^e is not multiplied by 1.0 and the first term is not added
+        # to 0.0: both are exact no-ops for t >= 0, and their array passes
+        # cost the p-Laplacian value + gradient kernels ~25%
+        t = np.asarray(t, float)
+        out = None
+        for e, c in self._terms():
+            w = 1.0 if c is None else c(x, y)
+            for k in range(factors):
+                w = w * (e - k)
+            term = np.power(t, e - shift)
+            if c is not None or factors:
+                term = w * term
+            out = term if out is None else out + term
+        return out
+
+    def profile_value(self, x, y, t):
+        return self._power_sum(x, y, t, 0, 0)
+
+    def profile_dt(self, x, y, t):
+        return self._power_sum(x, y, t, 1, 1)
+
+    def profile_dtt(self, x, y, t):
+        return self._power_sum(x, y, t, 2, 2)
+
+    def profile_slope(self, x, y, t):
+        # np.power(0, 0) == 1 gives the correct e = 2 limit at t = 0
+        return self._power_sum(x, y, t, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Concrete families
 # ---------------------------------------------------------------------------
 
 
-class PLaplacian(_RadialFamily):
+class PLaplacian(_PowerSum):
     """f(xi) = |xi|^p, p >= 2.  Uniformly elliptic benchmark."""
 
     kind = "p_laplacian"
@@ -491,23 +530,8 @@ class PLaplacian(_RadialFamily):
     def describe(self):
         return f"p_laplacian(p={self.p:g})"
 
-    def profile_value(self, x, y, t):
-        return np.power(np.asarray(t, float), self.p)
-
-    def profile_dt(self, x, y, t):
-        return self.p * np.power(np.asarray(t, float), self.p - 1)
-
-    def profile_dtt(self, x, y, t):
-        p = self.p
-        if p == 2:
-            return _const_like(2.0, t, x)
-        return p * (p - 1) * np.power(np.asarray(t, float), p - 2)
-
-    def profile_slope(self, x, y, t):
-        p = self.p
-        if p == 2:
-            return _const_like(2.0, t, x)
-        return p * np.power(np.asarray(t, float), p - 2)
+    def _terms(self):
+        return [(self.p, None)]
 
     def triple(self, ball, omega):
         p = self.p
@@ -522,7 +546,7 @@ class PLaplacian(_RadialFamily):
         return default_params(n, alpha, delta, two_star)
 
 
-class Exponential(_RadialFamily):
+class Exponential(RadialFamily):
     """f(x, xi) = exp(a(x) |xi|^tau), a > 0 locally Lipschitz, tau >= 2.
 
     Stored in log space: ``log_value`` never overflows, the linear
@@ -653,7 +677,7 @@ class Exponential(_RadialFamily):
         return auto_exponential_params(_frac(lo), _frac(hi), n, two_star)
 
 
-class PxLaplacian(_RadialFamily):
+class PxLaplacian(RadialFamily):
     """f(x, xi) = |xi|^p(x) with a variable exponent p(x) >= 2."""
 
     kind = "px_laplacian"
@@ -695,7 +719,7 @@ class PxLaplacian(_RadialFamily):
         return auto_px_params(_frac(lo), _frac(hi), n, omega, two_star)
 
 
-class LogPxLaplacian(_RadialFamily):
+class LogPxLaplacian(RadialFamily):
     """Orlicz variant f(x, xi) = |xi|^p(x) log(1 + |xi|^2), p(x) >= 2."""
 
     kind = "log_px_laplacian"
@@ -772,7 +796,7 @@ class LogPxLaplacian(_RadialFamily):
         )
 
 
-class DoublePhase(_RadialFamily):
+class DoublePhase(_PowerSum):
     """f(x, xi) = |xi|^p + a(x) |xi|^q with 2 <= p <= q and a >= 0."""
 
     kind = "double_phase"
@@ -788,40 +812,7 @@ class DoublePhase(_RadialFamily):
         return f"double_phase(p={self.p:g}, q={self.q:g}, a={self.a.source})"
 
     def _terms(self):
-        # (exponent, coefficient-callable) pairs of the power sum
         return [(self.p, None), (self.q, self.a)]
-
-    def profile_value(self, x, y, t):
-        t = np.asarray(t, float)
-        out = 0.0
-        for e, c in self._terms():
-            w = 1.0 if c is None else c(x, y)
-            out = out + w * np.power(t, e)
-        return out
-
-    def profile_dt(self, x, y, t):
-        t = np.asarray(t, float)
-        out = 0.0
-        for e, c in self._terms():
-            w = 1.0 if c is None else c(x, y)
-            out = out + w * e * np.power(t, e - 1)
-        return out
-
-    def profile_dtt(self, x, y, t):
-        t = np.asarray(t, float)
-        out = 0.0
-        for e, c in self._terms():
-            w = 1.0 if c is None else c(x, y)
-            out = out + w * e * (e - 1) * np.power(t, e - 2)
-        return out
-
-    def profile_slope(self, x, y, t):
-        t = np.asarray(t, float)
-        out = 0.0
-        for e, c in self._terms():
-            w = 1.0 if c is None else c(x, y)
-            out = out + w * e * np.power(t, e - 2)
-        return out
 
     def triple(self, ball, omega):
         ranges = [(e, (1.0, 1.0) if c is None else c.range_on_ball(ball)) for e, c in self._terms()]
@@ -861,7 +852,7 @@ class MultiPhase(DoublePhase):
         return double_phase_params(_frac(self.p), _frac(self.q), n, two_star, third_phase=True)
 
 
-class VeryDegenerate(_RadialFamily):
+class VeryDegenerate(RadialFamily):
     """f(xi) = (1/p) (|xi| - 1)_+^p: ellipticity vanishes on |xi| <= 1.
 
     Any field with |Du| <= 1 in the right set minimizes; the solver returns
@@ -923,7 +914,6 @@ class Anisotropic(IntegrandFamily):
     """
 
     kind = "anisotropic"
-    radial = False
 
     def __init__(
         self,

@@ -34,6 +34,11 @@ import numpy as np
 from .growth import GrowthTriple, paper_triple
 from .integrand import Ball, IntegrandFamily, LOG_MAX
 
+_C1 = 1e-4               # sufficient-decrease constant
+_BACKTRACK = 0.5         # step shrink factor
+_EPSILON = 1e-8          # final modulus-smoothing value
+_SMOOTHING_START = 1e-2  # first continuation stage
+
 
 class GeometryError(ValueError):
     """Requested measurement ball does not fit inside the grid."""
@@ -184,16 +189,10 @@ def discrete_energy(
 class SolveOptions:
     max_iter: int = 20000
     tolerance: float = 1e-8          # infinity norm of the energy gradient
-    c1: float = 1e-4                 # sufficient-decrease constant
-    backtrack: float = 0.5           # step shrink factor
-    epsilon: float = 1e-8            # final modulus-smoothing value
-    smoothing_start: float = 1e-2    # first continuation stage
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtracking factor must lie in (0, 1)")
 
 
 @dataclass
@@ -327,12 +326,12 @@ def _ncg(
                 if F2 < F1 or (F2 <= F1 and abs(_dot(g2, d)) < abs(dphi1)):
                     t, F1, g1 = t_star, F2, g2
                     dphi1 = _dot(g1, d)
-            slack = opts.c1 * t * dphi0
+            slack = _C1 * t * dphi0
             measurable = -slack > 8 * eps_mach * max(abs(F), abs(F1))
             if F1 <= F + slack or (not measurable and F1 <= F):
                 accepted = True
                 break
-            t = max(min(t_star, t * opts.backtrack), 0.05 * t) if 0 < t_star < t else t * opts.backtrack
+            t = max(min(t_star, t * _BACKTRACK), 0.05 * t) if 0 < t_star < t else t * _BACKTRACK
         if not accepted:
             trace.warnings.append("line search stalled; returning current iterate")
             break
@@ -395,13 +394,13 @@ def minimize(
     z = u.values[objective.interior]
 
     stages = [0.0]
-    if family.needs_smoothing and opts.smoothing_start > opts.epsilon:
-        eps = opts.smoothing_start
+    if family.needs_smoothing:
+        eps = _SMOOTHING_START
         stages = []
-        while eps > opts.epsilon:
+        while eps > _EPSILON:
             stages.append(eps)
             eps *= 1e-2
-        stages.append(opts.epsilon)
+        stages.append(_EPSILON)
     trace.stages = len(stages)
 
     precondition = _p2_stiffness_inverse(grid.n)

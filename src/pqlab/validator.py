@@ -21,7 +21,7 @@ pointwise bound with unknown c cannot be falsified, so the checks are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,20 +50,11 @@ class ProblemTemplate:
     """A solvable configuration whose boundary data can be rescaled."""
 
     family: IntegrandFamily
-    side: float
-    n: int
-    boundary: Callable
+    grid: Grid
     opts: SolveOptions = SolveOptions()
-    x0: float = 0.0
-    y0: float = 0.0
-
-    def grid(self, amplitude: float = 1.0) -> Grid:
-        b = self.boundary
-        return Grid(self.side, self.n, lambda x, y: amplitude * b(x, y), self.x0, self.y0)
 
     def solve(self, amplitude: float = 1.0) -> "SolvedProblem":
-        g = self.grid(amplitude)
-        u, trace = minimize(g, self.family, opts=self.opts)
+        u, trace = minimize(self.grid.scaled_boundary(amplitude), self.family, opts=self.opts)
         return SolvedProblem(grid=u.grid, family=self.family, field=u, trace=trace, amplitude=amplitude)
 
 

@@ -139,9 +139,7 @@ def test_A3_uniformly_elliptic_baseline():
         sched = moser_exponents(params, nu, mu)
         tpl = ProblemTemplate(
             family=PLaplacian(2),
-            side=1.0,
-            n=65,
-            boundary=lambda x, y: x * x - y * y,
+            grid=Grid(1.0, 65, lambda x, y: x * x - y * y),
             opts=SolveOptions(tolerance=1e-9, max_iter=40000),
         )
         rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, rho=0.2, R=0.4)
@@ -167,9 +165,7 @@ def test_A4_nonuniform_classes():
         dp_sched = moser_exponents(dp_params, nu, mu)
         dp_tpl = ProblemTemplate(
             family=dp,
-            side=1.0,
-            n=65,
-            boundary=lambda x, y: x * y + 0.5 * (x + y),
+            grid=Grid(1.0, 65, lambda x, y: x * y + 0.5 * (x + y)),
             opts=SolveOptions(tolerance=1e-5, max_iter=30000),
         )
         dp_rep = sweep_amplitudes(dp_tpl, [0.5, 1, 2, 4, 8], dp_sched, rho=0.2, R=0.35)
@@ -191,9 +187,7 @@ def test_A4_nonuniform_classes():
         ex_sched = moser_exponents(*((ex_params,) + pair))
         ex_tpl = ProblemTemplate(
             family=ex,
-            side=1.0,
-            n=65,
-            boundary=lambda x, y: 0.35 * (x + y),
+            grid=Grid(1.0, 65, lambda x, y: 0.35 * (x + y)),
             opts=SolveOptions(tolerance=1e-5, max_iter=30000),
         )
         ex_rep = sweep_amplitudes(ex_tpl, [0.25, 0.5, 1, 2, 4], ex_sched, rho=0.2, R=0.35)
@@ -303,7 +297,7 @@ def test_A6_numerical_hygiene():
         # energy descent on every solve; nested-ball sup monotonicity on each
         for fam in (PLaplacian(2.0), DoublePhase(2.0, 3.0, a_quad), Exponential(a_lin, 2.0)):
             tpl = ProblemTemplate(
-                family=fam, side=1.0, n=33, boundary=lambda x, y: np.sin(2 * x) + 0.5 * y,
+                family=fam, grid=Grid(1.0, 33, lambda x, y: np.sin(2 * x) + 0.5 * y),
                 opts=SolveOptions(tolerance=1e-7, max_iter=8000),
             )
             solved = tpl.solve(1.0)

@@ -108,6 +108,13 @@ def test_duplicate_key_rejected():
         parse_config("[grid]\nn = 3\nn = 4\n")
 
 
+def test_key_before_first_section_rejected():
+    # a top-level key would be stored and never read: `seed = 7` sets no seed
+    with pytest.raises(ConfigError, match="before the first section") as exc:
+        parse_config("seed = 7\n\n[family]\nkind = p_laplacian\n")
+    assert exc.value.line == 1
+
+
 def test_resolve_schedule_explicit():
     text = BASE_P2.replace("mode = auto", "mode = explicit\nalpha = 2\nbeta = 1\nnu = 1")
     cfg = parse_config(text)
@@ -210,6 +217,56 @@ n = 3
     rc = main(["params", cfg_file(tmp_path, text)])
     assert rc == 2
     assert "rejected" in capsys.readouterr().out
+
+
+DECLINED = """
+[family]
+{family}
+
+[grid]
+side = 1.0
+n = 17
+
+[boundary]
+expr = x + y
+
+[ball]
+center = 0.5, 0.5
+rho = 0.2
+R = 0.4
+
+[schedule]
+mode = auto
+{schedule}
+
+[sweep]
+amplitudes = 0.5, 1, 2, 4, 8
+"""
+
+RECIPE_DECLINES = {
+    "plap-alpha1": ("kind = p_laplacian\np = 3", "n = 2\nalpha = 1"),
+    "plap-n3-delta1": ("kind = p_laplacian\np = 3", "n = 3\ndelta = 1"),
+    "exp-a-sign-change": ("kind = exponential\na = x - 0.5\na_lipschitz = 1", "n = 2"),
+    "px-p-below-2": ("kind = px_laplacian\np_expr = 1.5 + x\np_expr_lipschitz = 1", "n = 2"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, family, schedule",
+    [
+        pytest.param(cmd, *case, id=f"{cmd}-{name}")
+        for name, case in RECIPE_DECLINES.items()
+        for cmd in ("check", "params", "validate")
+    ]
+    + [pytest.param("check", "kind = exponential\na = 1\ntau = 3", "n = 2", id="check-exp-tau3")],
+)
+def test_declined_values_are_typed_rejections(tmp_path, capsys, command, family, schedule):
+    # a recipe or a triple that declines config values ends in one line and
+    # exit 2, not in a traceback
+    rc = main([command, cfg_file(tmp_path, DECLINED.format(family=family, schedule=schedule))])
+    out = capsys.readouterr().out
+    assert rc == 2, out
+    assert "rejected: " in out and len(out.splitlines()) == 1, out
 
 
 def test_solve_p2_exit0_and_field_file(tmp_path, capsys):

@@ -9,15 +9,15 @@ import numpy as np
 from pqlab.config import parse_config, resolve_schedule
 from pqlab.exponents import ExponentParams, double_phase_params
 from pqlab.growth import GrowthFn, GrowthTriple, SampleSpec, paper_triple, run_all_checks
-from pqlab.integrand import Ball, _RadialFamily
-from pqlab.solver import SolveOptions
+from pqlab.integrand import Ball, RadialFamily
+from pqlab.solver import Grid, SolveOptions
 from pqlab.validator import ProblemTemplate, measure
 
 BALL = Ball(0.5, 0.5, 0.35)
 AUTO = parse_config("[schedule]\nmode = auto\n")
 
 
-class QuadQuartic(_RadialFamily):
+class QuadQuartic(RadialFamily):
     """f(xi) = |xi|^2 + |xi|^4: profile g(t) = t^2 + t^4."""
 
     kind = "quad_quartic"
@@ -62,7 +62,7 @@ def test_outside_family_passes_the_condition_suite():
 def test_outside_family_solves_and_measures():
     fam = QuadQuartic()
     tpl = ProblemTemplate(
-        family=fam, side=1.0, n=33, boundary=lambda x, y: np.sin(2 * x) + 0.5 * y,
+        family=fam, grid=Grid(1.0, 33, lambda x, y: np.sin(2 * x) + 0.5 * y),
         opts=SolveOptions(tolerance=1e-6, max_iter=5000),
     )
     solved = tpl.solve(1.0)

@@ -1,6 +1,6 @@
 """scipy stays out of the import and config-build path, every deferred
 scipy import resolves on its own in a fresh interpreter, and no package
-module keeps an unused top-level import."""
+module keeps an unused top-level import or private top-level name."""
 
 import ast
 import os
@@ -155,6 +155,36 @@ def test_no_unused_top_level_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, unused
+
+
+def test_every_private_top_level_name_is_used():
+    # a top-level _name that nothing in the package reads is code a
+    # refactor left behind
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(pqlab.__file__).parent.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = []
+    for fname, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{fname}:{node.lineno}: {name}" for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in used
+            ]
+    assert not dead, dead
 
 
 if __name__ == "__main__":

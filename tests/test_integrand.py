@@ -1,6 +1,7 @@
 """Density catalog: hand-computed values, finite-difference oracles, Hessian identities."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pqlab.integrand import (
     Coefficient,
     DoublePhase,
     Exponential,
+    IntegrandFamily,
     LogPxLaplacian,
     MultiPhase,
     PLaplacian,
@@ -225,6 +227,46 @@ def test_radial_bounds_rejects_non_radial_family():
     fam = Anisotropic(3.0, base_p=2.5)
     with pytest.raises(ProfileDomainError):
         radial_bounds(fam, (0.2, 0.3), 1.0)
+
+
+def test_bare_family_is_not_radial():
+    # a family that subclasses IntegrandFamily directly supplies no profile
+    class Bare(IntegrandFamily):
+        kind = "bare"
+
+    assert IntegrandFamily.radial is False and Bare.radial is False
+    with pytest.raises(ProfileDomainError):
+        radial_bounds(Bare(), (0.2, 0.3), 1.0)
+
+
+GOLDEN_PROFILES = Path(__file__).with_name("golden_power_sum_profiles.txt")
+
+
+def power_sum_profile_lines():
+    """describe() and the four profile arrays of every power-sum family, one
+    line of repr() values per array: repr round-trips a double and keeps the
+    sign of zero."""
+    a = Coefficient(lambda x, y: x * x + y * y, lipschitz=3.0, source="x^2+y^2")
+    X = np.array([[0.0], [0.3], [0.9]])
+    Y = np.array([[0.0], [0.7], [0.2]])
+    T = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 7.0, 40.0, 300.0])
+    fams = [SubquadraticPower(1.5)] + [PLaplacian(p) for p in (2.0, 2.5, 3.0, 4.0, 7.3)]
+    fams += [DoublePhase(p, q, a) for p, q in ((2.0, 3.0), (2.0, 4.0), (2.5, 3.7), (3.0, 3.0))]
+    fams += [MultiPhase(2.0, 3.0, a, b) for b in (0.5, 0.0)]
+    lines = []
+    for fam in fams:
+        lines.append(f"[{fam.describe()}]")
+        for name in ("profile_value", "profile_dt", "profile_dtt", "profile_slope"):
+            with np.errstate(divide="ignore"):  # t^(p-2) at t = 0 for p < 2
+                vals = np.broadcast_to(getattr(fam, name)(X, Y, T), (X.size, T.size))
+            lines.append(name + " " + " ".join(repr(float(v)) for v in vals.ravel()))
+    return lines
+
+
+def test_power_sum_profiles_match_golden():
+    # recorded from the code before p-Laplacian, double phase and multi phase
+    # shared one power-sum profile; compared exactly, sign of zero included
+    assert power_sum_profile_lines() == GOLDEN_PROFILES.read_text().splitlines()
 
 
 def test_multi_phase_third_exponent_is_derived():

@@ -133,9 +133,7 @@ def test_oscillation_theta_and_radius():
 def affine_template(n=33):
     return ProblemTemplate(
         family=PLaplacian(2),
-        side=1.0,
-        n=n,
-        boundary=lambda x, y: x + y,
+        grid=Grid(1.0, n, lambda x, y: x + y),
         opts=SolveOptions(tolerance=1e-10, max_iter=4000),
     )
 
@@ -163,9 +161,7 @@ def test_sweep_harmonic_p2_within_band():
     sched = p2_schedule()
     tpl = ProblemTemplate(
         family=PLaplacian(2),
-        side=1.0,
-        n=33,
-        boundary=lambda x, y: x * x - y * y,
+        grid=Grid(1.0, 33, lambda x, y: x * x - y * y),
         opts=SolveOptions(tolerance=1e-9, max_iter=8000),
     )
     rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, rho=0.2, R=0.4)
@@ -179,9 +175,7 @@ def test_sweep_reports_solve_failures():
     sched = p2_schedule()
     tpl = ProblemTemplate(
         family=PLaplacian(4),
-        side=1.0,
-        n=25,
-        boundary=lambda x, y: np.exp(x) * np.cos(y),
+        grid=Grid(1.0, 25, lambda x, y: np.exp(x) * np.cos(y)),
         opts=SolveOptions(tolerance=1e-13, max_iter=3),  # unreachable in 3 steps
     )
     rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, 0.2, 0.4)
@@ -268,7 +262,7 @@ def test_nested_sup_monotonicity_on_solves():
     ]
     for fam in fams:
         tpl = ProblemTemplate(
-            family=fam, side=1.0, n=25, boundary=lambda x, y: np.sin(2 * x) + y,
+            family=fam, grid=Grid(1.0, 25, lambda x, y: np.sin(2 * x) + y),
             opts=SolveOptions(tolerance=1e-7, max_iter=4000),
         )
         prob = tpl.solve(1.0)
