@@ -70,6 +70,16 @@ def exit_code_from_reports(reports) -> int:
     return EXIT_OK
 
 
+def _triple_or_report(family, ball):
+    """The family's growth triple on the ball, or None after printing why
+    ``paper_triple`` declined it."""
+    try:
+        return paper_triple(family, ball)
+    except ValueError as exc:
+        print(f"growth triple rejected: {exc}")
+        return None
+
+
 def cmd_check(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     cfg = load_config(cfg_path)
     family = build_family(cfg)
@@ -80,10 +90,8 @@ def cmd_check(cfg_path: str, seed: int, out_dir, tolerance) -> int:
         print(f"parameter recipe rejected: {params.describe()}")
         return EXIT_FAIL
     params = params.params
-    try:
-        triple = paper_triple(family, ball)
-    except ValueError as exc:
-        print(f"growth triple rejected: {exc}")
+    triple = _triple_or_report(family, ball)
+    if triple is None:
         return EXIT_FAIL
     spec = SampleSpec(ball=ball, seed=seed)
     reports = run_all_checks(family, triple, params, spec)
@@ -155,6 +163,8 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
         return EXIT_FAIL
     if resolved.schedule is None:
         print(f"schedule degenerate: {resolved.degenerate_reason}")
+        return EXIT_FAIL
+    if _triple_or_report(family, ball) is None:
         return EXIT_FAIL
     sched = resolved.schedule
     r0 = oscillation_radius(family, ball, sched.params.theta)

@@ -319,6 +319,9 @@ def build_ball(cfg: ProblemConfig):
 
 
 def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float] = None) -> SolveOptions:
+    for key, entry in cfg.section("solver").items():
+        if key not in ("tolerance", "max_iter"):
+            raise ConfigError(f"[solver] takes tolerance and max_iter only, not {key!r}", cfg.path, entry.line)
     tol = cfg.get_float("solver", "tolerance", default=1e-8)
     if tolerance_override is not None:
         tol = tolerance_override

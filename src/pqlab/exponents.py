@@ -264,10 +264,12 @@ def double_phase_params(
 ) -> Union[ExponentParams, ParamRejection]:
     """Double/multi phase recipe: gamma = 1, alpha = 2(2q - p)/p.
 
-    Accepted exactly when q/p < n/(n-2) for n > 2 (no bound for n = 2,
-    where 2* is a free large number).  With the auxiliary third power
+    Accepted exactly when q/p < n/(n-2) for n > 2, and for every q/p at
+    n = 2, where 2* is a free large number.  With the auxiliary third power
     present beta = 1 suffices; for the plain two-phase density beta = q/p
-    covers the subsets where the modulating coefficient vanishes.
+    covers the subsets where the modulating coefficient vanishes.  That beta
+    breaks its own bound (``beta_ok()`` fails) once q/p >= 1 + 1/sqrt(2) at
+    n = 2, and ``DoublePhase.auto_params`` rejects those params.
     """
     p, q = _as_number(p), _as_number(q)
     if not (at_most(2, p) and at_most(p, q)):

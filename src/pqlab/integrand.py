@@ -822,7 +822,14 @@ class DoublePhase(_PowerSum):
         return GrowthTriple(g1=g1, g2=g2, g3=g3)
 
     def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
-        return double_phase_params(_frac(self.p), _frac(self.q), n, two_star)
+        params = double_phase_params(_frac(self.p), _frac(self.q), n, two_star)
+        # n = 2 puts no bound on q/p, but beta = q/p must still meet its own
+        if n == 2 and params and not params.beta_ok():
+            return ParamRejection(
+                "double_phase_params", "beta = q/p breaks its bound at n = 2", params.beta,
+                params.beta_upper_bound(),
+            )
+        return params
 
 
 class MultiPhase(DoublePhase):

@@ -5,20 +5,19 @@ Discretization: 2x2 node cells with the cell-centered first-order gradient
 quadrature point per cell, so the energy gradient assembly is exact and the
 energy is exact on affine fields.
 
-The minimizer is nonlinear conjugate gradient (Polak-Ribiere+)
-preconditioned by the exact inverse of the p = 2 stiffness, which a fast
-sine transform applies; its iteration count does not grow with N.  A
-backtracking line search polishes every trial by a secant step on the
-directional derivative, which makes the method coincide with
-preconditioned linear CG on quadratic energies (p = 2 converges in one
-step).  Log-domain families (the exponential class) are minimized through
-the logarithm of the energy (same minimizer, overflow-free); a saturated
-initial state triggers an automatic amplitude rescale with a warning in the
-trace.
+The minimizer is truncated Newton (inexact Newton-CG): each step solves the
+Newton equation on the assembled cell Hessians by conjugate gradients,
+preconditioned by the exact inverse of the p = 2 stiffness (a fast sine
+transform) scaled by the local slope of the density, and Armijo backtracking
+takes the step.  Its step count does not grow with N, and p = 2 converges in
+one step.  Log-domain families (the exponential class) are minimized through
+the logarithm of the energy (same minimizer, overflow-free) with the energy's
+own Newton steps; a saturated initial state triggers an automatic amplitude
+rescale with a warning in the trace.
 
-Energy and gradient assembly and the solver's inner products reduce with
-numpy's pairwise summation in a fixed order, never through BLAS, so results
-are bit-reproducible run to run and across BLAS thread counts.
+Energy, gradient and Hessian-vector assembly and the solver's inner products
+reduce with numpy's pairwise summation in a fixed order, never through BLAS,
+so results are bit-reproducible run to run and across BLAS thread counts.
 
 scipy is imported inside the functions that call it, never at module top.
 """
@@ -32,12 +31,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .growth import GrowthTriple, paper_triple
-from .integrand import Ball, IntegrandFamily, LOG_MAX
+from .integrand import Ball, IntegrandFamily, LOG_MAX, SaturationError
 
 _C1 = 1e-4               # sufficient-decrease constant
 _BACKTRACK = 0.5         # step shrink factor
-_EPSILON = 1e-8          # final modulus-smoothing value
-_SMOOTHING_START = 1e-2  # first continuation stage
+_SMOOTHING_STAGES = (1e-2, 1e-8)  # modulus smoothing of needs_smoothing families
+_FORCING_MAX = 0.1       # loosest relative residual of the inner solve
+_INNER_MAX = 200         # PCG steps per Newton step
+# hess_qf directions (1, 0), (0, 1), (1, 1): H11, H22 and, by polarization, H12
+_POLAR = (np.array([1.0, 0.0, 1.0])[:, None, None], np.array([0.0, 1.0, 1.0])[:, None, None])
 
 
 class GeometryError(ValueError):
@@ -208,10 +210,14 @@ class SolveTrace:
     rescale_factor: float = 1.0
     warnings: list = field(default_factory=list)
     stages: int = 1
+    objective_evals: int = 0       # energy + gradient evaluations
+    hessian_products: int = 0      # Hessian-vector products of the inner solves
+    stop_reason: str = ""          # "converged", "max_iter" or "stalled"
 
 
 class _Objective:
-    """Energy + gradient over the interior, optionally in log domain."""
+    """Energy + gradient over the interior, optionally in log domain, and the
+    energy Hessian for the Newton steps."""
 
     def __init__(self, grid: Grid, family: IntegrandFamily, eps: float = 0.0):
         self.grid = grid
@@ -236,29 +242,61 @@ class _Objective:
         gx, gy = cell_gradients(grid, u)
         s = fam.log_value(self.XC, self.YC, gx, gy)
         smax = float(np.max(s))
-        logE = smax + math.log(float(np.sum(np.exp(s - smax)))) + 2 * math.log(grid.h)
         w = np.exp(s - smax)
-        w /= np.sum(w)
+        total = np.sum(w)
+        logE = smax + math.log(float(total)) + 2 * math.log(grid.h)
+        w /= total
         # grad log E = sum_c softmax_c * (d s_c / d u); the xi factor is
         # already inside grad_coeff_over_f
         cwx, cwy = fam.grad_coeff_over_f(self.XC, self.YC, gx, gy)
-        G = _accumulate_cells(grid.n, grid.h, w * cwx, w * cwy)
-        G[grid.boundary_mask()] = 0.0
-        return logE, G[self.interior]
+        return logE, _accumulate_cells(grid.n, grid.h, w * cwx, w * cwy)[self.interior]
+
+    def hessian(self, interior_flat: np.ndarray, value: float):
+        """(Hv, D): the energy Hessian as a map on interior vectors (cell blocks
+        h^2 f_xixi, over E in the log domain, where ``value`` is log E, so that
+        the Newton step is E's own; unsmoothed in smoothing stages), and per
+        node the mean of the cell slope (H11 + H22) / 2 over its four cells,
+        halved: 1 at p = 2."""
+        grid = self.grid
+        n, h = grid.n, grid.h
+        gx, gy = cell_gradients(grid, self.assemble(interior_flat))
+        q11, q22, q_diag = self.family.hess_qf(self.XC, self.YC, gx, gy, *_POLAR)
+        scale = h**2 * (math.exp(-value) if self.log_domain else 1.0)
+        h11, h12, h22 = scale * q11, 0.5 * scale * (q_diag - q11 - q22), scale * q22
+
+        def product(v):
+            V = np.zeros((n, n))
+            V[1:-1, 1:-1] = v.reshape(n - 2, n - 2)
+            vx, vy = cell_gradients(grid, V)
+            return _accumulate_cells(n, h, h11 * vx + h12 * vy, h12 * vx + h22 * vy)[1:-1, 1:-1].ravel()
+
+        c = (q11 + q22) / 16
+        return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
 
     def raw_grad_inf(self, value, grad_interior) -> float:
         """Infinity norm of the energy gradient (not the log-energy one)."""
+        ginf = float(np.max(np.abs(grad_interior)))
         if not self.log_domain:
-            return float(np.max(np.abs(grad_interior))) if grad_interior.size else 0.0
-        if value > LOG_MAX:
-            return math.inf
-        return math.exp(value) * float(np.max(np.abs(grad_interior)))
+            return ginf
+        return math.exp(value) * ginf if value <= LOG_MAX else math.inf
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # numpy's pairwise summation, not BLAS ddot: the result must not depend on
     # the BLAS thread count
     return float(np.sum(a * b))
+
+
+def _dst1(x: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """Type-I sine transform along the last axis in scipy's unnormalized
+    convention, y_k = 2 sum_n x_n sin(pi (k + 1)(n + 1) / (m + 1)), times
+    ``factor``.  It is the real FFT of the odd extension of length 2 (m + 1),
+    the algorithm of scipy.fft's DST-I, whose import costs ~24 MB of RSS."""
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
+    ext[..., 1 : m + 1] = x
+    ext[..., m + 2 :] = -x[..., ::-1]
+    return np.fft.rfft(ext)[..., 1 : m + 1].imag * -factor
 
 
 def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -271,84 +309,93 @@ def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     ``2 - 2 cos(k pi / (n - 1)) cos(l pi / (n - 1))``, k, l = 1 .. n - 2.
     The returned map takes and returns flat interior vectors.
     """
-    from scipy.fft import dstn, idstn
-
     m = n - 2
     c = np.cos(np.pi * np.arange(1, m + 1) / (n - 1))
     eig = 2.0 - 2.0 * np.outer(c, c)
+    norm = 1.0 / (2 * (m + 1)) ** 2  # the inverse transform's, on its first axis
 
     def apply(g: np.ndarray) -> np.ndarray:
-        return idstn(dstn(g.reshape(m, m), type=1) / eig, type=1).ravel()
+        spectrum = _dst1(_dst1(g.reshape(m, m).T).T) / eig
+        return _dst1(_dst1(spectrum.T, norm).T).ravel()
 
     return apply
 
 
-def _ncg(
-    objective: _Objective,
-    z0: np.ndarray,
-    opts: SolveOptions,
-    trace: SolveTrace,
-    precondition: Callable[[np.ndarray], np.ndarray],
-):
-    """Preconditioned Polak-Ribiere+ NCG from z0 until the gradient test holds."""
-    z = z0.copy()
-    F, g = objective(z)
-    trace.energies.append(F)
-    ginf = objective.raw_grad_inf(F, g)
-    if ginf <= opts.tolerance:
-        return z, F, ginf, True
-    s = precondition(g)
-    gs = _dot(g, s)
-    d = -s
-    t_prev = 1.0
-    iters_left = opts.max_iter - trace.iterations
-    eps_mach = np.finfo(float).eps
-    since_restart = 0
-    restart_every = max(100, 2 * int(math.isqrt(max(z.size, 1))))
-    for _ in range(iters_left):
-        dphi0 = _dot(g, d)
-        if dphi0 >= 0 or since_restart >= restart_every:
-            d = -s
-            dphi0 = -gs
-            since_restart = 0
-        accepted = False
-        t = t_prev
-        for _bt in range(60):
+def _truncated_pcg(hess, D, g, forcing, precondition, trace):
+    """Inexact Newton direction: PCG on H d = -g from d = 0, preconditioned by
+    D^{-1/2} P D^{-1/2} (P the p = 2 stiffness inverse), to relative residual
+    ``forcing``.  Non-positive curvature on the first step falls back to -P g
+    (Steihaug), later it keeps the iterate.  D has a floor for nodes whose
+    four cells are flat (the very degenerate plateau)."""
+    scale = 1.0 / np.sqrt(np.maximum(D, 1e-3 * float(np.max(D)) + 1e-300))
+    d = np.zeros_like(g)
+    r = g.copy()
+    z = scale * precondition(scale * r)
+    rz = _dot(r, z)
+    p = -z
+    stop = forcing * math.sqrt(_dot(g, g))
+    for k in range(_INNER_MAX):
+        Hp = hess(p)
+        trace.hessian_products += 1
+        curv = _dot(p, Hp)
+        if not curv > 0:
+            return -precondition(g) if k == 0 else d
+        d += (rz / curv) * p
+        r += (rz / curv) * Hp
+        if math.sqrt(_dot(r, r)) <= stop:
+            break
+        z = scale * precondition(scale * r)
+        rz, rz_old = _dot(r, z), rz
+        p = (rz / rz_old) * p - z
+    return d
+
+
+def _line_search(objective: _Objective, z, F, g, d, trace: SolveTrace):
+    """Armijo backtracking from z along d: (z + t d, F, grad) at the first
+    accepted t, or None after 60 halvings.  A decrease below the float
+    resolution of F cannot rank a trial; a gradient of at most half the norm
+    then decides.  A trial that saturates is rejected."""
+    gg, slope, t = _dot(g, g), _dot(g, d), 1.0
+    for _bt in range(60):
+        try:
             F1, g1 = objective(z + t * d)
-            dphi1 = _dot(g1, d)
-            # secant step on the directional derivative: exact minimizer for
-            # quadratic energies, and free of the cancellation that plagues
-            # energy-difference fits near convergence
-            denom = dphi1 - dphi0
-            t_star = -dphi0 * t / denom if denom > 0 else math.inf
-            if 0 < t_star < math.inf and abs(t_star - t) > 1e-9 * t:
-                F2, g2 = objective(z + t_star * d)
-                if F2 < F1 or (F2 <= F1 and abs(_dot(g2, d)) < abs(dphi1)):
-                    t, F1, g1 = t_star, F2, g2
-                    dphi1 = _dot(g1, d)
-            slack = _C1 * t * dphi0
-            measurable = -slack > 8 * eps_mach * max(abs(F), abs(F1))
-            if F1 <= F + slack or (not measurable and F1 <= F):
-                accepted = True
-                break
-            t = max(min(t_star, t * _BACKTRACK), 0.05 * t) if 0 < t_star < t else t * _BACKTRACK
-        if not accepted:
+        except SaturationError:
+            F1 = math.inf
+        trace.objective_evals += 1
+        resolved = F - F1 > 8 * np.finfo(float).eps * abs(F)
+        if F1 <= F + _C1 * t * slope if resolved else F1 <= F and _dot(g1, g1) <= 0.25 * gg:
+            return z + t * d, F1, g1
+        t *= _BACKTRACK
+    return None
+
+
+def _newton(objective: _Objective, z: np.ndarray, opts: SolveOptions, trace: SolveTrace, precondition):
+    """Truncated Newton from z until the gradient test holds, the iterations
+    run out or the line search stalls; returns (z, F, grad).  When no step
+    along the Newton direction is accepted, the preconditioned gradient
+    direction -P g gets its own line search."""
+    F, g = objective(z)
+    trace.objective_evals += 1
+    trace.energies.append(F)
+    forcing, gg_prev = _FORCING_MAX, None
+    while objective.raw_grad_inf(F, g) > opts.tolerance and trace.iterations < opts.max_iter:
+        gg = _dot(g, g)
+        if gg_prev is not None:  # Eisenstat-Walker choice 2: gamma = 0.9, alpha = 2
+            forcing = min(_FORCING_MAX, 0.9 * gg / gg_prev)
+        try:
+            d = _truncated_pcg(*objective.hessian(z, F), g, forcing, precondition, trace)
+        except SaturationError:  # the Hessian overflows: take the gradient step
+            d = -precondition(g)
+        step = _line_search(objective, z, F, g, d, trace) or _line_search(
+            objective, z, F, g, -precondition(g), trace
+        )
+        if step is None:
             trace.warnings.append("line search stalled; returning current iterate")
             break
-        z = z + t * d
-        t_prev = t
+        (z, F, g), gg_prev = step, gg
         trace.iterations += 1
-        since_restart += 1
-        trace.energies.append(F1)
-        s_new = precondition(g1)
-        gs_new = _dot(g1, s_new)
-        beta = max(0.0, _dot(g1, s_new - s) / gs) if gs > 0 else 0.0
-        d = -s_new + beta * d
-        F, g, s, gs = F1, g1, s_new, gs_new
-        ginf = objective.raw_grad_inf(F, g)
-        if ginf <= opts.tolerance:
-            return z, F, ginf, True
-    return z, F, ginf, ginf <= opts.tolerance
+        trace.energies.append(F)
+    return z, F, g
 
 
 def minimize(
@@ -361,12 +408,10 @@ def minimize(
 
     The minimizer satisfies the Dirichlet constraint exactly and the energy
     is nonincreasing along the trace.  Non-convergence is reported in the
-    trace (the achieved gradient norm is recorded), not raised.
+    trace (the achieved gradient norm and the stop reason), not raised.
     """
     trace = SolveTrace()
-    if u0 is None:
-        u0 = bilinear_interpolant(grid)
-    u = u0.copy()
+    u = bilinear_interpolant(grid) if u0 is None else u0
     bvals = grid.boundary_values()
     mask = grid.boundary_mask()
     if not np.allclose(u.values[mask], bvals[mask], rtol=0, atol=1e-12):
@@ -390,33 +435,24 @@ def minimize(
                 f"rescaled by {factor:.6g}"
             )
 
-    objective = _Objective(grid, family, eps=0.0)
-    z = u.values[objective.interior]
-
-    stages = [0.0]
-    if family.needs_smoothing:
-        eps = _SMOOTHING_START
-        stages = []
-        while eps > _EPSILON:
-            stages.append(eps)
-            eps *= 1e-2
-        stages.append(_EPSILON)
+    z = u.values[~mask]
+    stages = _SMOOTHING_STAGES if family.needs_smoothing else (0.0,)
     trace.stages = len(stages)
-
     precondition = _p2_stiffness_inverse(grid.n)
     for eps in stages:
         objective = _Objective(grid, family, eps=eps)
-        z, F, ginf, converged = _ncg(objective, z, opts, trace, precondition)
+        z, F, g = _newton(objective, z, opts, trace, precondition)
+    if eps > 0:  # the energy itself, not its smoothed stage
+        objective = _Objective(grid, family)
+        F, g = objective(z)
+        trace.objective_evals += 1
 
-    u_out = DiscreteField(grid, objective.assemble(z))
-    final = _Objective(grid, family, eps=0.0)
-    Ff, gf = final(z)
-    trace.final_energy = (
-        math.exp(Ff) if final.log_domain and Ff <= LOG_MAX else Ff
-    )
-    trace.final_grad_norm = final.raw_grad_inf(Ff, gf)
+    trace.final_energy = math.exp(F) if objective.log_domain and F <= LOG_MAX else F
+    trace.final_grad_norm = objective.raw_grad_inf(F, g)
     trace.converged = trace.final_grad_norm <= opts.tolerance
-    return u_out, trace
+    ran_out = trace.iterations >= opts.max_iter
+    trace.stop_reason = "converged" if trace.converged else "max_iter" if ran_out else "stalled"
+    return DiscreteField(grid, objective.assemble(z)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +568,8 @@ def _p2_stiffness(grid: Grid):
     n = grid.n
     h = grid.h
     ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
-    n00 = (ii * n + jj).ravel()
-    n01 = (ii * n + jj + 1).ravel()
-    n10 = ((ii + 1) * n + jj).ravel()
-    n11 = ((ii + 1) * n + jj + 1).ravel()
-    corners = np.stack([n00, n01, n10, n11])  # 4 x ncells
+    # 4 x ncells: the (0, 0), (0, 1), (1, 0) and (1, 1) corners of each cell
+    corners = (ii * n + jj).ravel() + np.array([0, 1, n, n + 1])[:, None]
     avec = np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h)
     bvec = np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h)
     elem = h * h * (np.outer(avec, avec) + np.outer(bvec, bvec))  # 4x4

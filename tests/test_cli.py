@@ -115,6 +115,17 @@ def test_key_before_first_section_rejected():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("key", ["tolerence", "c1", "backtrack", "epsilon"])
+def test_unknown_solver_key_rejected(tmp_path, capsys, key):
+    # a misspelled or retired key was ignored and the solve ran at the default tolerance
+    text = BASE_P2.replace("max_iter = 8000", f"max_iter = 8000\n{key} = 1e-3")
+    rc = main(["solve", cfg_file(tmp_path, text), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    line = text.splitlines().index(f"{key} = 1e-3") + 1
+    assert f"problem.cfg:{line}: " in err and f"not {key!r}" in err, err
+
+
 def test_resolve_schedule_explicit():
     text = BASE_P2.replace("mode = auto", "mode = explicit\nalpha = 2\nbeta = 1\nnu = 1")
     cfg = parse_config(text)
@@ -248,6 +259,8 @@ RECIPE_DECLINES = {
     "plap-n3-delta1": ("kind = p_laplacian\np = 3", "n = 3\ndelta = 1"),
     "exp-a-sign-change": ("kind = exponential\na = x - 0.5\na_lipschitz = 1", "n = 2"),
     "px-p-below-2": ("kind = px_laplacian\np_expr = 1.5 + x\np_expr_lipschitz = 1", "n = 2"),
+    # q/p = 2 >= 1 + 1/sqrt(2): beta = q/p breaks its bound at n = 2
+    "dp-q4-n2": ("kind = double_phase\np = 2\nq = 4\na = x^2 + y^2\na_lipschitz = 3", "n = 2"),
 }
 
 
@@ -258,7 +271,10 @@ RECIPE_DECLINES = {
         for name, case in RECIPE_DECLINES.items()
         for cmd in ("check", "params", "validate")
     ]
-    + [pytest.param("check", "kind = exponential\na = 1\ntau = 3", "n = 2", id="check-exp-tau3")],
+    + [
+        pytest.param(cmd, "kind = exponential\na = 1\ntau = 3", "n = 2", id=f"{cmd}-exp-tau3")
+        for cmd in ("check", "validate")
+    ],
 )
 def test_declined_values_are_typed_rejections(tmp_path, capsys, command, family, schedule):
     # a recipe or a triple that declines config values ends in one line and

@@ -175,6 +175,19 @@ def test_preconditioner_inverts_direct_solve_stiffness():
     np.testing.assert_allclose(product, np.eye(interior.size), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 9, 33, 130])
+def test_preconditioner_matches_scipy_sine_transforms(n):
+    # the numpy real-FFT DST-I against scipy.fft's, which it replaces
+    from scipy.fft import dstn, idstn
+
+    m = n - 2
+    c = np.cos(np.pi * np.arange(1, m + 1) / (n - 1))
+    g = np.random.default_rng(n).standard_normal((m, m))
+    ref = idstn(dstn(g, type=1) / (2.0 - 2.0 * np.outer(c, c)), type=1).ravel()
+    got = _p2_stiffness_inverse(n)(g.ravel())
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 def test_minimize_p2_converges_in_two_iterations():
     g = Grid(side=0.7, n=65, boundary=lambda x, y: np.exp(x) * np.cos(y), x0=-0.3, y0=1.1)
     u, trace = minimize(g, PLaplacian(2), opts=SolveOptions(tolerance=1e-10))
@@ -290,6 +303,45 @@ def test_minimize_very_degenerate_runs_stages():
     # boundary slope 0.4 sqrt(2) < 1: the interpolant is already a global
     # minimizer (zero energy); the solver must finish with zero energy
     assert trace.final_energy <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, tolerance, max_iter, reason",
+    [
+        (2.0, 1e-9, 100, "converged"),
+        (4.0, 1e-8, 1, "max_iter"),
+        # far below the float floor of the energy and of its gradient
+        (4.0, 1e-30, 1000, "stalled"),
+    ],
+)
+def test_minimize_stop_reasons(p, tolerance, max_iter, reason):
+    g = unit_grid(17, boundary=lambda x, y: np.sin(3 * x) + y)
+    _, trace = minimize(g, PLaplacian(p), opts=SolveOptions(tolerance=tolerance, max_iter=max_iter))
+    assert trace.stop_reason == reason
+    assert trace.converged == (reason == "converged")
+    assert (reason == "stalled") == any("stalled" in w for w in trace.warnings)
+    # the first evaluation and at least one trial per accepted step
+    assert trace.objective_evals >= trace.iterations + 1
+    assert trace.hessian_products >= trace.iterations >= 1
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_p_harmonic_oracle_second_order(p):
+    # u = |x - x*|^((p - 2)/(p - 1)) is p-harmonic away from x* = (-0.5, -0.5),
+    # which lies outside the square; the discrete minimizers converge to it
+    # at second order in the max norm
+    def exact(x, y):
+        return np.hypot(x + 0.5, y + 0.5) ** ((p - 2) / (p - 1))
+
+    errs = []
+    for n in (33, 65, 129):
+        g = unit_grid(n, boundary=exact)
+        u, trace = minimize(g, PLaplacian(p), opts=SolveOptions(tolerance=1e-10))
+        assert trace.converged, (n, trace.final_grad_norm, trace.warnings)
+        X, Y = g.node_coords()
+        errs.append(float(np.max(np.abs(u.values - exact(X, Y)))))
+    orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
+    assert min(orders) >= 1.8, (errs, orders)
 
 
 def test_mesh_error_order_vs_exact_harmonic():
