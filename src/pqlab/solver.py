@@ -3,7 +3,12 @@
 Discretization: 2x2 node cells with the cell-centered first-order gradient
 (the constant-gradient approximation of bilinear elements) and one
 quadrature point per cell, so the energy gradient assembly is exact and the
-energy is exact on affine fields.
+energy is exact on affine fields.  Gradients and Hessian products act on the
+cell diagonals a = u[1:, 1:] - u[:-1, :-1], b = u[1:, :-1] - u[:-1, 1:]
+(gx, gy = (a + b) / 2h, (a - b) / 2h) and scatter straight onto the interior
+nodes.  a joins two nodes of one checkerboard colour, b two of the other: the
+colours couple only through the cell Hessian's (a, b) entry (H11 - H22) / 4,
+zero at p = 2, which makes the sublattice decoupling explicit.
 
 The minimizer is truncated Newton (inexact Newton-CG): each step solves the
 Newton equation on the assembled cell Hessians by conjugate gradients,
@@ -13,7 +18,8 @@ takes the step.  Its step count does not grow with N, and p = 2 converges in
 one step.  Log-domain families (the exponential class) are minimized through
 the logarithm of the energy (same minimizer, overflow-free) with the energy's
 own Newton steps; a saturated initial state triggers an automatic amplitude
-rescale with a warning in the trace.
+rescale with a warning in the trace.  Amplitude sweeps warm-start each
+amplitude from the previous solved field, scaled by the amplitude ratio.
 
 Energy, gradient and Hessian-vector assembly and the solver's inner products
 reduce with numpy's pairwise summation in a fixed order, never through BLAS,
@@ -38,8 +44,8 @@ _BACKTRACK = 0.5         # step shrink factor
 _SMOOTHING_STAGES = (1e-2, 1e-8)  # modulus smoothing of needs_smoothing families
 _FORCING_MAX = 0.1       # loosest relative residual of the inner solve
 _INNER_MAX = 200         # PCG steps per Newton step
-# hess_qf directions (1, 0), (0, 1), (1, 1): H11, H22 and, by polarization, H12
-_POLAR = (np.array([1.0, 0.0, 1.0])[:, None, None], np.array([0.0, 1.0, 1.0])[:, None, None])
+# hess_qf directions (1, 0), (1, 1), (1, -1): H11 and the cell diagonals' blocks
+_DIAGONAL_DIRECTIONS = (np.array([1.0, 1.0, 1.0])[:, None, None], np.array([0.0, 1.0, -1.0])[:, None, None])
 
 
 class GeometryError(ValueError):
@@ -137,41 +143,26 @@ def bilinear_interpolant(grid: Grid) -> DiscreteField:
     return DiscreteField(grid, interp)
 
 
+def _diagonals(u: np.ndarray):
+    """The diagonal differences (a, b) of every cell: Du = (a + b, a - b) / 2h."""
+    return u[1:, 1:] - u[:-1, :-1], u[1:, :-1] - u[:-1, 1:]
+
+
+def _scatter(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Transpose of ``_diagonals``: cell weights of a, b onto the interior nodes."""
+    return wa[:-1, :-1] - wa[1:, 1:] + wb[:-1, 1:] - wb[1:, :-1]
+
+
 def cell_gradients(grid: Grid, u: np.ndarray):
+    # four-corner sums, not (a + b) / 2h, which rounds differently
     h = grid.h
     gx = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2 * h)
     gy = (u[:-1, 1:] + u[1:, 1:] - u[:-1, :-1] - u[1:, :-1]) / (2 * h)
     return gx, gy
 
 
-def _accumulate_cells(n: int, h: float, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Chain rule transpose: per-cell gradient weights back to the nodes."""
-    G = np.zeros((n, n))
-    cx = wx / (2 * h)
-    cy = wy / (2 * h)
-    G[1:, :-1] += cx
-    G[1:, 1:] += cx
-    G[:-1, :-1] -= cx
-    G[:-1, 1:] -= cx
-    G[:-1, 1:] += cy
-    G[1:, 1:] += cy
-    G[:-1, :-1] -= cy
-    G[1:, :-1] -= cy
-    return G
-
-
-def discrete_energy(
-    grid: Grid, family: IntegrandFamily, u: np.ndarray, eps: float = 0.0, cells=None, interior=None
-):
-    """(E, G): E = sum over cells of f(x_c, Du_c) h^2 for the nodal values u,
-    and G its exact gradient in the nodal values, zero on the boundary nodes
-    (Dirichlet constraint).
-
-    ``eps > 0`` smooths the modulus of radial families to (|xi|^2 + eps^2)^(1/2).
-    The solver passes its cached cell-center coordinates as ``cells`` and its
-    interior-node mask as ``interior``, which returns G on those nodes only.
-    """
-    XC, YC = grid.cell_coords() if cells is None else cells
+def _energy(grid: Grid, family: IntegrandFamily, u: np.ndarray, eps: float, XC, YC):
+    """(E, interior gradient as an (n - 2) x (n - 2) array) of discrete_energy."""
     gx, gy = cell_gradients(grid, u)
     if eps > 0 and family.radial:
         vals = family.value_smoothed(XC, YC, gx, gy, eps)
@@ -179,12 +170,19 @@ def discrete_energy(
     else:
         vals = family.value(XC, YC, gx, gy)
         wx, wy = family.grad(XC, YC, gx, gy)
-    G = _accumulate_cells(grid.n, grid.h, wx * grid.h**2, wy * grid.h**2)
-    G[grid.boundary_mask()] = 0.0
-    # restricted here, while the cell arrays are alive: restricting after the
-    # return lets malloc trim the freed heap top on every call, which doubled
-    # the page faults and slowed N = 129 solves by ~10%
-    return float(np.sum(vals) * grid.h**2), G if interior is None else G[interior]
+    c = grid.h / 2  # the cell's h^2 times the 1/2h of the differences
+    return float(np.sum(vals) * grid.h**2), _scatter(c * (wx + wy), c * (wx - wy))
+
+
+def discrete_energy(grid: Grid, family: IntegrandFamily, u: np.ndarray, eps: float = 0.0):
+    """(E, G): E = sum over cells of f(x_c, Du_c) h^2 for the nodal values u,
+    and G its exact gradient in the nodal values, zero on the boundary nodes
+    (Dirichlet constraint).
+
+    ``eps > 0`` smooths the modulus of radial families to (|xi|^2 + eps^2)^(1/2).
+    """
+    E, g = _energy(grid, family, u, eps, *grid.cell_coords())
+    return E, np.pad(g, 1)
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,7 @@ class SolveTrace:
     stages: int = 1
     objective_evals: int = 0       # energy + gradient evaluations
     hessian_products: int = 0      # Hessian-vector products of the inner solves
+    backtracks: int = 0            # rejected line-search trials, stalled searches included
     stop_reason: str = ""          # "converged", "max_iter" or "stalled"
 
 
@@ -225,52 +224,52 @@ class _Objective:
         self.eps = float(eps)
         self.log_domain = family.log_domain
         self.XC, self.YC = grid.cell_coords()
-        self.interior = ~grid.boundary_mask()
-        self._frame = grid.boundary_values()
-        self._frame[self.interior] = 0.0
+        self._frame = grid.boundary_values()  # interior overwritten by assemble
+        self._V = np.zeros((grid.n, grid.n))  # zero-padded direction of the Hessian products
 
     def assemble(self, interior_flat: np.ndarray) -> np.ndarray:
         u = self._frame.copy()
-        u[self.interior] = interior_flat
+        u[1:-1, 1:-1] = interior_flat.reshape(self.grid.n - 2, -1)
         return u
 
     def __call__(self, interior_flat: np.ndarray):
         grid, fam = self.grid, self.family
         u = self.assemble(interior_flat)
         if not self.log_domain:
-            return discrete_energy(grid, fam, u, self.eps, (self.XC, self.YC), self.interior)
+            E, g = _energy(grid, fam, u, self.eps, self.XC, self.YC)
+            return E, g.ravel()
         gx, gy = cell_gradients(grid, u)
         s = fam.log_value(self.XC, self.YC, gx, gy)
         smax = float(np.max(s))
         w = np.exp(s - smax)
         total = np.sum(w)
         logE = smax + math.log(float(total)) + 2 * math.log(grid.h)
-        w /= total
+        w *= 0.5 / (grid.h * total)
         # grad log E = sum_c softmax_c * (d s_c / d u); the xi factor is
         # already inside grad_coeff_over_f
         cwx, cwy = fam.grad_coeff_over_f(self.XC, self.YC, gx, gy)
-        return logE, _accumulate_cells(grid.n, grid.h, w * cwx, w * cwy)[self.interior]
+        return logE, _scatter(w * (cwx + cwy), w * (cwx - cwy)).ravel()
 
     def hessian(self, interior_flat: np.ndarray, value: float):
         """(Hv, D): the energy Hessian as a map on interior vectors (cell blocks
         h^2 f_xixi, over E in the log domain, where ``value`` is log E, so that
         the Newton step is E's own; unsmoothed in smoothing stages), and per
         node the mean of the cell slope (H11 + H22) / 2 over its four cells,
-        halved: 1 at p = 2."""
-        grid = self.grid
-        n, h = grid.n, grid.h
-        gx, gy = cell_gradients(grid, self.assemble(interior_flat))
-        q11, q22, q_diag = self.family.hess_qf(self.XC, self.YC, gx, gy, *_POLAR)
-        scale = h**2 * (math.exp(-value) if self.log_domain else 1.0)
-        h11, h12, h22 = scale * q11, 0.5 * scale * (q_diag - q11 - q22), scale * q22
+        halved: 1 at p = 2.  On a cell's diagonals (a, b) the block is
+        [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4, q the form of f_xixi:
+        the cell's h^2 cancels the 1/h^2 of the differences."""
+        m = self.grid.n - 2
+        gx, gy = cell_gradients(self.grid, self.assemble(interior_flat))
+        q11, qpp, qpm = self.family.hess_qf(self.XC, self.YC, gx, gy, *_DIAGONAL_DIRECTIONS)
+        scale = 0.25 * (math.exp(-value) if self.log_domain else 1.0)
+        haa, hbb, hab = scale * qpp, scale * qpm, scale * (2 * q11 - 0.5 * (qpp + qpm))
 
         def product(v):
-            V = np.zeros((n, n))
-            V[1:-1, 1:-1] = v.reshape(n - 2, n - 2)
-            vx, vy = cell_gradients(grid, V)
-            return _accumulate_cells(n, h, h11 * vx + h12 * vy, h12 * vx + h22 * vy)[1:-1, 1:-1].ravel()
+            self._V[1:-1, 1:-1] = v.reshape(m, m)
+            a, b = _diagonals(self._V)
+            return _scatter(haa * a + hab * b, hab * a + hbb * b).ravel()
 
-        c = (q11 + q22) / 16
+        c = (qpp + qpm) / 32
         return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
 
     def raw_grad_inf(self, value, grad_interior) -> float:
@@ -287,18 +286,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _dst1(x: np.ndarray, factor: float = 1.0) -> np.ndarray:
-    """Type-I sine transform along the last axis in scipy's unnormalized
-    convention, y_k = 2 sum_n x_n sin(pi (k + 1)(n + 1) / (m + 1)), times
-    ``factor``.  It is the real FFT of the odd extension of length 2 (m + 1),
-    the algorithm of scipy.fft's DST-I, whose import costs ~24 MB of RSS."""
-    m = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
-    ext[..., 1 : m + 1] = x
-    ext[..., m + 2 :] = -x[..., ::-1]
-    return np.fft.rfft(ext)[..., 1 : m + 1].imag * -factor
-
-
 def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the p = 2 interior stiffness on an n x n grid.
 
@@ -307,16 +294,28 @@ def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     side and origin (it does not depend on h).  The type-I sine transform of
     size n - 2 diagonalises it with eigenvalues
     ``2 - 2 cos(k pi / (n - 1)) cos(l pi / (n - 1))``, k, l = 1 .. n - 2.
-    The returned map takes and returns flat interior vectors.
+    The returned map takes and returns flat interior vectors.  A 1-D sine
+    transform is minus the imaginary part of the real FFT of the odd extension
+    (scipy.fft's DST-I without its ~24 MB import); four run per call, so the
+    signs cancel, on extension and spectrum buffers reused across calls.
     """
     m = n - 2
     c = np.cos(np.pi * np.arange(1, m + 1) / (n - 1))
-    eig = 2.0 - 2.0 * np.outer(c, c)
-    norm = 1.0 / (2 * (m + 1)) ** 2  # the inverse transform's, on its first axis
+    # 1 / eigenvalue, times the inverse transform's normalization
+    inv_eig = 1.0 / ((2.0 - 2.0 * np.outer(c, c)) * (2 * (m + 1)) ** 2)
+    ext = np.zeros((m, 2 * (m + 1)))
+    spec = np.empty((m, m + 2), complex)
+
+    def sine_2d(x: np.ndarray) -> np.ndarray:  # a view of spec, sign flips paired
+        for _axis in range(2):
+            x = x.T
+            ext[:, 1 : m + 1] = x
+            np.negative(x[:, ::-1], out=ext[:, m + 2 :])
+            x = np.fft.rfft(ext, out=spec)[:, 1 : m + 1].imag
+        return x
 
     def apply(g: np.ndarray) -> np.ndarray:
-        spectrum = _dst1(_dst1(g.reshape(m, m).T).T) / eig
-        return _dst1(_dst1(spectrum.T, norm).T).ravel()
+        return sine_2d(sine_2d(g.reshape(m, m)) * inv_eig).ravel()
 
     return apply
 
@@ -365,6 +364,7 @@ def _line_search(objective: _Objective, z, F, g, d, trace: SolveTrace):
         resolved = F - F1 > 8 * np.finfo(float).eps * abs(F)
         if F1 <= F + _C1 * t * slope if resolved else F1 <= F and _dot(g1, g1) <= 0.25 * gg:
             return z + t * d, F1, g1
+        trace.backtracks += 1
         t *= _BACKTRACK
     return None
 
@@ -435,7 +435,7 @@ def minimize(
                 f"rescaled by {factor:.6g}"
             )
 
-    z = u.values[~mask]
+    z = u.values[1:-1, 1:-1].ravel()
     stages = _SMOOTHING_STAGES if family.needs_smoothing else (0.0,)
     trace.stages = len(stages)
     precondition = _p2_stiffness_inverse(grid.n)

@@ -53,8 +53,17 @@ class ProblemTemplate:
     grid: Grid
     opts: SolveOptions = SolveOptions()
 
-    def solve(self, amplitude: float = 1.0) -> "SolvedProblem":
-        u, trace = minimize(self.grid.scaled_boundary(amplitude), self.family, opts=self.opts)
+    def solve(self, amplitude: float = 1.0, previous: Optional["SolvedProblem"] = None) -> "SolvedProblem":
+        """Solve at one boundary amplitude.  ``previous``, a solve of this
+        template at another amplitude, warm-starts it scaled by the amplitude
+        ratio, unless its amplitude is 0 or its problem was rescaled; the
+        start is then the bilinear interpolant."""
+        grid = self.grid.scaled_boundary(amplitude)
+        u0 = None
+        if previous is not None and previous.amplitude != 0 and previous.trace.rescale_factor == 1.0:
+            u0 = DiscreteField(grid, grid.boundary_values())
+            u0.values[1:-1, 1:-1] = (amplitude / previous.amplitude) * previous.field.values[1:-1, 1:-1]
+        u, trace = minimize(grid, self.family, u0, opts=self.opts)
         return SolvedProblem(grid=u.grid, family=self.family, field=u, trace=trace, amplitude=amplitude)
 
 
@@ -93,20 +102,20 @@ def oscillation_radius(family: IntegrandFamily, ball: Ball, theta: float) -> Opt
     return (float(theta) - 1.0) * p / (3.0 * coeff.lipschitz)
 
 
-def _guard_oscillation(problem: SolvedProblem, schedule: MoserSchedule, ball: Ball):
-    theta_ball = coefficient_oscillation_theta(problem.family, ball)
-    if theta_ball is None:
-        return
-    theta_sched = schedule.params.theta
-    if theta_sched is None:
-        raise ThetaOscillationError(
-            f"{problem.family.kind} needs a schedule carrying theta; this one has none"
-        )
-    if theta_ball > float(theta_sched) * (1 + 1e-9):
-        raise ThetaOscillationError(
-            f"coefficient oscillation on the ball gives theta = {theta_ball:.6g} "
-            f"> schedule theta = {float(theta_sched):.6g}; shrink R"
-        )
+def _ball_triple(family: IntegrandFamily, schedule: MoserSchedule, ball: Ball) -> GrowthTriple:
+    """The growth triple on a measurement ball, after the guard that the
+    schedule's theta covers the coefficient oscillation there."""
+    theta_ball = coefficient_oscillation_theta(family, ball)
+    if theta_ball is not None:
+        theta_sched = schedule.params.theta
+        if theta_sched is None:
+            raise ThetaOscillationError(f"{family.kind} needs a schedule carrying theta; this one has none")
+        if theta_ball > float(theta_sched) * (1 + 1e-9):
+            raise ThetaOscillationError(
+                f"coefficient oscillation on the ball gives theta = {theta_ball:.6g} "
+                f"> schedule theta = {float(theta_sched):.6g}; shrink R"
+            )
+    return paper_triple(family, ball)
 
 
 @dataclass(frozen=True)
@@ -151,13 +160,13 @@ def measure(
     center: Optional[tuple] = None,
     triple: Optional[GrowthTriple] = None,
 ) -> MeasureRecord:
-    """One measurement of the theorem quantities on concentric balls."""
+    """One measurement of the theorem quantities on concentric balls.
+    ``triple``, when given, is the ``_ball_triple`` of B_R(center), built once
+    by a sweep; without it the guard runs and the triple is built here."""
     grid = problem.grid
     cx, cy = center if center is not None else grid.center()
-    ball = Ball(cx, cy, R)
-    _guard_oscillation(problem, schedule, ball)
     if triple is None:
-        triple = paper_triple(problem.family, ball)
+        triple = _ball_triple(problem.family, schedule, Ball(cx, cy, R))
     st = field_stats(
         grid,
         problem.family,
@@ -291,6 +300,8 @@ def sweep_amplitudes(
     compare the fitted exponents against theta1/theta3; ratio flags require
     the implied constants to stay within 10^3 of the smallest-energy sweep
     member (growth past that falsifies single-constant boundedness).
+    Each amplitude's solve is warm-started from the one before it
+    (``ProblemTemplate.solve``); the triple is built once for the sweep.
     """
     amps = [float(a) for a in amplitudes]
     if len(amps) < 5:
@@ -299,16 +310,19 @@ def sweep_amplitudes(
     if not pos or max(pos) / min(pos) < 10 or len(set(amps)) < 3:
         raise ValueError("insufficient spread: amplitudes must span at least one decade")
 
+    center = center if center is not None else template.grid.center()
+    triple = _ball_triple(template.family, schedule, Ball(*center, R))
     records = []
     failures = []
+    solved = None
     for a in amps:
-        solved = template.solve(a)
+        solved = template.solve(a, previous=solved)
         if not solved.trace.converged:
             failures.append(
                 f"amplitude {a:g}: gradient norm {solved.trace.final_grad_norm:.3g} "
                 f"after {solved.trace.iterations} iterations"
             )
-        records.append(measure(solved, schedule, rho, R, center=center))
+        records.append(measure(solved, schedule, rho, R, center=center, triple=triple))
 
     good = [r for r in records if r.converged]
     t1, t3 = float(schedule.theta1), float(schedule.theta3)
@@ -385,7 +399,9 @@ def radius_sweep(
     if max(gaps) / min(gaps) < 4:
         raise ValueError("the gaps R - rho must span at least a factor 4")
     orderd = sorted((float(r), float(R)) for r, R in pairs)
-    recs = [measure(problem, schedule, r, R, center=center) for r, R in orderd]
+    center = center if center is not None else problem.grid.center()
+    triple = _ball_triple(problem.family, schedule, Ball(*center, Rs.pop()))
+    recs = [measure(problem, schedule, r, R, center=center, triple=triple) for r, R in orderd]
     sups = [r.sup_grad_sq for r in recs]
     monotone_ok = all(sups[i] <= sups[i + 1] for i in range(len(sups) - 1))
     t2 = float(schedule.theta2)

@@ -1,4 +1,5 @@
-"""Discrete energies, gradient consistency, the NCG solve, field statistics."""
+"""Discrete energies, gradient consistency, the Hessian and preconditioner
+kernels, the Newton solve, field statistics."""
 
 import math
 import os
@@ -11,9 +12,12 @@ import pytest
 
 import pqlab
 from pqlab.integrand import (
+    Anisotropic,
     Coefficient,
     DoublePhase,
     Exponential,
+    LogPxLaplacian,
+    MultiPhase,
     PLaplacian,
     PxLaplacian,
     SaturationError,
@@ -32,7 +36,7 @@ from pqlab.solver import (
     minimize,
     save_field,
 )
-from pqlab.solver import _p2_stiffness, _p2_stiffness_inverse
+from pqlab.solver import _Objective, _p2_stiffness, _p2_stiffness_inverse
 
 RNG = np.random.default_rng(411)
 
@@ -139,6 +143,98 @@ def test_gradient_vanishes_at_direct_harmonic_solve():
     u = harmonic_direct_solve(g)
     G = discrete_energy(g, PLaplacian(2), u.values)[1]
     assert np.max(np.abs(G)) <= 1e-10
+
+
+# --- Hessian and preconditioner kernels ---------------------------------------------
+
+
+def four_corner_hessian(grid, family, u, log_energy=None):
+    """The Hessian-vector product and node scaling D assembled on (gx, gy): the
+    cell block h^2 f_xixi, its off-diagonal by polarization of the (1, 0),
+    (0, 1) and (1, 1) forms, scattered onto the four corners of each cell."""
+    n, h = grid.n, grid.h
+    XC, YC = grid.cell_coords()
+
+    def grads(w):
+        gx = (w[1:, :-1] + w[1:, 1:] - w[:-1, :-1] - w[:-1, 1:]) / (2 * h)
+        gy = (w[:-1, 1:] + w[1:, 1:] - w[:-1, :-1] - w[1:, :-1]) / (2 * h)
+        return gx, gy
+
+    gx, gy = grads(u)
+    one, zero = np.ones_like(gx), np.zeros_like(gx)
+    q11 = family.hess_qf(XC, YC, gx, gy, one, zero)
+    q22 = family.hess_qf(XC, YC, gx, gy, zero, one)
+    q12 = (family.hess_qf(XC, YC, gx, gy, one, one) - q11 - q22) / 2
+    scale = h * h * (1.0 if log_energy is None else math.exp(-log_energy))
+
+    def product(v):
+        V = np.zeros((n, n))
+        V[1:-1, 1:-1] = v.reshape(n - 2, n - 2)
+        vx, vy = grads(V)
+        cx = scale * (q11 * vx + q12 * vy) / (2 * h)
+        cy = scale * (q12 * vx + q22 * vy) / (2 * h)
+        G = np.zeros((n, n))
+        G[1:, :-1] += cx
+        G[1:, 1:] += cx
+        G[:-1, :-1] -= cx
+        G[:-1, 1:] -= cx
+        G[:-1, 1:] += cy
+        G[1:, 1:] += cy
+        G[:-1, :-1] -= cy
+        G[1:, :-1] -= cy
+        return G[1:-1, 1:-1].ravel()
+
+    c = (q11 + q22) / 16
+    return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
+
+
+def kernel_families():
+    a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1)
+    a_quad = Coefficient(lambda x, y: x * x + y * y, 3.0)
+    p_var = Coefficient(lambda x, y: 2.0 + 0.2 * x, 0.2)
+    return [
+        (PLaplacian(2.0), 0.0),
+        (PLaplacian(3.5), 0.0),
+        (DoublePhase(2.0, 3.0, a_quad), 0.0),
+        (MultiPhase(2.0, 3.0, a_quad, 0.7), 0.0),
+        (Exponential(a_lin, 2.0), 0.0),  # log domain
+        (PxLaplacian(p_var), 0.0),
+        (LogPxLaplacian(p_var), 0.0),
+        (VeryDegenerate(2.0), 1e-2),  # its first smoothing stage
+        (Anisotropic(2.5, aij=(Coefficient.constant(1.0), Coefficient.constant(0.1), a_lin)), 0.0),
+        (Anisotropic(3.0, base_p=2.5), 0.0),
+    ]
+
+
+@pytest.mark.parametrize("fam, eps", kernel_families(), ids=lambda v: f"eps={v:g}" if isinstance(v, float) else v.describe())
+def test_hessian_matches_four_corner_assembly(fam, eps):
+    # gradients up to ~2.5 on a 13 x 13 grid: past the plateau of the very
+    # degenerate family, far below the exponential's saturation
+    g = unit_grid(13, boundary=lambda x, y: 1.2 * x + 0.8 * y)
+    rng = np.random.default_rng(7)
+    u = bilinear_interpolant(g).values
+    u[1:-1, 1:-1] += 0.05 * rng.standard_normal((g.n - 2, g.n - 2))
+    objective = _Objective(g, fam, eps)
+    z = u[1:-1, 1:-1].ravel()
+    F = objective(z)[0]
+    product, D = objective.hessian(z, F)
+    ref_product, ref_D = four_corner_hessian(g, fam, u, F if fam.log_domain else None)
+    for _ in range(3):
+        v = rng.standard_normal(z.size)
+        ref = ref_product(v)
+        assert np.max(np.abs(product(v) - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
+    np.testing.assert_allclose(D, ref_D, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref_D)))
+
+
+def test_preconditioner_does_not_alias_its_workspace():
+    apply_inverse = _p2_stiffness_inverse(17)
+    x, y = RNG.standard_normal((2, 15 * 15))
+    a = apply_inverse(x)
+    kept = a.copy()
+    b = apply_inverse(y)
+    np.testing.assert_array_equal(a, kept)
+    assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(apply_inverse(x), kept)
 
 
 # --- minimize --------------------------------------------------------------------
@@ -300,6 +396,8 @@ def test_minimize_very_degenerate_runs_stages():
     g = unit_grid(17, boundary=lambda x, y: 0.4 * (x + y))
     u, trace = minimize(g, VeryDegenerate(2.0), opts=SolveOptions(tolerance=1e-8))
     assert trace.stages >= 2
+    # plus the final evaluation of the energy itself, unsmoothed
+    assert trace.objective_evals == trace.stages + trace.iterations + trace.backtracks + 1
     # boundary slope 0.4 sqrt(2) < 1: the interpolant is already a global
     # minimizer (zero energy); the solver must finish with zero energy
     assert trace.final_energy <= 1e-15
@@ -320,8 +418,11 @@ def test_minimize_stop_reasons(p, tolerance, max_iter, reason):
     assert trace.stop_reason == reason
     assert trace.converged == (reason == "converged")
     assert (reason == "stalled") == any("stalled" in w for w in trace.warnings)
-    # the first evaluation and at least one trial per accepted step
-    assert trace.objective_evals >= trace.iterations + 1
+    # one first evaluation per stage, one accepted trial per step, and the
+    # rejected trials, stalled line searches included
+    assert trace.objective_evals == trace.stages + trace.iterations + trace.backtracks
+    if reason == "stalled":  # 60 halvings along each of the two directions
+        assert trace.backtracks >= 120
     assert trace.hessian_products >= trace.iterations >= 1
 
 

@@ -16,6 +16,8 @@ from pqlab.exponents import (
     sobolev_context,
 )
 from pqlab.integrand import Coefficient, DoublePhase, Exponential, PLaplacian, VeryDegenerate
+from pqlab import solver, validator
+from pqlab.integrand import Ball
 from pqlab.solver import DiscreteField, Grid, SolveOptions, SolveTrace, harmonic_direct_solve
 from pqlab.validator import (
     EstimateReport,
@@ -155,6 +157,76 @@ def test_sweep_insufficient_spread_errors():
         sweep_amplitudes(affine_template(), [1, 1, 1, 1, 1], sched, 0.2, 0.4)
     with pytest.raises(ValueError, match="insufficient spread"):
         sweep_amplitudes(affine_template(), [1, 2], sched, 0.2, 0.4)
+
+
+def record_solves(monkeypatch, cold=False):
+    """Route the validator's solves through a recorder of their initial
+    guesses and traces; ``cold`` drops every warm start."""
+    starts, traces = [], []
+
+    def recording(grid, family, u0=None, opts=SolveOptions()):
+        starts.append(u0)
+        u, trace = solver.minimize(grid, family, None if cold else u0, opts)
+        traces.append(trace)
+        return u, trace
+
+    monkeypatch.setattr(validator, "minimize", recording)
+    return starts, traces
+
+
+def test_sweep_warm_starts_match_cold_solves(monkeypatch):
+    # the A4 double-phase set-up
+    dp = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0))
+    params = double_phase_params(2, 3, 2)
+    sched = moser_exponents(params, *select_mu_nu(params))
+    tpl = ProblemTemplate(
+        family=dp,
+        grid=Grid(1.0, 65, lambda x, y: x * y + 0.5 * (x + y)),
+        opts=SolveOptions(tolerance=1e-5, max_iter=30000),
+    )
+    runs = []
+    for cold in (False, True):
+        starts, traces = record_solves(monkeypatch, cold)
+        runs.append((sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, rho=0.2, R=0.35), starts, traces))
+    (warm, starts, warm_traces), (cold, _, cold_traces) = runs
+    assert starts[0] is None and all(u0 is not None for u0 in starts[1:])
+    # both solves stop at gradient <= 1e-5; the records agree well inside that
+    for w, c in zip(warm.records, cold.records):
+        for name in ("sup_grad_sq", "outer_energy", "w22_weighted", "w22_unweighted", "v_integral"):
+            assert getattr(w, name) == pytest.approx(getattr(c, name), rel=1e-5), (w.amplitude, name)
+        assert w.converged and c.converged
+    flags = [(r.slope1_ok, r.slope3_ok, r.ratio_ok, r.ratio_v_ok, r.failures) for r in (warm, cold)]
+    assert flags[0] == flags[1] == (True, True, True, True, [])
+    assert warm.s1 == pytest.approx(cold.s1, abs=1e-3) and warm.s3 == pytest.approx(cold.s3, abs=1e-3)
+    assert sum(t.iterations for t in warm_traces) < sum(t.iterations for t in cold_traces)
+
+
+def test_sweep_cold_start_after_zero_amplitude(monkeypatch):
+    starts, traces = record_solves(monkeypatch)
+    rep = sweep_amplitudes(affine_template(), [0.5, 0, 1, 2, 4, 8], p2_schedule(), rho=0.2, R=0.4)
+    # 0 is warm-started from 0.5 (scaled to zero); 1 cannot scale a zero field
+    assert [u0 is None for u0 in starts] == [True, False, True, False, False, False]
+    assert len(rep.records) == 6 and not rep.failures
+    assert all(t.converged for t in traces)
+
+
+def test_sweep_cold_start_after_rescaled_member(monkeypatch):
+    a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1)
+    ex = Exponential(a_lin, 2.0)
+    lo, hi = a_lin.range_on_ball(Ball(0.5, 0.5, 0.35))
+    params = auto_exponential_params(F(lo).limit_denominator(10**9), F(hi).limit_denominator(10**9), n=2)
+    sched = moser_exponents(params, *select_mu_nu(params))
+    tpl = ProblemTemplate(
+        family=ex,
+        grid=Grid(1.0, 17, lambda x, y: 0.35 * (x + y)),
+        opts=SolveOptions(tolerance=1e-5, max_iter=30000),
+    )
+    starts, traces = record_solves(monkeypatch)
+    rep = sweep_amplitudes(tpl, [80, 1, 2, 4, 8], sched, rho=0.2, R=0.35)
+    # amplitude 80 saturates the exponential and is rescaled, so 1 starts cold
+    assert traces[0].rescale_factor < 1.0 and all(t.rescale_factor == 1.0 for t in traces[1:])
+    assert [u0 is None for u0 in starts] == [True, True, False, False, False]
+    assert len(rep.records) == 5 and not rep.failures
 
 
 def test_sweep_harmonic_p2_within_band():
