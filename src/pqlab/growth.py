@@ -246,16 +246,33 @@ def _grid_tail_report(
 # ---------------------------------------------------------------------------
 
 
+def _sandwich_ratios(lo_bound, qf, hi_bound) -> np.ndarray:
+    """max(lo/qf, qf/hi) at the broadcast shape (the bounds share one shape),
+    lo/qf being inf unless qf > 0 and 0 where lo <= 0, qf/hi inf unless hi > 0
+    and 0 where qf <= 0.  One unmasked pass with lo = 0 where lo <= 0 and
+    hi = +0 unless hi > 0 is exact where qf > 0; elsewhere the masked rule runs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(lo_bound <= 0, 0.0, lo_bound) / qf
+        np.maximum(ratios, qf / np.where(hi_bound > 0, hi_bound, 0.0), out=ratios)
+        bad = np.broadcast_to(~(qf > 0), ratios.shape)
+        if bad.any():
+            lo, q, hi = (np.broadcast_to(v, ratios.shape)[bad] for v in (lo_bound, qf, hi_bound))
+            r_hi = np.where(q <= 0, 0.0, np.where(hi > 0, q / hi, np.inf))
+            ratios[bad] = np.maximum(np.where(lo <= 0, 0.0, np.inf), r_hi)
+    return ratios
+
+
 def check_ellipticity_sandwich(
     family: IntegrandFamily, triple: GrowthTriple, spec: SampleSpec
 ) -> ConditionReport:
     """Pointwise sandwich g1 |lam|^2 <= QF <= g2 |lam|^2 on random samples;
     QF is the Hessian form of the scaled density ``triple.f_scale * f``.
 
-    Axes are (x sample, t, direction, lam).  Only QF and the ratios are
-    full size; lam enters ``hess_qf`` as (1, 1, 1, n_lam) arrays and the
-    bounds g1 |lam|^2, g2 |lam|^2 stay (1, n_t, 1, n_lam), so each element
-    gets the same arithmetic as on fully broadcast inputs.
+    Axes are (x sample, t, direction, lam); lam enters ``hess_qf`` as
+    (1, 1, 1, n_lam) and the bounds g1 |lam|^2, g2 |lam|^2 are (1, n_t, 1, n_lam).
+    Only QF and the ratios are full size: QF's own shape broadcast with the
+    bounds, one x row where QF does not depend on x (p-Laplacian, very
+    degenerate), whose first maximum is the repeated rows' first maximum.
     """
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
@@ -263,12 +280,11 @@ def check_ellipticity_sandwich(
     cap = family.hessian_t_cap(spec.ball)
     tg = spec.t_grid(cap)
     tg = tg[tg > 0]
-    shape = (len(xs), len(tg), len(ux), len(lx))
     T = tg[None, :, None, None]
     LX = lx[None, None, None, :]
     LY = ly[None, None, None, :]
     try:
-        qf = family.hess_qf(
+        qf = triple.f_scale * family.hess_qf(
             xs[:, None, None, None], ys[:, None, None, None],
             T * ux[None, None, :, None], T * uy[None, None, :, None], LX, LY,
         )
@@ -276,20 +292,13 @@ def check_ellipticity_sandwich(
         return ConditionReport(
             "ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc)
         )
-    qf = triple.f_scale * np.broadcast_to(qf, shape)
     lam2 = LX**2 + LY**2
-    lo_bound = triple.g1(tg)[None, :, None, None] * lam2
-    hi_bound = triple.g2(tg)[None, :, None, None] * lam2
-    # r_lo = lo/qf where qf > 0 (else inf), 0 where lo <= 0; r_hi likewise
-    with np.errstate(invalid="ignore"):
-        r_lo = np.divide(lo_bound, qf, out=np.full(shape, np.inf), where=qf > 0)
-        r_hi = np.divide(qf, hi_bound, out=np.full(shape, np.inf), where=hi_bound > 0)
-    np.copyto(r_lo, 0.0, where=lo_bound <= 0)
-    np.copyto(r_hi, 0.0, where=qf <= 0)
-    ratios = np.maximum(r_lo, r_hi, out=r_lo)
+    ratios = _sandwich_ratios(
+        triple.g1(tg)[None, :, None, None] * lam2, qf, triple.g2(tg)[None, :, None, None] * lam2
+    )
     worst_flat = int(np.argmax(ratios))
     worst = float(ratios.ravel()[worst_flat])
-    worst_t = float(tg[np.unravel_index(worst_flat, shape)[1]])
+    worst_t = float(tg[np.unravel_index(worst_flat, ratios.shape)[1]])
     verdict = "pass" if worst <= 1 + _RATIO_TOL else "fail"
     notes = "" if cap is None else f"t capped at {tg[-1]:.3g} (density representability)"
     return ConditionReport("ellipticity-sandwich", verdict, worst, worst_t, notes=notes)

@@ -97,8 +97,8 @@ class Ball:
     r: float
 
     def sample_points(self, n_radial: int = 12, n_angular: int = 16):
-        """Deterministic polar sampling grid (includes the center)."""
-        rr = self.r * np.sqrt(np.linspace(0.0, 1.0, n_radial + 1))
+        """Polar grid of 1 + n_radial * n_angular points: the center once, then rings."""
+        rr = self.r * np.sqrt(np.linspace(0.0, 1.0, n_radial + 1)[1:])
         th = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
         R, T = np.meshgrid(rr, th, indexing="ij")
         xs = np.concatenate([[self.cx], (self.cx + R * np.cos(T)).ravel()])

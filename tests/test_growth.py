@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from pqlab.exponents import (
@@ -22,6 +25,7 @@ from pqlab.exponents import (
 )
 from pqlab.growth import (
     _RATIO_TOL,
+    _sandwich_ratios,
     ConditionReport,
     GrowthFn,
     GrowthTriple,
@@ -183,6 +187,53 @@ def test_sandwich_matches_materialized_reference(seed):
     assert math.isnan(rep.worst_ratio) and math.isnan(rep.worst_t)
 
 
+def masked_ratios(lo_bound, qf, hi_bound):
+    """The masked ratio rule on the full broadcast shape: lo/qf is inf unless
+    qf > 0, then 0 where lo <= 0; qf/hi is inf unless hi > 0, then 0 where
+    qf <= 0."""
+    shape = np.broadcast_shapes(lo_bound.shape, qf.shape, hi_bound.shape)
+    qf = np.broadcast_to(qf, shape)
+    with np.errstate(all="ignore"):
+        r_lo = np.divide(lo_bound, qf, out=np.full(shape, np.inf), where=qf > 0)
+        r_hi = np.divide(qf, hi_bound, out=np.full(shape, np.inf), where=hi_bound > 0)
+    np.copyto(r_lo, 0.0, where=lo_bound <= 0)
+    np.copyto(r_hi, 0.0, where=qf <= 0)
+    return np.maximum(r_lo, r_hi, out=r_lo)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 3.5, 5e-324, -1e-300, 1e300, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def sandwich_kernel_inputs(draw):
+    # qf on (x, t, direction, lam), one x row or several; bounds (1, t, 1, lam)
+    nx, nt, nd, nl = (draw(st.integers(1, 3)) for _ in range(4))
+    entry = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+    qf = draw(hnp.arrays(np.float64, (nx, nt, nd, nl), elements=entry))
+    lo = draw(hnp.arrays(np.float64, (1, nt, 1, nl), elements=entry))
+    hi = draw(hnp.arrays(np.float64, (1, nt, 1, nl), elements=entry))
+    return lo, qf, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(sandwich_kernel_inputs())
+@example((  # every qf <= 0 or NaN case, bounds <= 0 at the second t
+    np.array([1.0, 0.0])[None, :, None, None],
+    np.array([0.0, -0.0, -2.0, np.nan, 1.0, np.inf])[:, None, None, None],
+    np.array([2.0, -0.0])[None, :, None, None],
+))
+def test_sandwich_ratios_match_masked_rule_elementwise(inputs):
+    # element by element, since one inf or NaN hides every other ratio in a
+    # report; the sign bit of zeros and NaNs included
+    lo, qf, hi = inputs
+    with np.errstate(over="ignore"):
+        got = _sandwich_ratios(lo, qf, hi)
+    want = masked_ratios(lo, qf, hi)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_sandwich_peak_memory_on_cli_sampling():
     # the CLI sampling plan: 37 x samples, 160 t, 6 directions, 6 lam; log-px
     # is among the catalog families with the largest peak
@@ -194,7 +245,8 @@ def test_sandwich_peak_memory_on_cli_sampling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6, peak
+    # full-size masked temporaries (np.full, copyto) on a broadcast QF reach ~7 MB
+    assert peak < 6.5e6, peak
 
 
 def test_hess_qf_broadcasts_lambda():
@@ -216,6 +268,50 @@ def test_hess_qf_broadcasts_lambda():
         thin = np.broadcast_to(fam.hess_qf(*args, LX, LY), shape)
         full = fam.hess_qf(*args, np.broadcast_to(LX, shape), np.broadcast_to(LY, shape))
         assert np.array_equal(thin, full), fam.describe()
+
+
+# --- sampling ------------------------------------------------------------------
+
+
+def polar_grid_with_center_ring(ball, n_radial=12, n_angular=16):
+    """The polar grid with a radius-0 ring: n_angular more copies of the
+    center right after the center itself."""
+    rr = ball.r * np.sqrt(np.linspace(0.0, 1.0, n_radial + 1))
+    th = np.linspace(0.0, 2 * math.pi, n_angular, endpoint=False)
+    R, T = np.meshgrid(rr, th, indexing="ij")
+    return (
+        np.concatenate([[ball.cx], (ball.cx + R * np.cos(T)).ravel()]),
+        np.concatenate([[ball.cy], (ball.cy + R * np.sin(T)).ravel()]),
+    )
+
+
+def test_sample_points_distinct():
+    xs, ys = BALL.sample_points(3, 8)
+    points = list(zip(xs.tolist(), ys.tolist()))
+    assert len(points) == len(set(points)) == 1 + 3 * 8
+    assert points.count((BALL.cx, BALL.cy)) == 1 and points[0] == (BALL.cx, BALL.cy)
+    assert SampleSpec(ball=BALL).x_samples()[0].size == 37
+    # every ring point of the grid with the radius-0 ring, in order
+    gx, gy = polar_grid_with_center_ring(BALL, 3, 8)
+    assert np.array_equal(xs, np.delete(gx, range(1, 9)))
+    assert np.array_equal(ys, np.delete(gy, range(1, 9)))
+
+
+@pytest.mark.parametrize("ball", [BALL, Ball(0.0, 0.0, 1.0), Ball(-0.3, 0.7, 0.05)])
+def test_ball_ranges_match_grid_with_center_ring(ball):
+    # dropping the repeated centers leaves every min and max as it was
+    fams = [fam for fam, _params in catalog_cases()]
+    coefficients = [c for fam in fams for c in vars(fam).values() if isinstance(c, Coefficient)]
+    assert len(coefficients) >= 4
+    xs, ys = polar_grid_with_center_ring(ball)
+    for c in coefficients:
+        vals = c(xs, ys)
+        assert c.range_on_ball(ball) == (float(np.min(vals)), float(np.max(vals))), c
+    aniso = next(fam for fam in fams if isinstance(fam, Anisotropic) and fam.aij is not None)
+    m, o, d = (a(xs, ys) for a in aniso.aij)
+    rad = np.sqrt(((m - d) / 2) ** 2 + o * o)
+    want = (float(np.min((m + d) / 2 - rad)), float(np.max((m + d) / 2 + rad)))
+    assert aniso.eigen_range_on_ball(ball) == want
 
 
 # --- growth-A ------------------------------------------------------------------
