@@ -80,6 +80,6 @@ print("=" * 72)
 g = Grid(1.0, 33, boundary=lambda x, y: 0.4 * (x + y))
 u, tr = minimize(g, VeryDegenerate(2.0), opts=SolveOptions(tolerance=1e-8))
 print(f"  boundary slope 0.4 sqrt(2) < 1: any feasible field with |Du| <= 1 minimizes;")
-print(f"  final energy = {tr.final_energy:.3g} (zero up to roundoff), stages = {tr.stages}")
+print(f"  final energy = {tr.final_energy:.3g} (zero up to roundoff), Newton steps = {tr.iterations}")
 st = field_stats(g, VeryDegenerate(2.0), u, rho=0.2, R=0.4)
 print(f"  weighted second-derivative quantity on the plateau: {st.w22_weighted} (identically 0)")

@@ -39,6 +39,7 @@ from .integrand import (  # noqa: F401  (GrowthFn: re-exported)
     IntegrandFamily,
     ProfileDomainError,
     SaturationError,
+    _log_t,
     default_t_grid,
 )
 
@@ -356,9 +357,7 @@ def check_11M(
     alpha = float(params.alpha)
 
     def log_ratio(ts):
-        ts = np.asarray(ts, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(ts > 0, np.log(np.where(ts > 0, ts, 1.0)), -np.inf)
+        lt = _log_t(ts)
         lhs = (2 * gamma - 1) * triple.g2.log(ts) + 2 * lt
         rhs = alpha * triple.log_one_plus_sqrt_g1_integral(ts)
         return lhs - rhs
@@ -379,8 +378,7 @@ def check_12M(
 
     def log_ratio(ts):
         ts = np.asarray(ts, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(ts > 0, np.log(np.where(ts > 0, ts, 1.0)), -np.inf)
+        lt = _log_t(ts)
         lhs = (2 * gamma - 1) * triple.g2.log(ts) + 2 * gamma * lt
         X = xs[:, None, None]
         Y = ys[:, None, None]
@@ -406,9 +404,7 @@ def check_A3(triple: GrowthTriple, params: ExponentParams, t_grid=None) -> Condi
     gamma = float(params.gamma)
 
     def log_ratio(ts):
-        ts = np.asarray(ts, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(ts > 0, np.log(np.where(ts > 0, ts, 1.0)), -np.inf)
+        lt = _log_t(ts)
         lhs = triple.g3.log(ts)
         rhs = (
             np.logaddexp(0.0, gamma * lt)

@@ -24,8 +24,8 @@ radial family subclasses ``RadialFamily``, supplies ``profile_value``,
 ``triple(ball, omega)`` - its growth triple with honest constants on the
 ball - and ``auto_params(ball, n, two_star, *, omega, alpha, delta)`` - its
 exponent recipe, an ExponentParams or a ParamRejection.  It may override
-the class defaults ``needs_smoothing``, ``log_domain`` (minimize and check
-through log f, which needs ``log_value`` and ``grad_coeff_over_f``),
+the class defaults ``log_domain`` (minimize and check through log f, which
+needs ``log_value`` and ``grad_coeff_over_f``),
 ``oscillating_coefficient`` (the coefficient whose oscillation on a ball the
 schedule's theta must cover) and ``hessian_t_cap(ball)``.  The p-Laplacian,
 double phase and multi phase families share one power-sum profile
@@ -143,10 +143,9 @@ class Coefficient:
 class GrowthFn:
     """Monotone scalar function on [0, inf) with an optional exact log form."""
 
-    def __init__(self, fn: Callable, log_fn: Optional[Callable] = None, source: str = ""):
+    def __init__(self, fn: Callable, log_fn: Optional[Callable] = None):
         self._fn = fn
         self._log_fn = log_fn
-        self.source = source
 
     def __call__(self, t):
         return np.asarray(self._fn(np.asarray(t, float)), float)
@@ -157,9 +156,6 @@ class GrowthFn:
             return np.asarray(self._log_fn(np.asarray(t, float)), float)
         with np.errstate(divide="ignore"):
             return np.log(self(t))
-
-    def __repr__(self):
-        return f"GrowthFn({self.source})"
 
 
 @dataclass
@@ -269,25 +265,15 @@ def default_t_grid(t_max: float = 1e3, n: int = 400) -> np.ndarray:
     return np.concatenate([[0.0], np.logspace(-3, math.log10(t_max), n)])
 
 
-def _power_growth_fn(coef: float, expo: float, source="") -> GrowthFn:
-    def fn(t):
-        return coef * np.power(np.asarray(t, float), expo)
-
-    def log_fn(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        if coef == 0:
-            return np.full_like(t, -np.inf)
-        if expo == 0:
-            return np.full_like(t, math.log(coef))
-        return math.log(coef) + expo * lt
-
-    return GrowthFn(fn, log_fn, source or f"{coef:g} t^{expo:g}")
+def _log_t(t) -> np.ndarray:
+    """log t on t >= 0, -inf at t = 0."""
+    t = np.asarray(t, float)
+    return np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
 
 
-def _power_sum_fn(terms, source="") -> GrowthFn:
-    """sum of c_i t^(e_i) with a stable log via the dominant term."""
+def _power_sum_fn(terms) -> GrowthFn:
+    """sum of c_i t^(e_i) over the nonzero c_i; its log is the single term's
+    own when one is left, a logsumexp when more are, -inf when none is."""
     terms = [(float(c), float(e)) for c, e in terms if c != 0]
 
     def fn(t):
@@ -298,19 +284,15 @@ def _power_sum_fn(terms, source="") -> GrowthFn:
         return out
 
     def log_fn(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        if not terms:
-            return np.full_like(t, -np.inf)
-        parts = np.stack(
-            [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
-        )
+        lt = _log_t(t)
+        parts = [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
+        if len(parts) < 2:
+            return parts[0] if parts else np.full_like(lt, -np.inf)
         from scipy import special
 
-        return special.logsumexp(parts, axis=0)
+        return special.logsumexp(np.stack(parts), axis=0)
 
-    return GrowthFn(fn, log_fn, source)
+    return GrowthFn(fn, log_fn)
 
 
 def _min_max_power_fns(coef_lo, coef_hi, e_small, e_big):
@@ -332,15 +314,11 @@ def _min_max_power_fns(coef_lo, coef_hi, e_small, e_big):
         return e * lt if e != 0 else np.zeros_like(lt)
 
     def lo_log(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+        lt = _log_t(t)
         return math.log(coef_lo) + np.minimum(_elog(e_small, lt), _elog(e_big, lt))
 
     def hi_log(t):
-        t = np.asarray(t, float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
+        lt = _log_t(t)
         return math.log(coef_hi) + np.maximum(_elog(e_small, lt), _elog(e_big, lt))
 
     return GrowthFn(lo, lo_log), GrowthFn(hi, hi_log)
@@ -356,9 +334,7 @@ def _normalize(triple: GrowthTriple) -> GrowthTriple:
     s = 1.0 / v1
 
     def scaled(g, factor=s):
-        return GrowthFn(
-            lambda t: factor * g(t), lambda t: math.log(factor) + g.log(t), g.source
-        )
+        return GrowthFn(lambda t: factor * g(t), lambda t: math.log(factor) + g.log(t))
 
     anti = triple.sqrt_g1_antiderivative
     if anti is not None:
@@ -384,8 +360,6 @@ class IntegrandFamily:
 
     kind: str = ""
     radial: bool = False
-    # solver hint: profile has kinks/plateaus worth smoothing during iteration
-    needs_smoothing: bool = False
     # minimized and checked through log f (log_value, grad_coeff_over_f)
     log_domain: bool = False
     # the coefficient whose oscillation on a ball the schedule's theta covers
@@ -466,16 +440,6 @@ class RadialFamily(IntegrandFamily):
         # so the formula degenerates to the constant form s * |lam|^2
         return np.where(t > 0, (r - s) * aligned + s_lam2, s_lam2)
 
-    # value with the smoothed modulus (|xi|^2 + eps^2)^(1/2); used by the solver
-    def value_smoothed(self, x, y, gx, gy, eps):
-        t = np.sqrt(gx * gx + gy * gy + eps * eps)
-        return self.profile_value(x, y, t)
-
-    def grad_smoothed(self, x, y, gx, gy, eps):
-        t = np.sqrt(gx * gx + gy * gy + eps * eps)
-        w = self.profile_dt(x, y, t) / t
-        return w * gx, w * gy
-
 
 class _PowerSum(RadialFamily):
     """Profile g(x, t) = sum_i c_i(x) t^(e_i) over ``_terms()``, the
@@ -536,10 +500,10 @@ class PLaplacian(_PowerSum):
     def triple(self, ball, omega):
         p = self.p
         return GrowthTriple(
-            g1=_power_growth_fn(p, p - 2),
-            g2=_power_growth_fn(p * (p - 1), p - 2),
-            g3=_power_growth_fn(0.0, 0.0, source="0"),
-            sqrt_g1_antiderivative=_power_growth_fn(math.sqrt(p) / (p / 2), p / 2),
+            g1=_power_sum_fn([(p, p - 2)]),
+            g2=_power_sum_fn([(p * (p - 1), p - 2)]),
+            g3=_power_sum_fn([]),
+            sqrt_g1_antiderivative=_power_sum_fn([(math.sqrt(p) / (p / 2), p / 2)]),
         )
 
     def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
@@ -642,9 +606,7 @@ class Exponential(RadialFamily):
 
         def g3_log(t):
             t = np.asarray(t, float)
-            with np.errstate(divide="ignore"):
-                lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-            return math.log(c3) + lt + np.log1p(t * t) + q * t * t
+            return math.log(c3) + _log_t(t) + np.log1p(t * t) + q * t * t
 
         # int_0^t sqrt(c1) e^(p s^2 / 2) ds = sqrt(c1 pi/(2p)) erfi(sqrt(p/2) t);
         # erfi via dawsn keeps the log form overflow-free
@@ -818,7 +780,7 @@ class DoublePhase(_PowerSum):
         ranges = [(e, (1.0, 1.0) if c is None else c.range_on_ball(ball)) for e, c in self._terms()]
         g1 = _power_sum_fn([(lo * e, e - 2) for e, (lo, _hi) in ranges])
         g2 = _power_sum_fn([(hi * e * (e - 1), e - 2) for e, (_lo, hi) in ranges])
-        g3 = _power_growth_fn(_SQRT_N * self.a.lipschitz * self.q, self.q - 1)
+        g3 = _power_sum_fn([(_SQRT_N * self.a.lipschitz * self.q, self.q - 1)])
         return GrowthTriple(g1=g1, g2=g2, g3=g3)
 
     def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
@@ -868,7 +830,6 @@ class VeryDegenerate(RadialFamily):
     """
 
     kind = "very_degenerate"
-    needs_smoothing = True
 
     def __init__(self, p: float):
         if p < 2:
@@ -902,7 +863,7 @@ class VeryDegenerate(RadialFamily):
         return GrowthTriple(
             g1=GrowthFn(lambda t: self.profile_slope(0.0, 0.0, t)),
             g2=GrowthFn(lambda t: self.profile_dtt(0.0, 0.0, t)),
-            g3=_power_growth_fn(0.0, 0.0, source="0"),
+            g3=_power_sum_fn([]),
             degenerate=True,
         )
 
@@ -1021,9 +982,9 @@ class Anisotropic(IntegrandFamily):
         else:
             p = self.base_p
             c1, c2, c3 = self.base_constants
-        g1 = _power_growth_fn(c1, p - 2)
+        g1 = _power_sum_fn([(c1, p - 2)])
         g2 = _power_sum_fn([(max(c2, 1.0), p - 2), (q * (q - 1), q - 2)])
-        g3 = _power_growth_fn(c3, p - 1) if c3 else _power_growth_fn(0.0, 0.0, source="0")
+        g3 = _power_sum_fn([(c3, p - 1)])
         return _normalize(GrowthTriple(g1=g1, g2=g2, g3=g3))
 
     def auto_params(self, ball, n, two_star, *, omega, alpha, delta):

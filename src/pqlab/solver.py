@@ -41,7 +41,6 @@ from .integrand import Ball, IntegrandFamily, LOG_MAX, SaturationError
 
 _C1 = 1e-4               # sufficient-decrease constant
 _BACKTRACK = 0.5         # step shrink factor
-_SMOOTHING_STAGES = (1e-2, 1e-8)  # modulus smoothing of needs_smoothing families
 _FORCING_MAX = 0.1       # loosest relative residual of the inner solve
 _INNER_MAX = 200         # PCG steps per Newton step
 # hess_qf directions (1, 0), (1, 1), (1, -1): H11 and the cell diagonals' blocks
@@ -161,27 +160,20 @@ def cell_gradients(grid: Grid, u: np.ndarray):
     return gx, gy
 
 
-def _energy(grid: Grid, family: IntegrandFamily, u: np.ndarray, eps: float, XC, YC):
+def _energy(grid: Grid, family: IntegrandFamily, u: np.ndarray, XC, YC):
     """(E, interior gradient as an (n - 2) x (n - 2) array) of discrete_energy."""
     gx, gy = cell_gradients(grid, u)
-    if eps > 0 and family.radial:
-        vals = family.value_smoothed(XC, YC, gx, gy, eps)
-        wx, wy = family.grad_smoothed(XC, YC, gx, gy, eps)
-    else:
-        vals = family.value(XC, YC, gx, gy)
-        wx, wy = family.grad(XC, YC, gx, gy)
+    vals = family.value(XC, YC, gx, gy)
+    wx, wy = family.grad(XC, YC, gx, gy)
     c = grid.h / 2  # the cell's h^2 times the 1/2h of the differences
     return float(np.sum(vals) * grid.h**2), _scatter(c * (wx + wy), c * (wx - wy))
 
 
-def discrete_energy(grid: Grid, family: IntegrandFamily, u: np.ndarray, eps: float = 0.0):
+def discrete_energy(grid: Grid, family: IntegrandFamily, u: np.ndarray):
     """(E, G): E = sum over cells of f(x_c, Du_c) h^2 for the nodal values u,
     and G its exact gradient in the nodal values, zero on the boundary nodes
-    (Dirichlet constraint).
-
-    ``eps > 0`` smooths the modulus of radial families to (|xi|^2 + eps^2)^(1/2).
-    """
-    E, g = _energy(grid, family, u, eps, *grid.cell_coords())
+    (Dirichlet constraint)."""
+    E, g = _energy(grid, family, u, *grid.cell_coords())
     return E, np.pad(g, 1)
 
 
@@ -198,7 +190,9 @@ class SolveOptions:
 @dataclass
 class SolveTrace:
     """Solve record; ``energies`` holds the per-accepted-step objective values
-    (log-energies for the exponential class), nonincreasing within a stage."""
+    (log-energies for the exponential class), nonincreasing along the whole
+    solve.  ``stages`` is always 1: every family is minimized in one Newton
+    run on its own energy."""
 
     iterations: int = 0
     converged: bool = False
@@ -218,10 +212,9 @@ class _Objective:
     """Energy + gradient over the interior, optionally in log domain, and the
     energy Hessian for the Newton steps."""
 
-    def __init__(self, grid: Grid, family: IntegrandFamily, eps: float = 0.0):
+    def __init__(self, grid: Grid, family: IntegrandFamily):
         self.grid = grid
         self.family = family
-        self.eps = float(eps)
         self.log_domain = family.log_domain
         self.XC, self.YC = grid.cell_coords()
         self._frame = grid.boundary_values()  # interior overwritten by assemble
@@ -236,7 +229,7 @@ class _Objective:
         grid, fam = self.grid, self.family
         u = self.assemble(interior_flat)
         if not self.log_domain:
-            E, g = _energy(grid, fam, u, self.eps, self.XC, self.YC)
+            E, g = _energy(grid, fam, u, self.XC, self.YC)
             return E, g.ravel()
         gx, gy = cell_gradients(grid, u)
         s = fam.log_value(self.XC, self.YC, gx, gy)
@@ -253,11 +246,10 @@ class _Objective:
     def hessian(self, interior_flat: np.ndarray, value: float):
         """(Hv, D): the energy Hessian as a map on interior vectors (cell blocks
         h^2 f_xixi, over E in the log domain, where ``value`` is log E, so that
-        the Newton step is E's own; unsmoothed in smoothing stages), and per
-        node the mean of the cell slope (H11 + H22) / 2 over its four cells,
-        halved: 1 at p = 2.  On a cell's diagonals (a, b) the block is
-        [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4, q the form of f_xixi:
-        the cell's h^2 cancels the 1/h^2 of the differences."""
+        the Newton step is E's own), and per node the mean of the cell slope
+        (H11 + H22) / 2 over its four cells, halved: 1 at p = 2.  On a cell's
+        diagonals (a, b) the block is [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4,
+        q the form of f_xixi: the cell's h^2 cancels the 1/h^2 of the differences."""
         m = self.grid.n - 2
         gx, gy = cell_gradients(self.grid, self.assemble(interior_flat))
         q11, qpp, qpm = self.family.hess_qf(self.XC, self.YC, gx, gy, *_DIAGONAL_DIRECTIONS)
@@ -435,17 +427,8 @@ def minimize(
                 f"rescaled by {factor:.6g}"
             )
 
-    z = u.values[1:-1, 1:-1].ravel()
-    stages = _SMOOTHING_STAGES if family.needs_smoothing else (0.0,)
-    trace.stages = len(stages)
-    precondition = _p2_stiffness_inverse(grid.n)
-    for eps in stages:
-        objective = _Objective(grid, family, eps=eps)
-        z, F, g = _newton(objective, z, opts, trace, precondition)
-    if eps > 0:  # the energy itself, not its smoothed stage
-        objective = _Objective(grid, family)
-        F, g = objective(z)
-        trace.objective_evals += 1
+    objective = _Objective(grid, family)
+    z, F, g = _newton(objective, u.values[1:-1, 1:-1].ravel(), opts, trace, _p2_stiffness_inverse(grid.n))
 
     trace.final_energy = math.exp(F) if objective.log_domain and F <= LOG_MAX else F
     trace.final_grad_norm = objective.raw_grad_inf(F, g)

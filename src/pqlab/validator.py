@@ -211,14 +211,17 @@ def _implied_log_constant(quantity, gap, gap_exp, energy, e_exp) -> float:
     return float(np.log(quantity) + gap_exp * np.log(gap) - e_exp * np.log(energy))
 
 
-def _implied_constant(quantity, gap, gap_exp, energy, e_exp) -> float:
-    """Float form of the implied constant; clamps to 0/inf past double range."""
-    logc = _implied_log_constant(quantity, gap, gap_exp, energy, e_exp)
+def _exp_clamped(logc: float) -> float:
+    """Float form of a log quantity; clamps to 0/inf past double range."""
     if logc == -np.inf or logc < -745.0:
         return 0.0
     if logc > 700.0:
         return float(np.inf)
     return float(np.exp(logc))
+
+
+def _implied_constant(quantity, gap, gap_exp, energy, e_exp) -> float:
+    return _exp_clamped(_implied_log_constant(quantity, gap, gap_exp, energy, e_exp))
 
 
 def _ols_slope(logx: np.ndarray, logy: np.ndarray) -> float:
@@ -409,10 +412,7 @@ def radius_sweep(
         (np.log(r.sup_grad_sq) + t2 * np.log(r.R - r.rho)) if r.sup_grad_sq > 0 else -np.inf
         for r in recs
     ]
-    normalized = [
-        0.0 if lv == -np.inf or lv < -745 else (np.inf if lv > 700 else float(np.exp(lv)))
-        for lv in log_norm
-    ]
+    normalized = [_exp_clamped(lv) for lv in log_norm]
     ref = log_norm[0]  # widest gap (smallest rho)
     bounded_ok = _bounded_log_spread(log_norm, ref if ref > -np.inf else max(log_norm))
     return RadiusReport(
