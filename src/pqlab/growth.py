@@ -20,7 +20,10 @@ space throughout, so the tail probes at t = 10^k never overflow.
 
 Everything family-specific comes from the family (:mod:`pqlab.integrand`):
 its triple, its Hessian t-cap and its log-domain flag.  The growth-function
-layer (GrowthFn, GrowthTriple) lives there and is re-exported here.
+layer (GrowthFn, GrowthTriple) lives there and is re-exported here.  The
+checks import no scipy (quadrature, logsumexp and the Dawson function are
+numpy), and neither do ``check``, ``params``, ``solve`` or ``validate``;
+only the p = 2 oracle in :mod:`pqlab.solver` does.
 """
 
 from __future__ import annotations

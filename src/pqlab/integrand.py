@@ -33,12 +33,16 @@ sum_i c_i(x) t^(e_i) over their ``_terms()``.
 
 The growth-function layer (GrowthFn, GrowthTriple and the power-law
 builders) lives here, ahead of the families that build their triples
-from it; :mod:`pqlab.growth` re-exports it.  scipy is imported inside the
-functions that call it, never at module top.
+from it; :mod:`pqlab.growth` re-exports it.  It needs no scipy: the
+Gauss-Legendre rules, the power-sum logsumexp and the Dawson function of the
+exponential antiderivative are numpy, so ``check``, ``params``, ``solve``
+and ``validate`` import no scipy; only the p = 2 oracle in
+:mod:`pqlab.solver` does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,6 +144,52 @@ class Coefficient:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _gauss_legendre():
+    """The 10- and 20-point Gauss-Legendre nodes on [-1, 1], concatenated,
+    and their weights; built on first use, not at import."""
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    x20, w20 = np.polynomial.legendre.leggauss(20)
+    return np.concatenate([x10, x20]), w10, w20
+
+
+def _dawson(x) -> np.ndarray:
+    """Dawson's integral F(x) = e^(-x^2) int_0^x e^(s^2) ds, odd in x.
+
+    Up to |x| = 6 the all-positive series e^(-x^2) sum x^(2n+1) / (n! (2n+1)),
+    summed until its terms fall below 1e-17 of the sum; beyond, the first 36
+    terms of the asymptotic series 1/(2x) sum (2k-1)!!/(2x^2)^k, whose terms
+    keep falling up to k = x^2 and are below 4e-16 there."""
+    x = np.asarray(x, float)
+    ax = np.abs(x).ravel()
+    out = np.empty_like(ax)
+    small = ax <= 6.0
+    xs = ax[small]
+    x2 = xs * xs
+    term, total, n = xs, xs, 0
+    while np.any(term > 1e-17 * total):
+        n += 1
+        term = term * x2 / n
+        total = total + term / (2 * n + 1)
+    out[small] = np.exp(-x2) * total
+    xl = ax[~small]
+    inv = 0.5 / (xl * xl)
+    term, total = np.ones_like(xl), np.ones_like(xl)
+    for k in range(1, 37):
+        term = term * (2 * k - 1) * inv
+        total = total + term
+    out[~small] = total / (2 * xl)
+    return np.copysign(out, x.ravel()).reshape(x.shape)
+
+
+def _erfi(x) -> np.ndarray:
+    """The imaginary error function erfi(x) = 2/sqrt(pi) e^(x^2) F(x); inf past overflow."""
+    x = np.asarray(x, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 2.0 / math.sqrt(math.pi) * np.exp(x * x) * _dawson(x)
+    return np.where(np.isinf(x), x, out)  # inf * F(inf) = inf * 0
+
+
 class GrowthFn:
     """Monotone scalar function on [0, inf) with an optional exact log form."""
 
@@ -182,13 +232,14 @@ class GrowthTriple:
         integral over the sorted distinct t > 0.
 
         The cumulative integral splits [0, max t] into panels at those t and
-        integrates all panels at once with 10- and 20-point Gauss-Legendre
-        rules (one vectorized g1 call).  A panel keeps its 20-point value when
-        the two rules agree to 1e-11 relative; otherwise, and always on the
-        first panel [0, t_1], where g1 may be singular (t^(p-2), p < 2), it
-        falls back to adaptive quadrature (``sqrt_g1_quadrature``).  The
-        fallback catches panels holding a kink, such as t = 1 for the
-        min/max-power and very degenerate triples.
+        integrates all panels at once with the 10- and 20-point Gauss-Legendre
+        rules (numpy's ``leggauss`` nodes, built once; one vectorized g1
+        call).  A panel keeps its 20-point value when the two rules agree to
+        1e-11 relative; otherwise, and always on the first panel [0, t_1],
+        where g1 may be singular (t^(p-2), p < 2), it falls back to adaptive
+        quadrature (``sqrt_g1_quadrature``).  The fallback catches panels
+        holding a kink, such as t = 1 for the min/max-power and very
+        degenerate triples.
         """
         t = np.atleast_1d(np.asarray(t, float))
         if self.sqrt_g1_antiderivative is not None:
@@ -199,15 +250,7 @@ class GrowthTriple:
         if ends.size == 0:
             return out
         starts = np.concatenate([[0.0], ends[:-1]])
-        mid = 0.5 * (starts + ends)[:, None]
-        half = 0.5 * (ends - starts)[:, None]
-        from scipy import special
-
-        x10, w10 = special.roots_legendre(10)
-        x20, w20 = special.roots_legendre(20)
-        f = np.sqrt(np.maximum(self.g1(mid + half * np.concatenate([x10, x20])), 0.0))
-        lo = half[:, 0] * np.sum(f[:, :10] * w10, axis=1)
-        panels = half[:, 0] * np.sum(f[:, 10:] * w20, axis=1)
+        lo, panels = self._gauss_pair(starts, ends)
         refine = ~(np.abs(panels - lo) <= 1e-11 * np.abs(panels))
         refine[0] = True
         for k in np.flatnonzero(refine):
@@ -215,22 +258,47 @@ class GrowthTriple:
         out[pos] = np.cumsum(panels)[np.searchsorted(ends, t[pos])]
         return out
 
+    def _gauss_pair(self, a, b):
+        """The 10- and 20-point Gauss-Legendre values of int_a^b sqrt(g1) on
+        each interval [a_i, b_i], from one g1 call."""
+        x, w10, w20 = _gauss_legendre()
+        mid = 0.5 * (a + b)[:, None]
+        half = 0.5 * (b - a)[:, None]
+        f = np.sqrt(np.maximum(self.g1(mid + half * x), 0.0))
+        return half[:, 0] * np.sum(f[:, :10] * w10, axis=1), half[:, 0] * np.sum(f[:, 10:] * w20, axis=1)
+
     def sqrt_g1_quadrature(self, t: float, t0: float = 0.0) -> float:
-        """int_t0^t sqrt(g1(s)) ds by adaptive quadrature (QUADPACK, epsrel 1e-9),
-        with a breakpoint at the kink t = 1 of the min/max-power and very
-        degenerate triples when [t0, t] holds it."""
+        """int_t0^t sqrt(g1(s)) ds by adaptive bisection to 1e-9 relative,
+        split at the kink t = 1 of the min/max-power and very degenerate
+        triples when [t0, t] holds it.
+
+        Each round takes the 10- and 20-point Gauss-Legendre values of every
+        live piece from one g1 call.  A piece is done when they differ by at
+        most 1e-9 of its value (sqrt(g1) >= 0, so these bounds add up to 1e-9
+        of the total); the rest are halved.  It also stops once all the
+        differences sum to 1e-9 of the total, which a piece at an integrable
+        singularity (t^(p-2), p < 2, at 0) reaches by shrinking, never by its
+        own test; and after 60 rounds or past 100 live pieces.
+        """
         if t == t0:
             return 0.0
-        # deferred, like every scipy import in pqlab: importing any scipy
-        # subpackage runs scipy's shared _array_api chain, the bulk of a CLI
-        # process's start-up, which no import or config build should pay for
-        from scipy import integrate
-
-        val, _err = integrate.quad(
-            lambda s: math.sqrt(max(float(self.g1(s)), 0.0)), t0, t,
-            epsabs=0.0, epsrel=1e-9, limit=200, points=[1.0] if t0 < 1.0 < t else None,
-        )
-        return val
+        edges = np.array([t0, 1.0, t] if t0 < 1.0 < t else [t0, t], float)
+        a, b = edges[:-1], edges[1:]
+        done = err_done = 0.0
+        for _ in range(60):
+            lo, hi = self._gauss_pair(a, b)
+            err = np.abs(hi - lo)
+            live = err > 1e-9 * hi
+            done += float(np.sum(hi[~live]))
+            err_done += float(np.sum(err[~live]))
+            rest = float(np.sum(hi[live]))
+            n_live = np.count_nonzero(live)
+            if n_live == 0 or n_live > 100 or err_done + np.sum(err[live]) <= 1e-9 * (done + rest):
+                break
+            a, b = a[live], b[live]
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        return done + rest
 
     def log_one_plus_sqrt_g1_integral(self, t) -> np.ndarray:
         """log(1 + int_0^t sqrt(g1)), stable for huge integrals: the log form
@@ -288,9 +356,17 @@ def _power_sum_fn(terms) -> GrowthFn:
         parts = [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
         if len(parts) < 2:
             return parts[0] if parts else np.full_like(lt, -np.inf)
-        from scipy import special
-
-        return special.logsumexp(np.stack(parts), axis=0)
+        # scipy.special.logsumexp's algorithm, bit for bit: every term equal
+        # to the largest, m of them, is split off and log1p takes the rest
+        parts = np.stack(parts)
+        top = np.max(parts, axis=0)
+        is_top = parts == top
+        m = np.sum(is_top, axis=0, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rest = np.sum(np.exp(np.where(is_top, -np.inf, parts) - top), axis=0)
+            out = np.log1p(np.where(rest == 0, rest, rest / m)) + np.log(m) + top
+            # all terms -inf (t = 0) or one +inf: the direct form
+            return np.where(np.isfinite(out), out, np.log(np.sum(np.exp(parts), axis=0)))
 
     return GrowthFn(fn, log_fn)
 
@@ -433,12 +509,16 @@ class RadialFamily(IntegrandFamily):
         s = self.profile_slope(x, y, t)
         r = self.profile_dtt(x, y, t)
         s_lam2 = s * (lx * lx + ly * ly)
-        dot = gx * lx + gy * ly
-        tsafe = np.where(t > 0, t, 1.0)
-        aligned = np.where(t > 0, (dot / tsafe) ** 2, 0.0)
+        aligned = gx * lx + gy * ly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            aligned /= t
+        aligned *= aligned
+        out = (r - s) * aligned
+        out += s_lam2
         # at t = 0 slope and dtt coincide for every smooth catalog profile,
         # so the formula degenerates to the constant form s * |lam|^2
-        return np.where(t > 0, (r - s) * aligned + s_lam2, s_lam2)
+        zero = t == 0
+        return np.where(zero, s_lam2, out) if np.any(zero) else out
 
 
 class _PowerSum(RadialFamily):
@@ -609,22 +689,18 @@ class Exponential(RadialFamily):
             return math.log(c3) + _log_t(t) + np.log1p(t * t) + q * t * t
 
         # int_0^t sqrt(c1) e^(p s^2 / 2) ds = sqrt(c1 pi/(2p)) erfi(sqrt(p/2) t);
-        # erfi via dawsn keeps the log form overflow-free
+        # erfi through the Dawson function keeps the log form overflow-free
         amp = math.sqrt(c1 * math.pi / (2 * p))
 
         def anti(t):
-            from scipy import special
-
             t = np.asarray(t, float)
-            return amp * special.erfi(np.sqrt(p / 2) * t)
+            return amp * _erfi(np.sqrt(p / 2) * t)
 
         def anti_log(t):
-            from scipy import special
-
             t = np.asarray(t, float)
             xx = np.sqrt(p / 2) * t
             with np.errstate(divide="ignore"):
-                ld = np.where(xx > 0, np.log(np.maximum(special.dawsn(xx), 1e-300)), -np.inf)
+                ld = np.where(xx > 0, np.log(np.maximum(_dawson(xx), 1e-300)), -np.inf)
             return math.log(amp) + math.log(2 / math.sqrt(math.pi)) + xx * xx + ld
 
         return GrowthTriple(

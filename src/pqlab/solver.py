@@ -25,7 +25,9 @@ Energy, gradient and Hessian-vector assembly and the solver's inner products
 reduce with numpy's pairwise summation in a fixed order, never through BLAS,
 so results are bit-reproducible run to run and across BLAS thread counts.
 
-scipy is imported inside the functions that call it, never at module top.
+Only the p = 2 oracle (``harmonic_direct_solve`` and ``_p2_stiffness``)
+imports scipy, inside those functions; ``check``, ``params``, ``solve`` and
+``validate`` import none.
 """
 
 from __future__ import annotations

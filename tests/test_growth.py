@@ -54,6 +54,11 @@ from pqlab.integrand import (
     PxLaplacian,
     SaturationError,
     VeryDegenerate,
+    _dawson,
+    _erfi,
+    _gauss_legendre,
+    _log_t,
+    _power_sum_fn,
 )
 
 BALL = Ball(0.5, 0.5, 0.35)
@@ -458,11 +463,8 @@ def quadrature_triples():
 
 
 def pointwise_sqrt_g1_integral(triple, t):
-    """Per-point adaptive quadrature with a breakpoint at the kink t = 1.
-
-    Tighter than ``sqrt_g1_quadrature`` (epsrel 1e-9 without breakpoints),
-    whose own error reaches 5e-7 relative on [0, 1e4] for the p(x) triple.
-    """
+    """Per-point adaptive quadrature with a breakpoint at the kink t = 1,
+    tighter (epsrel 1e-12) than ``sqrt_g1_quadrature`` (1e-9 relative)."""
     from scipy import integrate
 
     if t == 0:
@@ -511,11 +513,61 @@ def gauss_legendre_sqrt_g1(triple, t, n_panels=3000):
     ids=["px_laplacian", "very_degenerate"],
 )
 def test_sqrt_g1_quadrature_meets_its_tolerance_across_the_kink(fam, t):
-    # g1 switches power (or leaves 0) at t = 1; without that breakpoint
-    # QUADPACK reports success while 3.6e-6 (px) and 3.5e-7 (very
-    # degenerate) off in relative terms
+    # g1 switches power (or leaves 0) at t = 1, so the quadrature needs a
+    # breakpoint there: a piece straddling the kink converges slowly
     triple = paper_triple(fam, BALL)
     assert triple.sqrt_g1_quadrature(t) == pytest.approx(gauss_legendre_sqrt_g1(triple, t), rel=1e-9, abs=0.0)
+
+
+def test_cached_gauss_legendre_rules_match_scipy():
+    nodes, w10, w20 = _gauss_legendre()
+    x10, v10 = special.roots_legendre(10)
+    x20, v20 = special.roots_legendre(20)
+    np.testing.assert_allclose(nodes, np.concatenate([x10, x20]), rtol=0.0, atol=2e-15)
+    np.testing.assert_allclose(w10, v10, rtol=0.0, atol=2e-15)
+    np.testing.assert_allclose(w20, v20, rtol=0.0, atol=2e-15)
+    assert _gauss_legendre() is _gauss_legendre()
+
+
+def test_dawson_and_erfi_match_scipy():
+    x = np.concatenate([[0.0, np.inf], np.logspace(-8, 4, 1201), np.linspace(5.9, 6.1, 401)])
+    np.testing.assert_allclose(_dawson(x), special.dawsn(x), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(_dawson(-x), special.dawsn(-x), rtol=1e-13, atol=0.0)
+    # erfi overflows to inf on both sides past x^2 ~ 709.8
+    np.testing.assert_allclose(_erfi(x), special.erfi(x), rtol=1e-13, atol=0.0)
+    assert _dawson(np.float64(2.0)).shape == ()
+
+
+def power_sum_log_cases():
+    rng = np.random.default_rng(5)
+    cases = [
+        [(3.0, 1.0)],
+        [(2.0, 0.0), (6.0, 1.0)],
+        [(2.0, 0.0), (2.0, 1.2)],  # equal at t = 1: two largest terms
+        [(2.0, 0.0), (6.0, 1.0), (1.5, 2.0)],
+        [(1.0, -0.5), (1.0, 0.5), (1.0, 0.5)],
+    ]
+    for _ in range(200):
+        cases.append([
+            (float(rng.choice([1.0, 2.0, rng.uniform(0.01, 100.0)])),
+             float(rng.choice([0.0, 1.0, rng.uniform(-1.0, 4.0)])))
+            for _ in range(rng.integers(1, 4))
+        ])
+    return cases
+
+
+def test_power_sum_log_is_scipy_logsumexp_bit_for_bit():
+    t = np.concatenate([
+        default_t_grid(), 10.0 * math.sqrt(10.0) ** np.arange(13),
+        1e3 * math.sqrt(10.0) ** np.arange(13), [0.0, 5e-324], np.logspace(-300, 300, 601),
+    ])
+    lt = _log_t(t)
+    for terms in power_sum_log_cases():
+        parts = [math.log(c) + (e * lt if e != 0 else np.zeros_like(lt)) for c, e in terms]
+        with np.errstate(divide="ignore", over="ignore"):
+            ref = special.logsumexp(np.stack(parts), axis=0)
+        got = _power_sum_fn(terms).log(t)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), terms
 
 
 # --- 12M -----------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""scipy stays out of the import and config-build path, every deferred
-scipy import resolves on its own in a fresh interpreter, and no package
-module keeps an unused top-level import or private top-level name."""
+"""scipy stays out of every CLI command: ``check``, ``params``, ``solve``
+and ``validate`` import none, and only the p = 2 oracle does; calls whose
+first run sets something up lazily (the cached Gauss-Legendre nodes, the
+oracle's deferred scipy import) give the same values cold in a fresh
+interpreter as warm; and no package module keeps an unused top-level import
+or private top-level name."""
 
 import ast
 import os
@@ -104,8 +107,63 @@ def test_import_and_config_build_load_no_scipy(tmp_path):
     assert out.stdout.strip() == ""
 
 
+CATALOG_FAMILIES = {
+    "anisotropic": "q = 2.5\na11 = 1\na12 = 0.1\na22 = 0.5 + 0.1*x\na22_lipschitz = 0.1",
+    "double_phase": "p = 2\nq = 3\na = x^2 + y^2\na_lipschitz = 3",
+    "exponential": "a = 0.5 + 0.1*x\na_lipschitz = 0.1",
+    "log_px_laplacian": "p_expr = 2.5 + 0.2*x\np_expr_lipschitz = 0.2",
+    "multi_phase": "p = 2\nq = 3\na = x^2 + y^2\na_lipschitz = 3\nb = 0.5",
+    "p_laplacian": "p = 4",
+    "px_laplacian": "p_expr = 2.5 + 0.2*x\np_expr_lipschitz = 0.2",
+    "very_degenerate": "p = 3",
+}
+# the log variant has no auto recipe
+LOG_PX_SCHEDULE = """mode = explicit
+n = 2
+two_star = 1872971/211255
+alpha = 5913/2530
+beta = 1027951/845020
+gamma = 175/167
+theta = 267/253"""
+
+_RUN_CLI = """
+import contextlib, io, sys
+from pqlab.cli import main
+
+codes = []
+for arg in sys.argv[1:]:
+    command, path = arg.split("=", 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main([command, path, "--out", path + "." + command]))
+print(" ".join(map(str, codes)))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    args = []
+    for kind, family in CATALOG_FAMILIES.items():
+        schedule = LOG_PX_SCHEDULE if kind == "log_px_laplacian" else "mode = auto\nn = 2"
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(
+            f"[family]\nkind = {kind}\n{family}\n\n[ball]\ncenter = 0.5, 0.5\nrho = 0.2\n"
+            f"R = 0.35\n\n[schedule]\n{schedule}\n"
+        )
+        args += [f"check={path}", f"params={path}"]
+    path = tmp_path / "solve.cfg"
+    path.write_text(SOLVE_CFG + "\n[sweep]\namplitudes = 0.5, 1, 2, 4, 8\n")
+    args += [f"solve={path}", f"validate={path}"]
+    codes, modules = _run_fresh(["-c", _RUN_CLI, *args]).stdout.split("\n")[:2]
+    assert codes.split() == ["0"] * len(args)
+    assert modules == ""
+
+
 def deferred_sites() -> dict:
-    """One call to every function that imports scipy on first use."""
+    """One call to each function whose first call sets something up lazily:
+    the cumulative integral builds and caches the Gauss-Legendre nodes (and
+    loads numpy.polynomial), the p = 2 solve loads numpy.fft, and the p = 2
+    oracle imports scipy; the exponential antiderivative and the power-sum
+    log are the other numpy replacements of scipy special functions."""
     ball = Ball(0.5, 0.5, 0.35)
     t = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 37.0, 1e4])
     dp = paper_triple(

@@ -185,6 +185,35 @@ def test_convexity_spot_check():
             assert qf >= -1e-12, fam.describe()
 
 
+def masked_radial_qf(fam, x, y, gx, gy, lx, ly):
+    """The radial Hessian form with t = 0 masked out before dividing."""
+    t = np.hypot(gx, gy)
+    s = fam.profile_slope(x, y, t)
+    r = fam.profile_dtt(x, y, t)
+    s_lam2 = s * (lx * lx + ly * ly)
+    aligned = np.where(t > 0, ((gx * lx + gy * ly) / np.where(t > 0, t, 1.0)) ** 2, 0.0)
+    return np.where(t > 0, (r - s) * aligned + s_lam2, s_lam2)
+
+
+def test_radial_hess_qf_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0.1, 0.9, (5, 1, 1, 1))
+    Y = rng.uniform(0.1, 0.9, (5, 1, 1, 1))
+    T = np.concatenate([[0.0, 1e-300], np.geomspace(1e-3, 4.0, 30)])[None, :, None, None]
+    th = rng.uniform(0, 2 * math.pi, (1, 1, 4, 1))
+    GX, GY = T * np.cos(th), T * np.sin(th)
+    LX, LY = rng.normal(size=(2, 1, 1, 1, 6))
+    for fam in catalog_families():
+        if not fam.radial:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for args in ((X, Y, GX, GY, LX, LY), (0.3, 0.4, 0.0, 0.0, 1.0, -2.0), (0.3, 0.4, 0.6, -0.8, 1.0, -2.0)):
+                got = np.asarray(fam.hess_qf(*args))
+                ref = np.asarray(masked_radial_qf(fam, *args))
+                assert got.shape == ref.shape, fam.describe()
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), fam.describe()
+
+
 # --- radial bounds and profile cases -----------------------------------------
 
 
