@@ -18,6 +18,10 @@ fitted M = sup ratio; a user-supplied M is honored when present.
 Ratios for log-domain families (the exponential class) are formed in log
 space throughout, so the tail probes at t = 10^k never overflow.
 
+The sampled checks (sandwich, growth-A, 12M) reduce their x samples one
+block of about ``_X_BLOCK_ELEMENTS`` elements at a time into the report of
+the whole sample array, so their memory does not grow with the x count.
+
 Everything family-specific comes from the family (:mod:`pqlab.integrand`):
 its triple, its Hessian t-cap and its log-domain flag.  The growth-function
 layer (GrowthFn, GrowthTriple) lives there and is re-exported here.  The
@@ -49,6 +53,7 @@ from .integrand import (  # noqa: F401  (GrowthFn: re-exported)
 _RATIO_TOL = 1e-9   # pointwise conditions (sandwich)
 _FD_TOL = 1e-6      # conditions verified through finite differences
 _TAIL_AGREE = 1e-3  # relative agreement declaring a stabilized tail
+_X_BLOCK_ELEMENTS = 8192  # element budget of one x block of a sampled check
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +255,15 @@ def _grid_tail_report(
 # ---------------------------------------------------------------------------
 
 
+def _x_blocks(n_x: int, row_elements: int):
+    """Consecutive slices of the x-sample axis, each of about
+    _X_BLOCK_ELEMENTS elements at ``row_elements`` per x row and never fewer
+    than two rows: a block result with one x row then comes from an x-free
+    evaluation (or from the last block), and the checks let it stand for all x."""
+    rows = max(2, _X_BLOCK_ELEMENTS // max(row_elements, 1))
+    return [slice(i, i + rows) for i in range(0, n_x, rows)]
+
+
 def _sandwich_ratios(lo_bound, qf, hi_bound) -> np.ndarray:
     """max(lo/qf, qf/hi) at the broadcast shape (the bounds share one shape),
     lo/qf being inf unless qf > 0 and 0 where lo <= 0, qf/hi inf unless hi > 0
@@ -274,9 +288,11 @@ def check_ellipticity_sandwich(
 
     Axes are (x sample, t, direction, lam); lam enters ``hess_qf`` as
     (1, 1, 1, n_lam) and the bounds g1 |lam|^2, g2 |lam|^2 are (1, n_t, 1, n_lam).
-    Only QF and the ratios are full size: QF's own shape broadcast with the
-    bounds, one x row where QF does not depend on x (p-Laplacian, very
-    degenerate), whose first maximum is the repeated rows' first maximum.
+    QF and the ratios, at QF's own shape broadcast with the bounds, exist one
+    x block at a time (:func:`_x_blocks`); the first maximum in (x, t,
+    direction, lam) order wins, a NaN first as under ``np.argmax``.  Where QF
+    does not depend on x (p-Laplacian, very degenerate) its one x row stands
+    for all x.
     """
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
@@ -285,24 +301,30 @@ def check_ellipticity_sandwich(
     tg = spec.t_grid(cap)
     tg = tg[tg > 0]
     T = tg[None, :, None, None]
+    GX = T * ux[None, None, :, None]
+    GY = T * uy[None, None, :, None]
     LX = lx[None, None, None, :]
     LY = ly[None, None, None, :]
-    try:
-        qf = triple.f_scale * family.hess_qf(
-            xs[:, None, None, None], ys[:, None, None, None],
-            T * ux[None, None, :, None], T * uy[None, None, :, None], LX, LY,
-        )
-    except (ProfileDomainError, SaturationError) as exc:
-        return ConditionReport(
-            "ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc)
-        )
     lam2 = LX**2 + LY**2
-    ratios = _sandwich_ratios(
-        triple.g1(tg)[None, :, None, None] * lam2, qf, triple.g2(tg)[None, :, None, None] * lam2
-    )
-    worst_flat = int(np.argmax(ratios))
-    worst = float(ratios.ravel()[worst_flat])
-    worst_t = float(tg[np.unravel_index(worst_flat, ratios.shape)[1]])
+    lo_bound = triple.g1(tg)[None, :, None, None] * lam2
+    hi_bound = triple.g2(tg)[None, :, None, None] * lam2
+    worst, worst_t = -math.inf, math.nan  # every ratio is >= 0 or NaN
+    for blk in _x_blocks(xs.size, tg.size * ux.size * lx.size):
+        try:
+            qf = triple.f_scale * family.hess_qf(
+                xs[blk, None, None, None], ys[blk, None, None, None], GX, GY, LX, LY
+            )
+        except (ProfileDomainError, SaturationError) as exc:
+            return ConditionReport(
+                "ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc)
+            )
+        ratios = _sandwich_ratios(lo_bound, qf, hi_bound)
+        i = int(np.argmax(ratios))
+        r = float(ratios.flat[i])
+        if not math.isnan(worst) and (math.isnan(r) or r > worst):
+            worst, worst_t = r, float(tg[np.unravel_index(i, ratios.shape)[1]])
+        if ratios.shape[0] == 1:
+            break
     verdict = "pass" if worst <= 1 + _RATIO_TOL else "fail"
     notes = "" if cap is None else f"t capped at {tg[-1]:.3g} (density representability)"
     return ConditionReport("ellipticity-sandwich", verdict, worst, worst_t, notes=notes)
@@ -313,39 +335,50 @@ def check_growth_A(
 ) -> ConditionReport:
     """sum_i |f_{xi_i x_k}| <= g3(|xi|) for the scaled density
     ``triple.f_scale * f``; the mixed derivative taken by central
-    differences in x of the analytic xi-gradient, all x samples, directions
-    and t at once."""
+    differences in x of the analytic xi-gradient, all directions and t of
+    one x block at a time (:func:`_x_blocks`).  The report keeps the first
+    maximum in (x, direction, axis, t) order; where the gradient does not
+    depend on x, both differences vanish alike on every row and the first
+    block stands for all x."""
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
     tg = spec.t_grid(family.hessian_t_cap(spec.ball))
     tg = tg[tg > 0]
     g3v = triple.g3(tg)
     # axes: (x sample, direction, t); the difference axis is stacked third
-    X = xs[:, None, None]
-    Y = ys[:, None, None]
-    H = 1e-5 * np.maximum(1.0, np.maximum(np.abs(X), np.abs(Y)))
     GX = tg * ux[:, None]
     GY = tg * uy[:, None]
-    mixed = []
-    for dx, dy in ((H, 0.0), (0.0, H)):
-        try:
-            fpx, fpy = family.grad(X + dx, Y + dy, GX, GY)
-            fmx, fmy = family.grad(X - dx, Y - dy, GX, GY)
-        except SaturationError as exc:
-            return ConditionReport("growth-A", "inconclusive", math.nan, math.nan, notes=str(exc))
-        mixed.append((np.abs(fpx - fmx) + np.abs(fpy - fmy)) / (2 * H))
-    mixed = triple.f_scale * np.stack(mixed, axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(
-            g3v > 0, mixed / g3v, np.where(mixed <= 1e-9 * np.maximum(1.0, tg), 0.0, np.inf)
-        ).reshape(-1, tg.size)
-    # first maximum in (x, direction, axis, t) order, as a sequential scan
-    # with a strict update finds it; a row whose maximum is NaN never wins
-    rows = np.argmax(ratio, axis=1)
-    best = ratio[np.arange(ratio.shape[0]), rows]
-    best = np.where(np.isnan(best), 0.0, best)
-    r = int(np.argmax(best))
-    worst, worst_t = (float(best[r]), float(tg[rows[r]])) if best[r] > 0 else (0.0, 0.0)
+    worst = worst_t = 0.0
+    for blk in _x_blocks(xs.size, ux.size * tg.size):
+        X = xs[blk, None, None]
+        Y = ys[blk, None, None]
+        H = 1e-5 * np.maximum(1.0, np.maximum(np.abs(X), np.abs(Y)))
+        mixed = []
+        x_free = True
+        for dx, dy in ((H, 0.0), (0.0, H)):
+            try:
+                fpx, fpy = family.grad(X + dx, Y + dy, GX, GY)
+                fmx, fmy = family.grad(X - dx, Y - dy, GX, GY)
+            except SaturationError as exc:
+                return ConditionReport("growth-A", "inconclusive", math.nan, math.nan, notes=str(exc))
+            diff = np.abs(fpx - fmx) + np.abs(fpy - fmy)
+            x_free = x_free and (diff.ndim < 3 or diff.shape[0] == 1)
+            mixed.append(diff / (2 * H))
+        mixed = triple.f_scale * np.stack(mixed, axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(
+                g3v > 0, mixed / g3v, np.where(mixed <= 1e-9 * np.maximum(1.0, tg), 0.0, np.inf)
+            ).reshape(-1, tg.size)
+        # first maximum in (x, direction, axis, t) order, as a sequential scan
+        # with a strict update finds it; a row whose maximum is NaN never wins
+        rows = np.argmax(ratio, axis=1)
+        best = ratio[np.arange(ratio.shape[0]), rows]
+        best = np.where(np.isnan(best), 0.0, best)
+        r = int(np.argmax(best))
+        if best[r] > worst:
+            worst, worst_t = float(best[r]), float(tg[rows[r]])
+        if x_free:
+            break
     verdict = "pass" if worst <= 1 + _FD_TOL else "fail"
     return ConditionReport("growth-A", verdict, worst, worst_t)
 
@@ -372,7 +405,10 @@ def check_12M(
     family: IntegrandFamily, triple: GrowthTriple, params: ExponentParams, spec: SampleSpec
 ) -> ConditionReport:
     """g2(|xi|)^(2 gamma - 1)|xi|^(2 gamma) <= M (1 + f)^beta with the worst
-    x in the ball and the worst sampled direction."""
+    x in the ball and the worst sampled direction.  f is evaluated one x
+    block at a time (:func:`_x_blocks`) and the running minimum over x and
+    directions kept; where f does not depend on x, the first block stands
+    for all x."""
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
     gamma = float(params.gamma)
@@ -383,19 +419,24 @@ def check_12M(
         ts = np.asarray(ts, float)
         lt = _log_t(ts)
         lhs = (2 * gamma - 1) * triple.g2.log(ts) + 2 * gamma * lt
-        X = xs[:, None, None]
-        Y = ys[:, None, None]
         GX = ts[None, :, None] * ux[None, None, :]
         GY = ts[None, :, None] * uy[None, None, :]
-        if family.log_domain:
-            logf = family.log_value(X, Y, GX, GY) + math.log(scale)
-        else:
-            with np.errstate(over="ignore"):
-                fv = np.asarray(family.value(X, Y, GX, GY), float) * scale
-            with np.errstate(divide="ignore"):
-                logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
-        log_rhs = beta * np.logaddexp(0.0, logf)
-        worst_rhs = np.min(log_rhs, axis=(0, 2))
+        worst_rhs = np.inf
+        for blk in _x_blocks(xs.size, ts.size * ux.size):
+            X = xs[blk, None, None]
+            Y = ys[blk, None, None]
+            if family.log_domain:
+                logf = family.log_value(X, Y, GX, GY) + math.log(scale)
+            else:
+                with np.errstate(over="ignore"):
+                    fv = np.asarray(family.value(X, Y, GX, GY), float) * scale
+                with np.errstate(divide="ignore"):
+                    logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
+            log_rhs = beta * np.logaddexp(0.0, logf)
+            # np.minimum, not fmin: a NaN anywhere in x stays NaN
+            worst_rhs = np.minimum(worst_rhs, np.min(log_rhs, axis=(0, 2)))
+            if log_rhs.shape[0] == 1:
+                break
         return lhs - worst_rhs
 
     return _grid_tail_report("12M", spec.t_grid(), log_ratio, triple.M)

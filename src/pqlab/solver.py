@@ -572,7 +572,8 @@ def harmonic_direct_solve(grid: Grid) -> DiscreteField:
 
     Assembles the cell stiffness independently of the gradient assembly and
     of the solver's preconditioner, so it serves as an oracle for the
-    iterative path.
+    iterative path.  The interior stiffness is symmetric positive definite,
+    so SuperLU orders it by minimum degree on its symmetric pattern.
     """
     from scipy.sparse.linalg import spsolve
 
@@ -585,7 +586,7 @@ def harmonic_direct_solve(grid: Grid) -> DiscreteField:
     K_ii = K[idx_i][:, idx_i]
     K_ib = K[idx_i][:, idx_b]
     rhs = -K_ib @ bvals[idx_b]
-    ui = spsolve(K_ii.tocsc(), rhs)
+    ui = spsolve(K_ii.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
     out = bvals.copy()
     out[idx_i] = ui
     return DiscreteField(grid, out.reshape(n, n))

@@ -25,7 +25,10 @@ from pqlab.exponents import (
 )
 from pqlab.growth import (
     _RATIO_TOL,
+    _X_BLOCK_ELEMENTS,
+    _grid_tail_report,
     _sandwich_ratios,
+    _x_blocks,
     ConditionReport,
     GrowthFn,
     GrowthTriple,
@@ -239,19 +242,45 @@ def test_sandwich_ratios_match_masked_rule_elementwise(inputs):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def traced_peak(fn):
+    """tracemalloc peak of fn() in bytes, after one warm-up call so the
+    cached Gauss-Legendre nodes and other first-use state are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+LOG_PX = LogPxLaplacian(Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)"))
+
+
 def test_sandwich_peak_memory_on_cli_sampling():
     # the CLI sampling plan: 37 x samples, 160 t, 6 directions, 6 lam; log-px
     # is among the catalog families with the largest peak
-    fam = LogPxLaplacian(Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)"))
-    triple = paper_triple(fam, BALL)
-    tracemalloc.start()
-    try:
-        check_ellipticity_sandwich(fam, triple, SampleSpec(ball=BALL, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # full-size masked temporaries (np.full, copyto) on a broadcast QF reach ~7 MB
-    assert peak < 6.5e6, peak
+    triple = paper_triple(LOG_PX, BALL)
+    peak = traced_peak(lambda: check_ellipticity_sandwich(LOG_PX, triple, SampleSpec(ball=BALL, seed=1)))
+    # QF and its ratios on the whole (x, t, direction, lam) product reach
+    # ~5.2 MB; one x block at a time ~0.55 MB
+    assert peak < 2e6, peak
+
+
+def test_sandwich_peak_memory_does_not_grow_with_the_plan():
+    # 4x the CLI plan (320 t, 12 directions): the whole product reaches ~41 MB,
+    # one x block ~3.7 MB
+    triple = paper_triple(LOG_PX, BALL)
+    spec = SampleSpec(ball=BALL, n_t=320, n_dirs=12, seed=1)
+    peak = traced_peak(lambda: check_ellipticity_sandwich(LOG_PX, triple, spec))
+    assert peak < 6e6, peak
+
+
+def test_growth_A_peak_memory_on_cli_sampling():
+    # all x samples at once reach ~3.4 MB, one x block ~1 MB
+    triple = paper_triple(LOG_PX, BALL)
+    peak = traced_peak(lambda: check_growth_A(LOG_PX, triple, SampleSpec(ball=BALL, seed=1)))
+    assert peak < 1.5e6, peak
 
 
 def test_hess_qf_broadcasts_lambda():
@@ -372,6 +401,120 @@ def test_growth_A_matches_per_point_loop(seed):
     for fam, _params in catalog_cases():
         triple = paper_triple(fam, BALL)
         assert check_growth_A(fam, triple, spec) == growth_A_reference(fam, triple, spec), fam.kind
+
+
+# x blocks: the streamed checks against their whole-array references, with
+# sample counts that are no multiple of a block and NaN / inf only at the
+# last x samples, so the winner must come from a later block
+
+A_QUAD = Coefficient(lambda x, y: x * x + y * y, 3.0, "x^2+y^2")
+BLOCK_EDGE_SPECS = [  # 38 x samples at n_x = 13, 37 at the CLI default n_x = 12
+    SampleSpec(ball=BALL, n_x=13, seed=0),
+    SampleSpec(ball=BALL, n_x=13, seed=3),
+    SampleSpec(ball=BALL, seed=5),
+]
+TAIL = 10  # poisoned samples: spans two growth-A / 12M blocks and five sandwich blocks
+TAIL_POISONS = {
+    "inf": (math.inf,) * TAIL,
+    "nan-last": (math.inf,) * (TAIL - 1) + (math.nan,),
+    "nan-first": (math.nan,) * (TAIL // 2) + (math.inf,) * (TAIL - TAIL // 2),
+}
+
+
+class PoisonedTail(DoublePhase):
+    """Double phase whose value, xi-gradient and QF read a given NaN or inf
+    at chosen x samples, from a t that falls with the sample's place in the
+    list.  A point is hit at its sample and up to 1e-4 right of it, so in
+    growth-A only the forward x difference sees the poison."""
+
+    def __init__(self, points):
+        super().__init__(2.0, 3.0, A_QUAD)
+        self.points = points  # (x, y, first poisoned t, value)
+
+    def _poisoned(self, x, y, gx, gy, out):
+        t = np.hypot(gx, gy)
+        out = np.array(np.broadcast_to(out, np.broadcast_shapes(np.shape(out), np.shape(x), t.shape)))
+        for px, py, t0, v in self.points:
+            hit = (x - px >= 0) & (x - px < 1e-4) & (np.abs(y - py) < 1e-12) & (t >= t0)
+            out[np.broadcast_to(hit, out.shape)] = v
+        return out
+
+    def value(self, x, y, gx, gy):
+        return self._poisoned(x, y, gx, gy, super().value(x, y, gx, gy))
+
+    def grad(self, x, y, gx, gy):
+        return tuple(self._poisoned(x, y, gx, gy, g) for g in super().grad(x, y, gx, gy))
+
+    def hess_qf(self, x, y, gx, gy, lx, ly):
+        return self._poisoned(x, y, gx, gy, super().hess_qf(x, y, gx, gy, lx, ly))
+
+
+class PoisonedLogTail(PoisonedTail):
+    """PoisonedTail checked through log f: a NaN f reaches 12M's worst
+    right-hand side, which the linear path would read as f = 0."""
+
+    log_domain = True
+
+    def log_value(self, x, y, gx, gy):
+        with np.errstate(divide="ignore"):
+            return np.log(self.value(x, y, gx, gy))
+
+
+def poisoned_tail(spec, values, cls=PoisonedTail):
+    xs, ys = spec.x_samples()
+    n = len(values)
+    return cls(
+        [(xs[k - n], ys[k - n], 10.0 ** (1 - 0.3 * k), v) for k, v in enumerate(values)]
+    )
+
+
+def same_report(a, b):
+    # exact, NaN fields included (a NaN float never equals another)
+    return repr(a) == repr(b)
+
+
+def test_x_blocks_tile_the_sample_axis():
+    for n_x, row in [(37, 5760), (38, 960), (38, 78), (1, 10**6), (7, 1), (0, 5)]:
+        blocks = _x_blocks(n_x, row)
+        assert [i for b in blocks for i in range(n_x)[b]] == list(range(n_x))
+        rows = blocks[0].stop - blocks[0].start if blocks else 0
+        assert all(b.stop - b.start == rows for b in blocks)
+        assert rows == 0 or rows == max(2, _X_BLOCK_ELEMENTS // row)
+
+
+@pytest.mark.parametrize("spec", BLOCK_EDGE_SPECS, ids=lambda s: f"nx{s.n_x}-seed{s.seed}")
+def test_sandwich_matches_reference_at_block_edges(spec):
+    for fam, _params in catalog_cases():
+        triple = paper_triple(fam, BALL)
+        rep = check_ellipticity_sandwich(fam, triple, spec)
+        assert same_report(rep, sandwich_reference(fam, triple, spec)), fam.kind
+    for name, values in TAIL_POISONS.items():
+        fam = poisoned_tail(spec, values)
+        triple = paper_triple(fam, BALL)
+        rep = check_ellipticity_sandwich(fam, triple, spec)
+        assert same_report(rep, sandwich_reference(fam, triple, spec)), name
+        # the first NaN wins, else the first inf: the last sample or the first
+        # poisoned one, each from its own t
+        assert math.isnan(rep.worst_ratio) == (name != "inf"), name
+        k = TAIL - 1 if name == "nan-last" else 0
+        assert rep.worst_t == spec.t_grid()[spec.t_grid() >= 10.0 ** (1 - 0.3 * k)][0], name
+
+
+@pytest.mark.parametrize("spec", BLOCK_EDGE_SPECS, ids=lambda s: f"nx{s.n_x}-seed{s.seed}")
+def test_growth_A_matches_reference_at_block_edges(spec):
+    for fam, _params in catalog_cases():
+        triple = paper_triple(fam, BALL)
+        rep = check_growth_A(fam, triple, spec)
+        assert same_report(rep, growth_A_reference(fam, triple, spec)), fam.kind
+    for name, values in TAIL_POISONS.items():
+        fam = poisoned_tail(spec, values)
+        triple = paper_triple(fam, BALL)
+        rep = check_growth_A(fam, triple, spec)
+        assert same_report(rep, growth_A_reference(fam, triple, spec)), name
+        # rows reading NaN never win; the first inf does
+        assert rep.worst_ratio == math.inf, name
+        k = values.index(math.inf)
+        assert rep.worst_t == spec.t_grid()[spec.t_grid() >= 10.0 ** (1 - 0.3 * k)][0], name
 
 
 # --- 11M -----------------------------------------------------------------------
@@ -573,6 +716,56 @@ def test_power_sum_log_is_scipy_logsumexp_bit_for_bit():
 # --- 12M -----------------------------------------------------------------------
 
 
+def check_12M_reference(family, triple, params, spec):
+    """check_12M on every x sample at once, the worst over x and directions
+    taken by one np.min; check_12M must match it exactly."""
+    xs, ys = spec.x_samples()
+    ux, uy = spec.directions()
+    gamma = float(params.gamma)
+    beta = float(params.beta)
+
+    def log_ratio(ts):
+        ts = np.asarray(ts, float)
+        lhs = (2 * gamma - 1) * triple.g2.log(ts) + 2 * gamma * _log_t(ts)
+        X = xs[:, None, None]
+        Y = ys[:, None, None]
+        GX = ts[None, :, None] * ux[None, None, :]
+        GY = ts[None, :, None] * uy[None, None, :]
+        if family.log_domain:
+            logf = family.log_value(X, Y, GX, GY) + math.log(triple.f_scale)
+        else:
+            with np.errstate(over="ignore"):
+                fv = np.asarray(family.value(X, Y, GX, GY), float) * triple.f_scale
+            with np.errstate(divide="ignore"):
+                logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
+        return lhs - np.min(beta * np.logaddexp(0.0, logf), axis=(0, 2))
+
+    return _grid_tail_report("12M", spec.t_grid(), log_ratio, triple.M)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_12M_matches_whole_array_reference(seed):
+    for spec in (SampleSpec(ball=BALL, seed=seed), SampleSpec(ball=BALL, n_x=13, seed=seed)):
+        for fam, params in catalog_cases():
+            triple = paper_triple(fam, BALL)
+            want = check_12M_reference(fam, triple, params, spec)
+            assert same_report(check_12M(fam, triple, params, spec), want), fam.kind
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_POISONS))
+def test_12M_keeps_a_nan_from_a_later_block(name):
+    spec = BLOCK_EDGE_SPECS[0]
+    params = double_phase_params(2, 3, 2)
+    for cls in (PoisonedTail, PoisonedLogTail):
+        fam = poisoned_tail(spec, TAIL_POISONS[name], cls)
+        triple = paper_triple(fam, BALL)
+        with np.errstate(invalid="ignore"):  # logaddexp(0, NaN)
+            rep = check_12M(fam, triple, params, spec)
+            assert same_report(rep, check_12M_reference(fam, triple, params, spec)), cls
+    # a NaN worst right-hand side drops its t samples, the tail probes included
+    assert (rep.tail_limit_estimate == 0.0) == (name != "inf"), rep
+
+
 def test_12M_natural_growth_beta1():
     fam = PLaplacian(3)
     triple = paper_triple(fam, BALL)
@@ -704,6 +897,28 @@ def test_catalog_class_passes_all_checks(fam, params):
     assert not bad, "\n".join(r.row() for r in bad)
     for r in reports[2:5]:
         assert r.fitted_M is not None and math.isfinite(r.fitted_M)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+@example(0)
+def test_every_catalog_family_passes_its_own_triple_at_any_seed(seed):
+    # the CLI sampling plan at any seed: every row of every family's table
+    spec = SampleSpec(ball=BALL, seed=seed)
+    for fam, params in catalog_cases():
+        reports = run_all_checks(fam, paper_triple(fam, BALL), params, spec)
+        bad = [r.row() for r in reports if r.verdict != "pass"]
+        assert not bad, (fam.describe(), seed, bad)
+
+
+@pytest.mark.parametrize("fam,params", catalog_cases(), ids=lambda v: getattr(v, "kind", ""))
+def test_run_all_checks_peak_memory_on_cli_sampling(fam, params):
+    # the whole table on the CLI plan: 2.3-5.2 MB with every x sample at
+    # once, at most ~1 MB with x blocks
+    triple = paper_triple(fam, BALL)
+    spec = SampleSpec(ball=BALL, seed=1)
+    peak = traced_peak(lambda: run_all_checks(fam, triple, params, spec))
+    assert peak < 1.5e6, (fam.describe(), peak)
 
 
 def test_report_rows_render():
