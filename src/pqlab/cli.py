@@ -205,6 +205,13 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     return EXIT_USAGE
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer, as numpy's seeding takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pqlab",
@@ -220,7 +227,7 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the problem configuration")
-        p.add_argument("--seed", type=int, default=0, help="seed for all random sampling")
+        p.add_argument("--seed", type=_seed, default=0, help="seed for all random sampling")
         p.add_argument("--out", default=None, help="directory for report/field files")
         p.add_argument(
             "--tolerance", type=float, default=None, help="override the solver gradient tolerance"

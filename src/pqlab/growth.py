@@ -22,6 +22,10 @@ The sampled checks (sandwich, growth-A, 12M) reduce their x samples one
 block of about ``_X_BLOCK_ELEMENTS`` elements at a time into the report of
 the whole sample array, so their memory does not grow with the x count.
 
+The x samples and directions are seeded uniforms: the doubles numpy's
+``np.random.default_rng(seed).random(k)`` returns, bit for bit, computed
+here (``_uniforms``) so that the checks never import ``numpy.random``.
+
 Everything family-specific comes from the family (:mod:`pqlab.integrand`):
 its triple, its Hessian t-cap and its log-domain flag.  The growth-function
 layer (GrowthFn, GrowthTriple) lives there and is re-exported here.  The
@@ -33,6 +37,7 @@ only the p = 2 oracle in :mod:`pqlab.solver` does.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -151,9 +156,66 @@ class ConditionReport:
         )
 
 
+def _uniforms(seed: int, k: int) -> np.ndarray:
+    """The k doubles of ``np.random.default_rng(seed).random(k)``, bit for bit,
+    without importing ``numpy.random`` (which loads secrets, hashlib and
+    OpenSSL).
+
+    numpy's SeedSequence hashes the seed's little-endian uint32 words into a
+    pool of 4 and draws 8 state words from it; they seed PCG64 (O'Neill 2014,
+    XSL-RR 128/64), and each double is the top 53 bits of one 64-bit output.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * mult & m32
+            value = value * const & m32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):  # MIX_MULT_L, MIX_MULT_R
+        z = 0xCA01F9DD * x - 0x4973F715 * y & m32
+        return z ^ z >> 16
+
+    words = [seed >> 32 * i & m32 for i in range(max(1, (seed.bit_length() + 31) // 32))]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    w = [hashmix(pool[i % 4]) for i in range(8)]
+    # uint32 pairs make uint64s little-endian; a uint64 pair is (high, low)
+    init = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    inc = ((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 | 1
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    state = ((inc + init) * mult + inc) & m128  # from 0: step, add init, step
+    out = np.empty(k)
+    for i in range(k):
+        state = (state * mult + inc) & m128
+        x, rot = (state >> 64 ^ state) & m64, state >> 122
+        out[i] = (((x >> rot | x << 64 - rot) & m64) >> 11) * 2.0 ** -53
+    return out
+
+
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sampling plan for the pointwise condition checks."""
+    """Sampling plan for the pointwise condition checks.
+
+    The jitter of the x samples is drawn from ``default_rng(seed)`` and the
+    directions from ``default_rng(seed + 1 + offset)``: numpy's uniforms,
+    computed by ``_uniforms`` without ``numpy.random``.
+    """
 
     ball: Ball
     t_max: float = 1e3
@@ -162,15 +224,12 @@ class SampleSpec:
     n_dirs: int = 6
     seed: int = 0
 
-    def rng(self):
-        return np.random.default_rng(self.seed)
-
     def x_samples(self):
         """Deterministic polar grid (center included) plus seeded jitter."""
         gx, gy = self.ball.sample_points(3, 8)
-        rng = self.rng()
-        r = self.ball.r * np.sqrt(rng.uniform(0, 1, self.n_x))
-        th = rng.uniform(0, 2 * math.pi, self.n_x)
+        u = _uniforms(self.seed, 2 * self.n_x)
+        r = self.ball.r * np.sqrt(u[: self.n_x])
+        th = 2 * math.pi * u[self.n_x :]
         return (
             np.concatenate([gx, self.ball.cx + r * np.cos(th)]),
             np.concatenate([gy, self.ball.cy + r * np.sin(th)]),
@@ -178,8 +237,7 @@ class SampleSpec:
 
     def directions(self, count=None, offset=0):
         k = self.n_dirs if count is None else count
-        rng = np.random.default_rng(self.seed + 1 + offset)
-        th = rng.uniform(0, 2 * math.pi, k)
+        th = 2 * math.pi * _uniforms(self.seed + 1 + offset, k)
         return np.cos(th), np.sin(th)
 
     def t_grid(self, t_cap: Optional[float] = None):

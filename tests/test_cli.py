@@ -157,6 +157,16 @@ def test_check_malformed_config_exit1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "params", "solve", "validate"])
+@pytest.mark.parametrize("seed", ["-1", "-7", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    # a negative seed reached numpy's seeding and raised out of main
+    rc = main([command, cfg_file(tmp_path, BASE_P2), "--seed", seed])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"argument --seed: expected a non-negative integer, got {seed!r}" in err, err
+
+
 def test_params_double_phase_auto(tmp_path, capsys):
     text = """
 [family]

@@ -28,6 +28,7 @@ from pqlab.growth import (
     _X_BLOCK_ELEMENTS,
     _grid_tail_report,
     _sandwich_ratios,
+    _uniforms,
     _x_blocks,
     ConditionReport,
     GrowthFn,
@@ -329,6 +330,43 @@ def test_sample_points_distinct():
     gx, gy = polar_grid_with_center_ring(BALL, 3, 8)
     assert np.array_equal(xs, np.delete(gx, range(1, 9)))
     assert np.array_equal(ys, np.delete(gy, range(1, 9)))
+
+
+# --- seeded uniforms: numpy's default_rng stream without numpy.random ------------
+
+
+def test_uniforms_are_default_rng_bit_for_bit():
+    # numpy.random is the reference here only; 2^128 and 2^200 + 12345 have
+    # more than the pool's 4 seed words
+    seeds = [*range(2001), 2**32, 2**64 + 3, 2**128, 2**200 + 12345]
+    for seed in seeds:
+        for k in (0, 1, 24):
+            ref = np.random.default_rng(seed).random(k)
+            assert np.array_equal(_uniforms(seed, k), ref), (seed, k)
+    assert np.array_equal(_uniforms(np.int64(11), 100), np.random.default_rng(11).random(100))
+
+
+def test_uniforms_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        _uniforms(-1, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5, 11, 2**64 + 3])
+@pytest.mark.parametrize("n_x", [0, 12, 13])
+def test_sample_spec_draws_the_default_rng_samples(seed, n_x):
+    # the formulas SampleSpec used when it drew through np.random.default_rng
+    spec = SampleSpec(ball=BALL, n_x=n_x, seed=seed)
+    rng = np.random.default_rng(seed)
+    r = BALL.r * np.sqrt(rng.uniform(0, 1, n_x))
+    th = rng.uniform(0, 2 * math.pi, n_x)
+    gx, gy = BALL.sample_points(3, 8)
+    xs, ys = spec.x_samples()
+    assert np.array_equal(xs, np.concatenate([gx, BALL.cx + r * np.cos(th)]))
+    assert np.array_equal(ys, np.concatenate([gy, BALL.cy + r * np.sin(th)]))
+    for count, offset in ((None, 0), (None, 7), (3, 2)):
+        th = np.random.default_rng(seed + 1 + offset).uniform(0, 2 * math.pi, count or spec.n_dirs)
+        ux, uy = spec.directions(count, offset=offset)
+        assert np.array_equal(ux, np.cos(th)) and np.array_equal(uy, np.sin(th))
 
 
 @pytest.mark.parametrize("ball", [BALL, Ball(0.0, 0.0, 1.0), Ball(-0.3, 0.7, 0.05)])

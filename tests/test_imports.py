@@ -1,5 +1,7 @@
 """scipy stays out of every CLI command: ``check``, ``params``, ``solve``
-and ``validate`` import none, and only the p = 2 oracle does; calls whose
+and ``validate`` import none, and only the p = 2 oracle does; neither
+``numpy.random`` nor the ``secrets`` / ``hashlib`` / ``_hashlib`` modules it
+brings in load on any of them; calls whose
 first run sets something up lazily (the cached Gauss-Legendre nodes, the
 oracle's deferred scipy import) give the same values cold in a fresh
 interpreter as warm; and no package module keeps an unused top-level import
@@ -137,6 +139,8 @@ for arg in sys.argv[1:]:
         codes.append(main([command, path, "--out", path + "." + command]))
 print(" ".join(map(str, codes)))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+heavy = ("numpy.random", "secrets", "hashlib", "_hashlib")
+print(" ".join(sorted(m for m in sys.modules if m in heavy or m.startswith("numpy.random."))))
 """
 
 
@@ -153,9 +157,12 @@ def test_cli_commands_load_no_scipy(tmp_path):
     path = tmp_path / "solve.cfg"
     path.write_text(SOLVE_CFG + "\n[sweep]\namplitudes = 0.5, 1, 2, 4, 8\n")
     args += [f"solve={path}", f"validate={path}"]
-    codes, modules = _run_fresh(["-c", _RUN_CLI, *args]).stdout.split("\n")[:2]
+    codes, modules, heavy = _run_fresh(["-c", _RUN_CLI, *args]).stdout.split("\n")[:3]
     assert codes.split() == ["0"] * len(args)
     assert modules == ""
+    # the seeded samples come from pqlab, not numpy.random and the hashing
+    # and OpenSSL modules its import brings in
+    assert heavy == ""
 
 
 def deferred_sites() -> dict:
