@@ -24,7 +24,7 @@ from .config import (
 from .exponents import MU_UNBOUNDED, is_rejected, lambda_sequence
 from .growth import ConditionReport, SampleSpec, paper_triple, run_all_checks
 from .integrand import Ball, SaturationError
-from .solver import Grid, minimize, save_field
+from .solver import Grid, SolveOptions, minimize, save_field
 from .validator import (
     ProblemTemplate,
     ThetaOscillationError,
@@ -138,6 +138,9 @@ def cmd_solve(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     except SaturationError as exc:
         print(f"solve failed: {exc}")
         return EXIT_FAIL
+    except ValueError as exc:  # non-finite boundary data
+        print(f"error: {exc}")
+        return EXIT_USAGE
     for w in trace.warnings:
         print(f"warning: {w}")
     out = Path(out_dir) if out_dir is not None else Path(".")
@@ -212,6 +215,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tolerance`` type: a gradient tolerance that SolveOptions takes."""
+    try:
+        return SolveOptions(tolerance=float(text)).tolerance
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pqlab",
@@ -230,7 +241,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=_seed, default=0, help="seed for all random sampling")
         p.add_argument("--out", default=None, help="directory for report/field files")
         p.add_argument(
-            "--tolerance", type=float, default=None, help="override the solver gradient tolerance"
+            "--tolerance", type=_tolerance, default=None, help="override the solver gradient tolerance"
         )
         p.set_defaults(fn=fn)
     try:

@@ -70,7 +70,7 @@ from .integrand import (
     PxLaplacian,
     VeryDegenerate,
 )
-from .solver import SolveOptions
+from .solver import Grid, SolveOptions
 
 
 class ConfigError(ValueError):
@@ -298,11 +298,22 @@ def build_boundary(cfg: ProblemConfig):
     return lambda x, y: expr(x, y)
 
 
+def _checked(cfg: ProblemConfig, sect: str, make):
+    """make(), whose ValueError names the rejected field first: that is the
+    [sect] key, so the error is raised again as a ConfigError at its line."""
+    try:
+        return make()
+    except ValueError as exc:
+        entry = cfg.section(sect).get(str(exc).split()[0])
+        raise ConfigError(str(exc), cfg.path, entry.line if entry else 0) from None
+
+
 def build_grid_spec(cfg: ProblemConfig):
     side = cfg.get_float("grid", "side", required=True)
     n = cfg.get_int("grid", "n", required=True)
     x0 = cfg.get_float("grid", "x0", default=0.0)
     y0 = cfg.get_float("grid", "y0", default=0.0)
+    _checked(cfg, "grid", lambda: Grid(side, n, None, x0, y0))  # Grid's own rules
     return side, n, x0, y0
 
 
@@ -325,7 +336,8 @@ def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float]
     tol = cfg.get_float("solver", "tolerance", default=1e-8)
     if tolerance_override is not None:
         tol = tolerance_override
-    return SolveOptions(max_iter=cfg.get_int("solver", "max_iter", default=20000), tolerance=tol)
+    max_iter = cfg.get_int("solver", "max_iter", default=20000)
+    return _checked(cfg, "solver", lambda: SolveOptions(max_iter=max_iter, tolerance=tol))
 
 
 def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
@@ -381,6 +393,8 @@ def resolve_schedule(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
     if is_rejected(params):
         return params
     K = cfg.get_int("schedule", "K", default=8)
+    if K < 1:  # lambda_sequence's rule, ahead of the degenerate-schedule outcomes
+        raise ConfigError(f"K must be >= 1, got {K}", cfg.path, cfg.section("schedule")["K"].line)
     nu_cfg = cfg.get_number("schedule", "nu", default=None)
     mu_txt = cfg.get_str("schedule", "mu", default=None)
     if mu_txt is not None and mu_txt.lower() in ("unbounded", "inf", "infinity"):

@@ -25,9 +25,9 @@ Energy, gradient and Hessian-vector assembly and the solver's inner products
 reduce with numpy's pairwise summation in a fixed order, never through BLAS,
 so results are bit-reproducible run to run and across BLAS thread counts.
 
-Only the p = 2 oracle (``harmonic_direct_solve`` and ``_p2_stiffness``)
-imports scipy, inside those functions; ``check``, ``params``, ``solve`` and
-``validate`` import none.
+Only the sparse assembly ``_cell_matrix`` and the p = 2 oracle built on it,
+``harmonic_direct_solve``, import scipy, inside those functions; ``check``,
+``params``, ``solve`` and ``validate`` import none.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ class Grid:
     x0: float = 0.0
     y0: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # each message starts with the field it rejects
         if self.n < 8:
-            raise ValueError(f"grid needs at least 8 nodes per side, got {self.n}")
-        if self.side <= 0:
-            raise ValueError("grid side must be positive")
+            raise ValueError(f"n must be at least 8 nodes per side, got {self.n}")
+        if not self.side > 0:
+            raise ValueError(f"side must be positive, got {self.side}")
 
     @property
     def h(self) -> float:
@@ -184,9 +184,11 @@ class SolveOptions:
     max_iter: int = 20000
     tolerance: float = 1e-8          # infinity norm of the energy gradient
 
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+    def __post_init__(self):  # each message starts with the field it rejects
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 
 
 @dataclass
@@ -452,8 +454,6 @@ class FieldStats:
     outer_energy: float        # sum (1 + f) h^2 over outer-ball cells
     w22_unweighted: float      # sum |D^2 u|^2 h^2 over the same nodes
     g1_at_zero: float          # m = g1(0); positive in the nondegenerate case
-    n_inner_cells: int
-    n_inner_nodes: int
     n_outer_cells: int
     v_integral: float          # sum (1 + |Du|^(2 gamma) g2^(2 gamma - 1)) h^2, gamma from caller
 
@@ -533,8 +533,6 @@ def field_stats(
         outer_energy=outer_energy,
         w22_unweighted=w22_plain,
         g1_at_zero=float(triple.g1(0.0)),
-        n_inner_cells=int(np.sum(inner_cells)),
-        n_inner_nodes=int(np.sum(inner_nodes)),
         n_outer_cells=int(np.sum(outer_cells)),
         v_integral=v_integral,
     )
@@ -545,51 +543,37 @@ def field_stats(
 # ---------------------------------------------------------------------------
 
 
-def _p2_stiffness(grid: Grid):
-    """Cell-by-cell assembly of the p = 2 stiffness over all n^2 nodes, as a
-    scipy.sparse CSR matrix."""
+def _cell_matrix(n: int, h_aa, h_ab, h_bb):
+    """D_a^T (h_aa D_a + h_ab D_b) + D_b^T (h_ab D_a + h_bb D_b) over all n^2 nodes
+    (row-major) as scipy.sparse CSR: the sum over cells of h_aa a^2 + 2 h_ab a b
+    + h_bb b^2 on the diagonals (a, b) of ``_diagonals``.  The weights are scalars
+    or (n - 1) x (n - 1) cell arrays; scipy stores no zero that it computes."""
     from scipy import sparse
 
-    n = grid.n
-    h = grid.h
-    ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1), indexing="ij")
-    # 4 x ncells: the (0, 0), (0, 1), (1, 0) and (1, 1) corners of each cell
-    corners = (ii * n + jj).ravel() + np.array([0, 1, n, n + 1])[:, None]
-    avec = np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h)
-    bvec = np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h)
-    elem = h * h * (np.outer(avec, avec) + np.outer(bvec, bvec))  # 4x4
-    ncells = corners.shape[1]
-    rows = np.repeat(corners, 4, axis=0).reshape(4, 4, ncells)
-    cols = np.tile(corners, (4, 1)).reshape(4, 4, ncells)
-    data = np.repeat(elem[:, :, None], ncells, axis=2)
-    return sparse.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n * n, n * n)
-    ).tocsr()
+    up, low = sparse.eye(n - 1, n, 1), sparse.eye(n - 1, n)  # node i + 1, node i of cell i
+    Da = sparse.kron(up, up) - sparse.kron(low, low)
+    Db = sparse.kron(up, low) - sparse.kron(low, up)
+    Haa, Hab, Hbb = (sparse.diags(np.broadcast_to(h, (n - 1, n - 1)).ravel()) for h in (h_aa, h_ab, h_bb))
+    return (Da.T @ (Haa @ Da + Hab @ Db) + Db.T @ (Hab @ Da + Hbb @ Db)).tocsr()
 
 
 def harmonic_direct_solve(grid: Grid) -> DiscreteField:
     """Exact minimizer of the p = 2 discrete energy by a sparse linear solve.
 
-    Assembles the cell stiffness independently of the gradient assembly and
-    of the solver's preconditioner, so it serves as an oracle for the
-    iterative path.  The interior stiffness is symmetric positive definite,
-    so SuperLU orders it by minimum degree on its symmetric pattern.
+    The stiffness is ``_cell_matrix`` at h_aa = h_bb = 1/2, h_ab = 0: a node
+    couples to itself and its four diagonal neighbours, no explicit zeros.  It
+    shares no code with the numpy ``_diagonals``/``_scatter`` kernels or the
+    sine-transform preconditioner, so it is an oracle for the iterative path.
+    SuperLU orders its symmetric positive definite interior by minimum degree.
     """
     from scipy.sparse.linalg import spsolve
 
-    n = grid.n
-    K = _p2_stiffness(grid)
-    mask = grid.boundary_mask().ravel()
-    bvals = grid.boundary_values().ravel()
-    idx_i = np.where(~mask)[0]
-    idx_b = np.where(mask)[0]
-    K_ii = K[idx_i][:, idx_i]
-    K_ib = K[idx_i][:, idx_b]
-    rhs = -K_ib @ bvals[idx_b]
-    ui = spsolve(K_ii.tocsc(), rhs, permc_spec="MMD_AT_PLUS_A")
-    out = bvals.copy()
-    out[idx_i] = ui
-    return DiscreteField(grid, out.reshape(n, n))
+    inner = np.flatnonzero(~grid.boundary_mask().ravel())
+    K = _cell_matrix(grid.n, 0.5, 0.0, 0.5)[inner]
+    u = grid.boundary_values().flatten()  # a copy: boundary may return its own array
+    u[inner] = 0.0
+    u[inner] = spsolve(K[:, inner].tocsc(), -(K @ u), permc_spec="MMD_AT_PLUS_A")
+    return DiscreteField(grid, u.reshape(grid.n, grid.n))
 
 
 # ---------------------------------------------------------------------------

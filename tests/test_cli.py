@@ -167,6 +167,44 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
     assert f"argument --seed: expected a non-negative integer, got {seed!r}" in err, err
 
 
+@pytest.mark.parametrize(
+    "command, old, new, expected",
+    [
+        pytest.param("solve", "n = 33", "n = 5", "config error: {at}: n must be at least 8", id="solve-n5"),
+        pytest.param("validate", "n = 33", "n = 5", "config error: {at}: n must be at least 8", id="validate-n5"),
+        pytest.param("solve", "side = 1.0", "side = 0", "config error: {at}: side must be positive", id="side0"),
+        pytest.param(
+            "solve", "tolerance = 1e-9", "tolerance = 0", "config error: {at}: tolerance must be positive", id="tol0"
+        ),
+        pytest.param(
+            "solve", "max_iter = 8000", "max_iter = -3", "config error: {at}: max_iter must be non-negative", id="iter-3"
+        ),
+        pytest.param("params", "n = 2\n", "n = 2\nK = 0\n", "config error: {at}: K must be >= 1", id="params-K0"),
+        pytest.param("validate", "n = 2\n", "n = 2\nK = 0\n", "config error: {at}: K must be >= 1", id="validate-K0"),
+        pytest.param(
+            "solve", None, "--tolerance -1", "argument --tolerance: tolerance must be positive", id="flag-tol-1"
+        ),
+        pytest.param(
+            "solve", "expr = x^2 - y^2", "expr = log(x)", "error: boundary data must be finite", id="boundary-inf"
+        ),
+    ],
+)
+def test_rejected_values_end_in_one_line(tmp_path, capsys, command, old, new, expected):
+    # these values raised the library's ValueError out of main as a traceback;
+    # max_iter = -3 ran no step, and K = 0 under validate read as a degenerate
+    # schedule (exit 2)
+    text = BASE_P2 if old is None else BASE_P2.replace(old, new)
+    path = cfg_file(tmp_path, text)
+    args = new.split() if old is None else []
+    rc = main([command, path, "--out", str(tmp_path / "o"), *args])
+    cap = capsys.readouterr()
+    out = (cap.out + cap.err).splitlines()
+    assert rc == 1, out
+    if "{at}" in expected:
+        expected = expected.format(at=f"{path}:{text.splitlines().index(new.splitlines()[-1]) + 1}")
+    assert expected in out[-1], out
+
+
 def test_params_double_phase_auto(tmp_path, capsys):
     text = """
 [family]

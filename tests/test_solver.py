@@ -36,7 +36,7 @@ from pqlab.solver import (
     minimize,
     save_field,
 )
-from pqlab.solver import _Objective, _p2_stiffness, _p2_stiffness_inverse
+from pqlab.solver import _cell_matrix, _Objective, _p2_stiffness_inverse
 
 RNG = np.random.default_rng(411)
 
@@ -148,29 +148,35 @@ def test_gradient_vanishes_at_direct_harmonic_solve():
 # --- Hessian and preconditioner kernels ---------------------------------------------
 
 
-def four_corner_hessian(grid, family, u, log_energy=None):
-    """The Hessian-vector product and node scaling D assembled on (gx, gy): the
-    cell block h^2 f_xixi, its off-diagonal by polarization of the (1, 0),
-    (0, 1) and (1, 1) forms, scattered onto the four corners of each cell."""
-    n, h = grid.n, grid.h
+def four_corner_grads(w, h):
+    gx = (w[1:, :-1] + w[1:, 1:] - w[:-1, :-1] - w[:-1, 1:]) / (2 * h)
+    gy = (w[:-1, 1:] + w[1:, 1:] - w[:-1, :-1] - w[1:, :-1]) / (2 * h)
+    return gx, gy
+
+
+def four_corner_forms(grid, family, u):
+    """Per cell (q11, q12, q22) of f_xixi at (gx, gy): the off-diagonal by
+    polarization of the (1, 0), (0, 1) and (1, 1) forms."""
     XC, YC = grid.cell_coords()
-
-    def grads(w):
-        gx = (w[1:, :-1] + w[1:, 1:] - w[:-1, :-1] - w[:-1, 1:]) / (2 * h)
-        gy = (w[:-1, 1:] + w[1:, 1:] - w[:-1, :-1] - w[1:, :-1]) / (2 * h)
-        return gx, gy
-
-    gx, gy = grads(u)
+    gx, gy = four_corner_grads(u, grid.h)
     one, zero = np.ones_like(gx), np.zeros_like(gx)
     q11 = family.hess_qf(XC, YC, gx, gy, one, zero)
     q22 = family.hess_qf(XC, YC, gx, gy, zero, one)
-    q12 = (family.hess_qf(XC, YC, gx, gy, one, one) - q11 - q22) / 2
+    return q11, (family.hess_qf(XC, YC, gx, gy, one, one) - q11 - q22) / 2, q22
+
+
+def four_corner_hessian(grid, family, u, log_energy=None):
+    """The Hessian-vector product and node scaling D assembled on (gx, gy): the
+    cell block h^2 f_xixi of ``four_corner_forms``, scattered onto the four
+    corners of each cell."""
+    n, h = grid.n, grid.h
+    q11, q12, q22 = four_corner_forms(grid, family, u)
     scale = h * h * (1.0 if log_energy is None else math.exp(-log_energy))
 
     def product(v):
         V = np.zeros((n, n))
         V[1:-1, 1:-1] = v.reshape(n - 2, n - 2)
-        vx, vy = grads(V)
+        vx, vy = four_corner_grads(V, h)
         cx = scale * (q11 * vx + q12 * vy) / (2 * h)
         cy = scale * (q12 * vx + q22 * vy) / (2 * h)
         G = np.zeros((n, n))
@@ -221,10 +227,19 @@ def test_hessian_matches_four_corner_assembly(fam):
     F = objective(z)[0]
     product, D = objective.hessian(z, F)
     ref_product, ref_D = four_corner_hessian(g, fam, u, F if fam.log_domain else None)
+    # the sparse assembly of the same forms, polarized onto the cell diagonals:
+    # gx, gy = (a + b) / 2h, (a - b) / 2h and the cell's h^2 give
+    # h_aa, h_ab, h_bb = (q11 + 2 q12 + q22, q11 - q22, q11 - 2 q12 + q22) / 4
+    q11, q12, q22 = four_corner_forms(g, fam, u)
+    s = math.exp(-F) if fam.log_domain else 1.0
+    K = _cell_matrix(g.n, s * (q11 + 2 * q12 + q22) / 4, s * (q11 - q22) / 4, s * (q11 - 2 * q12 + q22) / 4)
+    interior = np.flatnonzero(~g.boundary_mask().ravel())
+    K_ii = K[interior][:, interior]
     for _ in range(3):
         v = rng.standard_normal(z.size)
         ref = ref_product(v)
         assert np.max(np.abs(product(v) - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
+        assert np.max(np.abs(K_ii @ v - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
     np.testing.assert_allclose(D, ref_D, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref_D)))
 
 
@@ -267,7 +282,7 @@ def test_preconditioner_inverts_direct_solve_stiffness():
     # the DST-I inverse must not depend on side or origin, as the stiffness does not
     g = Grid(side=0.7, n=12, boundary=lambda x, y: 0.0 * x, x0=-0.3, y0=1.1)
     interior = np.flatnonzero(~g.boundary_mask().ravel())
-    K_ii = _p2_stiffness(g)[interior][:, interior].toarray()
+    K_ii = _cell_matrix(g.n, 0.5, 0.0, 0.5)[interior][:, interior].toarray()
     apply_inverse = _p2_stiffness_inverse(g.n)
     product = np.column_stack([apply_inverse(col) for col in K_ii.T])
     np.testing.assert_allclose(product, np.eye(interior.size), rtol=0, atol=1e-12)
