@@ -42,6 +42,7 @@ Parse errors carry the config line (and column, for expressions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -120,14 +121,22 @@ class ProblemConfig:
         e = self._entry(sect, key, None, required)
         return default if e is None else e.value
 
+    def _require_finite(self, key, e: _Entry, values):
+        """A ConfigError at the line of entry ``e`` when one of the numbers
+        read from it is inf or nan (``1e400`` included)."""
+        if not all(isinstance(v, Fraction) or math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} = {e.value!r} must be finite", self.path, e.line)
+
     def get_float(self, sect, key, default=None, required=False):
         e = self._entry(sect, key, None, required)
         if e is None:
             return default
         try:
-            return float(e.value)
+            value = float(e.value)
         except ValueError:
             raise ConfigError(f"{key} = {e.value!r} is not a number", self.path, e.line) from None
+        self._require_finite(key, e, [value])
+        return value
 
     def get_number(self, sect, key, default=None, required=False):
         """Fraction when the text is exact (int, ratio, or decimal), else float."""
@@ -136,14 +145,14 @@ class ProblemConfig:
             return default
         txt = e.value
         try:
-            if "/" in txt or ("e" not in txt.lower() and "." not in txt):
-                return Fraction(txt)
-            return Fraction(txt) if "e" not in txt.lower() else float(txt)
+            value = Fraction(txt) if "/" in txt or "e" not in txt.lower() else float(txt)
         except (ValueError, ZeroDivisionError):
             try:
-                return float(txt)
+                value = float(txt)
             except ValueError:
                 raise ConfigError(f"{key} = {txt!r} is not a number", self.path, e.line) from None
+        self._require_finite(key, e, [value])
+        return value
 
     def get_int(self, sect, key, default=None, required=False):
         e = self._entry(sect, key, None, required)
@@ -170,9 +179,11 @@ class ProblemConfig:
         if e is None:
             return None
         try:
-            return [float(tok) for tok in e.value.replace(",", " ").split()]
+            values = [float(tok) for tok in e.value.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(f"{key} = {e.value!r} is not a number list", self.path, e.line) from None
+        self._require_finite(key, e, values)
+        return values
 
     def get_pair_list(self, sect, key):
         e = self._entry(sect, key)
@@ -189,6 +200,7 @@ class ProblemConfig:
             raise ConfigError(
                 f"{key} must be a list of (rho, R) pairs, got {txt!r}", self.path, e.line
             ) from None
+        self._require_finite(key, e, [v for pair in pairs for v in pair])
         return pairs
 
 

@@ -37,7 +37,10 @@ from it; :mod:`pqlab.growth` re-exports it.  It needs no scipy: the
 Gauss-Legendre rules, the power-sum logsumexp and the Dawson function of the
 exponential antiderivative are numpy, so ``check``, ``params``, ``solve``
 and ``validate`` import no scipy; only the p = 2 oracle in
-:mod:`pqlab.solver` does.
+:mod:`pqlab.solver` does.  Nor does a check load ``numpy.polynomial`` or
+``numpy.ma``: the Gauss-Legendre nodes and weights are float literals equal
+to ``leggauss``'s, and the cumulative integral dedupes its panel ends
+without ``np.unique``.
 """
 
 from __future__ import annotations
@@ -144,12 +147,31 @@ class Coefficient:
 # ---------------------------------------------------------------------------
 
 
+# The positive nodes and their weights of the 10- and 20-point Gauss-Legendre
+# rules, as numpy's leggauss(10) and leggauss(20) give them; both are bitwise
+# symmetric about 0, so the negative halves are these mirrored.
+_GL_HALVES = (
+    (
+        (0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845, 0.9739065285171717),
+        (0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804, 0.06667134430868814),
+    ),
+    (
+        (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+         0.7463319064601508, 0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095),
+        (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+         0.1019301198172407, 0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893),
+    ),
+)
+
+
 @functools.cache
 def _gauss_legendre():
     """The 10- and 20-point Gauss-Legendre nodes on [-1, 1], concatenated,
-    and their weights; built on first use, not at import."""
-    x10, w10 = np.polynomial.legendre.leggauss(10)
-    x20, w20 = np.polynomial.legendre.leggauss(20)
+    and their weights: numpy's ``leggauss`` values bit for bit, mirrored from
+    ``_GL_HALVES`` on first use, without importing ``numpy.polynomial``."""
+    (x10, w10), (x20, w20) = (
+        (np.concatenate([-np.array(x[::-1]), x]), np.concatenate([w[::-1], w])) for x, w in _GL_HALVES
+    )
     return np.concatenate([x10, x20]), w10, w20
 
 
@@ -233,22 +255,24 @@ class GrowthTriple:
 
         The cumulative integral splits [0, max t] into panels at those t and
         integrates all panels at once with the 10- and 20-point Gauss-Legendre
-        rules (numpy's ``leggauss`` nodes, built once; one vectorized g1
-        call).  A panel keeps its 20-point value when the two rules agree to
-        1e-11 relative; otherwise, and always on the first panel [0, t_1],
-        where g1 may be singular (t^(p-2), p < 2), it falls back to adaptive
-        quadrature (``sqrt_g1_quadrature``).  The fallback catches panels
-        holding a kink, such as t = 1 for the min/max-power and very
-        degenerate triples.
+        rules (``_gauss_legendre``; one vectorized g1 call).  A panel keeps its
+        20-point value when the two rules agree to 1e-11 relative; otherwise,
+        and always on the first panel [0, t_1], where g1 may be singular
+        (t^(p-2), p < 2), it falls back to adaptive quadrature
+        (``sqrt_g1_quadrature``).  The fallback catches panels holding a kink,
+        such as t = 1 for the min/max-power and very degenerate triples.  The
+        distinct t come from a sort and an adjacent-duplicate mask, not
+        ``np.unique``, which imports ``numpy.ma``.
         """
         t = np.atleast_1d(np.asarray(t, float))
         if self.sqrt_g1_antiderivative is not None:
             return self.sqrt_g1_antiderivative(t)
         out = np.zeros_like(t)
         pos = t > 0
-        ends = np.unique(t[pos])
+        ends = np.sort(t[pos])
         if ends.size == 0:
             return out
+        ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
         starts = np.concatenate([[0.0], ends[:-1]])
         lo, panels = self._gauss_pair(starts, ends)
         refine = ~(np.abs(panels - lo) <= 1e-11 * np.abs(panels))

@@ -85,7 +85,8 @@ class Grid:
 
     def boundary_values(self) -> np.ndarray:
         X, Y = self.node_coords()
-        vals = np.asarray(self.boundary(X, Y), float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the test below decides
+            vals = np.asarray(self.boundary(X, Y), float)
         if not np.all(np.isfinite(vals[self.boundary_mask()])):
             raise ValueError("boundary data must be finite on all boundary nodes")
         return vals
@@ -185,8 +186,8 @@ class SolveOptions:
     tolerance: float = 1e-8          # infinity norm of the energy gradient
 
     def __post_init__(self):  # each message starts with the field it rejects
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
 

@@ -185,14 +185,51 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
             "solve", None, "--tolerance -1", "argument --tolerance: tolerance must be positive", id="flag-tol-1"
         ),
         pytest.param(
-            "solve", "expr = x^2 - y^2", "expr = log(x)", "error: boundary data must be finite", id="boundary-inf"
+            "solve", "expr = x^2 - y^2", "expr = log(x)", "error: boundary data must be finite", id="boundary-inf",
+            marks=pytest.mark.filterwarnings("error"),
+        ),
+        pytest.param("check", "R = 0.4", "R = inf", "config error: {at}: R = 'inf' must be finite", id="R-inf"),
+        pytest.param("check", "R = 0.4", "R = 1e400", "config error: {at}: R = '1e400' must be finite", id="R-1e400"),
+        pytest.param(
+            "check", "center = 0.5, 0.5", "center = nan, 0.5", "config error: {at}: center = 'nan, 0.5' must be finite",
+            id="center-nan",
+        ),
+        pytest.param(
+            "check", "kind = p_laplacian\np = 2", "kind = double_phase\np = 2\na = x^2 + y^2\nq = inf",
+            "config error: {at}: q = 'inf' must be finite", id="double-phase-q-inf",
+        ),
+        pytest.param(
+            "solve", "tolerance = 1e-9", "tolerance = inf", "config error: {at}: tolerance = 'inf' must be finite",
+            id="tol-inf",
+        ),
+        pytest.param(
+            "solve", None, "--tolerance inf", "argument --tolerance: tolerance must be positive and finite",
+            id="flag-tol-inf",
+        ),
+        pytest.param(
+            "params", "n = 2\n", "n = 2\ntwo_star = inf\n", "config error: {at}: two_star = 'inf' must be finite",
+            id="two-star-inf",
+        ),
+        pytest.param("solve", "side = 1.0", "side = inf", "config error: {at}: side = 'inf' must be finite", id="side-inf"),
+        pytest.param(
+            "solve", "side = 1.0", "side = 1.0\nx0 = nan", "config error: {at}: x0 = 'nan' must be finite", id="x0-nan"
+        ),
+        pytest.param(
+            "validate", "amplitudes = 0.5, 1, 2, 4, 8", "amplitudes = 0.5, 1, 2, 4, inf",
+            "config error: {at}: amplitudes = '0.5, 1, 2, 4, inf' must be finite", id="amplitude-inf",
+        ),
+        pytest.param(
+            "validate", "amplitudes = 0.5, 1, 2, 4, 8", "pairs = (0.05, inf), (0.25, inf), (0.33, inf), (0.41, inf)",
+            "config error: {at}: pairs = '(0.05, inf), (0.25, inf), (0.33, inf), (0.41, inf)' must be finite",
+            id="pairs-inf",
         ),
     ],
 )
 def test_rejected_values_end_in_one_line(tmp_path, capsys, command, old, new, expected):
     # these values raised the library's ValueError out of main as a traceback;
     # max_iter = -3 ran no step, and K = 0 under validate read as a degenerate
-    # schedule (exit 2)
+    # schedule (exit 2); non-finite numbers ran on into nan verdicts, a
+    # converged solve after 0 iterations, an OverflowError or a numpy warning
     text = BASE_P2 if old is None else BASE_P2.replace(old, new)
     path = cfg_file(tmp_path, text)
     args = new.split() if old is None else []

@@ -1,7 +1,8 @@
 """scipy stays out of every CLI command: ``check``, ``params``, ``solve``
 and ``validate`` import none, and only the p = 2 oracle does; neither
 ``numpy.random`` nor the ``secrets`` / ``hashlib`` / ``_hashlib`` modules it
-brings in load on any of them; calls whose
+brings in load on any of them, nor do ``numpy.polynomial`` and ``numpy.ma``,
+as the Gauss-Legendre literals equal ``leggauss``'s bit for bit; calls whose
 first run sets something up lazily (the cached Gauss-Legendre nodes, the
 oracle's deferred scipy import) give the same values cold in a fresh
 interpreter as warm; and no package module keeps an unused top-level import
@@ -17,7 +18,7 @@ import numpy as np
 
 import pqlab
 from pqlab.growth import paper_triple
-from pqlab.integrand import Ball, Coefficient, DoublePhase, Exponential, PLaplacian
+from pqlab.integrand import Ball, Coefficient, DoublePhase, Exponential, PLaplacian, _gauss_legendre
 from pqlab.solver import Grid, harmonic_direct_solve, minimize
 
 SOLVE_CFG = """
@@ -139,8 +140,8 @@ for arg in sys.argv[1:]:
         codes.append(main([command, path, "--out", path + "." + command]))
 print(" ".join(map(str, codes)))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
-heavy = ("numpy.random", "secrets", "hashlib", "_hashlib")
-print(" ".join(sorted(m for m in sys.modules if m in heavy or m.startswith("numpy.random."))))
+heavy = ("numpy.random", "numpy.polynomial", "numpy.ma", "secrets", "hashlib", "_hashlib")
+print(" ".join(sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy)))))
 """
 
 
@@ -161,14 +162,25 @@ def test_cli_commands_load_no_scipy(tmp_path):
     assert codes.split() == ["0"] * len(args)
     assert modules == ""
     # the seeded samples come from pqlab, not numpy.random and the hashing
-    # and OpenSSL modules its import brings in
+    # and OpenSSL modules its import brings in; the Gauss-Legendre rules are
+    # literals, not leggauss (numpy.polynomial), and the 11M integral dedupes
+    # without np.unique (numpy.ma)
     assert heavy == ""
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w10, w20 = _gauss_legendre()
+    (x10, ref10), (x20, ref20) = leggauss(10), leggauss(20)
+    for got, want in ((x, np.concatenate([x10, x20])), (w10, ref10), (w20, ref20)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def deferred_sites() -> dict:
     """One call to each function whose first call sets something up lazily:
-    the cumulative integral builds and caches the Gauss-Legendre nodes (and
-    loads numpy.polynomial), the p = 2 solve loads numpy.fft, and the p = 2
+    the cumulative integral builds and caches the Gauss-Legendre nodes from
+    their literals, the p = 2 solve loads numpy.fft, and the p = 2
     oracle imports scipy; the exponential antiderivative and the power-sum
     log are the other numpy replacements of scipy special functions."""
     ball = Ball(0.5, 0.5, 0.35)
