@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage/parse error, 2 condition or estimate failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,7 @@ from .solver import Grid, SolveOptions, minimize, save_field
 from .validator import (
     ProblemTemplate,
     ThetaOscillationError,
+    format_constant,
     oscillation_radius,
     radius_sweep,
     sweep_amplitudes,
@@ -183,15 +185,15 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
         if amps is not None:
             report = sweep_amplitudes(tpl, amps, sched, rho, R, center=(cx, cy))
             _emit(report.render(), out_dir, "estimate_report.txt")
-            return EXIT_OK if report.passed else EXIT_FAIL
+            return exit_code_from_reports([report])
         if pairs is not None:
             solved = tpl.solve(1.0)
             rep = radius_sweep(solved, sched, pairs, center=(cx, cy))
             lines = [
                 "pair            sup|Du|^2      normalized",
             ]
-            for (r_, R_), s, c in zip(rep.pairs, rep.sup_values, rep.normalized):
-                lines.append(f"({r_:g}, {R_:g})".ljust(15) + f" {s:<14.8g} {c:<14.8g}")
+            for (r_, R_), s, c, lc in zip(rep.pairs, rep.sup_values, rep.normalized, rep.log_normalized):
+                lines.append(f"({r_:g}, {R_:g})".ljust(15) + f" {s:<14.8g} {format_constant(c, lc, 8):<14}")
             lines.append(
                 f"flags: monotone={'ok' if rep.monotone_ok else 'FAIL'} "
                 f"bounded={'ok' if rep.bounded_ok else 'FAIL'}"
@@ -223,7 +225,10 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of the
+    process and shared by every later one: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="pqlab",
         description="growth-condition checks, exponent schedules, and discrete "
@@ -244,8 +249,12 @@ def main(argv=None) -> int:
             "--tolerance", type=_tolerance, default=None, help="override the solver gradient tolerance"
         )
         p.set_defaults(fn=fn)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

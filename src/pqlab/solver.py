@@ -50,7 +50,8 @@ _DIAGONAL_DIRECTIONS = (np.array([1.0, 1.0, 1.0])[:, None, None], np.array([0.0,
 
 
 class GeometryError(ValueError):
-    """Requested measurement ball does not fit inside the grid."""
+    """Requested measurement ball does not fit inside the grid, or holds no
+    cell centre or no interior node of it."""
 
 
 @dataclass(frozen=True)
@@ -485,7 +486,8 @@ def field_stats(
     """Measured Theorem quantities: sup |Du| on B_rho, the weighted
     second-derivative sum on B_rho, and the outer energy on B_R.
 
-    Ball membership is by cell-center (resp. node) distance to the center.
+    Ball membership is by cell-center (resp. node) distance to the center;
+    a B_rho without a cell centre or an interior node raises GeometryError.
     """
     if not 0 < rho < R:
         raise GeometryError(f"need 0 < rho < R, got rho={rho}, R={R}")
@@ -499,8 +501,13 @@ def field_stats(
     dist2 = (XC - cx) ** 2 + (YC - cy) ** 2
     inner_cells = dist2 <= rho * rho
     outer_cells = dist2 <= R * R
+    XN, YN = grid.node_coords()
+    XN, YN = XN[1:-1, 1:-1], YN[1:-1, 1:-1]
+    inner_nodes = (XN - cx) ** 2 + (YN - cy) ** 2 <= rho * rho
+    if not (inner_cells.any() and inner_nodes.any()):
+        raise GeometryError(f"B_rho holds no cell centre or no interior node: rho = {rho:g}, h = {h:g}")
     tmod = np.hypot(gx, gy)
-    sup_grad = float(np.max(tmod[inner_cells])) if np.any(inner_cells) else 0.0
+    sup_grad = float(np.max(tmod[inner_cells]))
 
     fvals = family.value(XC, YC, gx, gy)
     outer_energy = float(np.sum((1.0 + fvals)[outer_cells]) * h * h)
@@ -522,9 +529,6 @@ def field_stats(
     dx_n = (un[2:, 1:-1] - un[:-2, 1:-1]) / (2 * h)
     dy_n = (un[1:-1, 2:] - un[1:-1, :-2]) / (2 * h)
     tn = np.hypot(dx_n, dy_n)
-    XN, YN = grid.node_coords()
-    XN, YN = XN[1:-1, 1:-1], YN[1:-1, 1:-1]
-    inner_nodes = (XN - cx) ** 2 + (YN - cy) ** 2 <= rho * rho
     g1n = triple.g1(tn)
     w22 = float(np.sum((g1n * d2)[inner_nodes]) * h * h)
     w22_plain = float(np.sum(d2[inner_nodes]) * h * h)

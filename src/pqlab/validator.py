@@ -21,6 +21,7 @@ pointwise bound with unknown c cannot be falsified, so the checks are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from typing import Optional, Sequence
 
 import numpy as np
@@ -139,9 +140,11 @@ class MeasureRecord:
     log_c_hat_v: float = -np.inf
 
     def row(self) -> str:
+        c_hat = format_constant(self.c_hat, self.log_c_hat, 6)
+        c_hat_v = format_constant(self.c_hat_v, self.log_c_hat_v, 6)
         return (
             f"{self.amplitude:<10.6g} {self.sup_grad_sq:<14.8g} {self.outer_energy:<14.8g} "
-            f"{self.w22_weighted:<14.8g} {self.c_hat:<12.6g} {self.c_hat_v:<12.6g}"
+            f"{self.w22_weighted:<14.8g} {c_hat:<12} {c_hat_v:<12}"
         )
 
     @staticmethod
@@ -220,6 +223,15 @@ def _exp_clamped(logc: float) -> float:
     return float(np.exp(logc))
 
 
+def format_constant(value: float, log_value: float, digits: int) -> str:
+    """``value`` in ``.{digits}g`` format.  Where ``_exp_clamped`` clamped a
+    finite ``log_value`` to 0 or inf, the same decimal is computed from the
+    log instead, since the float cannot hold it."""
+    if value in (0.0, np.inf) and np.isfinite(log_value):
+        value = Context(prec=digits).exp(Decimal(log_value)).normalize()
+    return f"{value:.{digits}g}"
+
+
 def _implied_constant(quantity, gap, gap_exp, energy, e_exp) -> float:
     return _exp_clamped(_implied_log_constant(quantity, gap, gap_exp, energy, e_exp))
 
@@ -240,6 +252,10 @@ def _bounded_log_spread(log_values: Sequence[float], log_ref: float) -> bool:
     return max(vals) - log_ref <= np.log(RATIO_SPREAD_LIMIT)
 
 
+def _flag(ok: Optional[bool]) -> str:
+    return "skipped" if ok is None else "ok" if ok else "FAIL"
+
+
 @dataclass
 class EstimateReport:
     records: list
@@ -250,16 +266,25 @@ class EstimateReport:
     theta2: float
     theta3: float
     theta4: float
-    slope1_ok: bool
-    slope3_ok: bool
+    slope1_ok: Optional[bool]   # None: the slope could not be fitted
+    slope3_ok: Optional[bool]
     ratio_ok: bool
     ratio_v_ok: bool
     failures: list = field(default_factory=list)
     notes: str = ""
 
     @property
+    def verdict(self) -> str:
+        """'fail' if a flag fails, else 'inconclusive' if a slope was
+        skipped, else 'pass'."""
+        flags = (self.slope1_ok, self.slope3_ok, self.ratio_ok, self.ratio_v_ok)
+        if False in flags:
+            return "fail"
+        return "inconclusive" if None in flags else "pass"
+
+    @property
     def passed(self) -> bool:
-        return self.slope1_ok and self.slope3_ok and self.ratio_ok and self.ratio_v_ok
+        return self.verdict == "pass"
 
     def render(self) -> str:
         lines = [MeasureRecord.header()]
@@ -277,10 +302,10 @@ class EstimateReport:
         )
         lines.append(
             "pass flags: "
-            f"slope1={'ok' if self.slope1_ok else 'FAIL'} "
-            f"slope3={'ok' if self.slope3_ok else 'FAIL'} "
-            f"ratio={'ok' if self.ratio_ok else 'FAIL'} "
-            f"ratio_V={'ok' if self.ratio_v_ok else 'FAIL'}"
+            f"slope1={_flag(self.slope1_ok)} "
+            f"slope3={_flag(self.slope3_ok)} "
+            f"ratio={_flag(self.ratio_ok)} "
+            f"ratio_V={_flag(self.ratio_v_ok)}"
         )
         for f in self.failures:
             lines.append(f"solve failure: {f}")
@@ -300,9 +325,11 @@ def sweep_amplitudes(
     """Solve the template across boundary amplitudes and fit scaling slopes.
 
     Requires >= 5 amplitudes spanning at least one decade.  Slope flags
-    compare the fitted exponents against theta1/theta3; ratio flags require
-    the implied constants to stay within 10^3 of the smallest-energy sweep
-    member (growth past that falsifies single-constant boundedness).
+    compare the fitted exponents against theta1/theta3 and read None
+    (skipped) when fewer than 5 solves converged or fewer than 3 of them
+    measure a positive quantity; ratio flags require the converged members'
+    implied constants to stay within 10^3 of the smallest-energy one
+    (growth past that falsifies single-constant boundedness).
     Each amplitude's solve is warm-started from the one before it
     (``ProblemTemplate.solve``); the triple is built once for the sweep.
     """
@@ -341,13 +368,13 @@ def sweep_amplitudes(
         if np.sum(m3) >= 3:
             s3 = _ols_slope(np.log(xs[m3]), np.log(y3[m3]))
 
-    base = min((r for r in records if r.log_c_hat > -np.inf), key=lambda r: r.outer_energy, default=None)
+    base = min((r for r in good if r.log_c_hat > -np.inf), key=lambda r: r.outer_energy, default=None)
     ratio_ok = _bounded_log_spread(
-        [r.log_c_hat for r in records], base.log_c_hat if base else -np.inf
+        [r.log_c_hat for r in good], base.log_c_hat if base else -np.inf
     )
-    base_v = min((r for r in records if r.log_c_hat_v > -np.inf), key=lambda r: r.outer_energy, default=None)
+    base_v = min((r for r in good if r.log_c_hat_v > -np.inf), key=lambda r: r.outer_energy, default=None)
     ratio_v_ok = _bounded_log_spread(
-        [r.log_c_hat_v for r in records], base_v.log_c_hat_v if base_v else -np.inf
+        [r.log_c_hat_v for r in good], base_v.log_c_hat_v if base_v else -np.inf
     )
     return EstimateReport(
         records=records,
@@ -358,8 +385,8 @@ def sweep_amplitudes(
         theta2=float(schedule.theta2),
         theta3=t3,
         theta4=float(schedule.theta4),
-        slope1_ok=s1 is not None and s1 <= t1 + SLOPE_TOL,
-        slope3_ok=s3 is None or s3 <= t3 + SLOPE_TOL,
+        slope1_ok=None if s1 is None else s1 <= t1 + SLOPE_TOL,
+        slope3_ok=None if s3 is None else s3 <= t3 + SLOPE_TOL,
         ratio_ok=ratio_ok,
         ratio_v_ok=ratio_v_ok,
         failures=failures,
@@ -371,6 +398,7 @@ class RadiusReport:
     pairs: tuple
     sup_values: tuple          # sup |Du|^2 on each B_rho
     normalized: tuple          # sup^2 (R - rho)^theta2
+    log_normalized: tuple      # their logs; -inf where sup vanishes
     monotone_ok: bool
     bounded_ok: bool
 
@@ -419,6 +447,7 @@ def radius_sweep(
         pairs=tuple(orderd),
         sup_values=tuple(sups),
         normalized=tuple(normalized),
+        log_normalized=tuple(log_norm),
         monotone_ok=monotone_ok,
         bounded_ok=bounded_ok,
     )

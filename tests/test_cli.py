@@ -1,5 +1,7 @@
 """Config parsing and the CLI exit-code matrix."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -223,13 +225,22 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
             "config error: {at}: pairs = '(0.05, inf), (0.25, inf), (0.33, inf), (0.41, inf)' must be finite",
             id="pairs-inf",
         ),
+        pytest.param(
+            "validate", "rho = 0.2", "rho = 0.001",
+            "error: B_rho holds no cell centre or no interior node: rho = 0.001, h = 0.03125", id="rho-no-cells",
+        ),
+        pytest.param(
+            "validate", "amplitudes = 0.5, 1, 2, 4, 8", "pairs = (0.001, 0.45), (0.25, 0.45), (0.33, 0.45), (0.41, 0.45)",
+            "error: B_rho holds no cell centre or no interior node: rho = 0.001, h = 0.03125", id="pair-no-cells",
+        ),
     ],
 )
 def test_rejected_values_end_in_one_line(tmp_path, capsys, command, old, new, expected):
     # these values raised the library's ValueError out of main as a traceback;
     # max_iter = -3 ran no step, and K = 0 under validate read as a degenerate
     # schedule (exit 2); non-finite numbers ran on into nan verdicts, a
-    # converged solve after 0 iterations, an OverflowError or a numpy warning
+    # converged solve after 0 iterations, an OverflowError or a numpy warning;
+    # a B_rho without cells measured sup|Du|^2 = 0
     text = BASE_P2 if old is None else BASE_P2.replace(old, new)
     path = cfg_file(tmp_path, text)
     args = new.split() if old is None else []
@@ -448,6 +459,18 @@ def test_validate_p2_sweep_exit0(tmp_path, capsys):
     assert (tmp_path / "v" / "estimate_report.txt").exists()
 
 
+def test_validate_skipped_slopes_exit3(tmp_path, capsys):
+    # test_sweep_reports_solve_failures' set-up: no solve converges in 3 steps,
+    # so neither slope is fitted; this read slope1=FAIL slope3=ok and exit 2
+    text = BASE_P2
+    for old, new in (("p = 2", "p = 4"), ("n = 33", "n = 25"), ("1e-9", "1e-13"), ("8000", "3")):
+        text = text.replace(old, new)
+    rc = main(["validate", cfg_file(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert rc == 3, out
+    assert "pass flags: slope1=skipped slope3=skipped" in out
+
+
 def test_validate_two_amplitudes_exit1(tmp_path, capsys):
     text = BASE_P2.replace("amplitudes = 0.5, 1, 2, 4, 8", "amplitudes = 1, 2")
     rc = main(["validate", cfg_file(tmp_path, text)])
@@ -530,6 +553,27 @@ def test_tail_inconclusive_encoded_as_not_stabilized():
 
     res = tail_limit(lambda t: 2.0 - 1.0 / np.log10(t), 10.0)
     assert not res.stabilized and not res.diverging
+
+
+@pytest.mark.parametrize("command", ["check", "params", "solve", "validate"])
+def test_repeated_calls_leave_no_cyclic_garbage(tmp_path, capsys, command):
+    # each call built a new parser, whose 198 objects sat in reference cycles
+    # until a full collection
+    argv = [command, cfg_file(tmp_path, BASE_P2), "--out", str(tmp_path / "o")]
+    gc.disable()
+    try:
+        main(argv)
+        gc.collect()
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = cfg_file(tmp_path, BASE_P2)
+    assert main(["params", path, "--seed", "x"]) == 1
+    assert main(["params", path]) == 0
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -543,6 +543,9 @@ def test_field_stats_geometry_error():
         field_stats(g, PLaplacian(2), u, rho=0.3, R=0.8)
     with pytest.raises(GeometryError):
         field_stats(g, PLaplacian(2), u, rho=0.5, R=0.4)
+    # a node sits at the centre, but no cell centre lies within rho of it
+    with pytest.raises(GeometryError, match=r"no cell centre or no interior node: rho = 0.001, h = 0.0625"):
+        field_stats(g, PLaplacian(2), u, rho=1e-3, R=0.4)
 
 
 # --- field files -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Estimate validation: measurements, sweeps, nested-ball structure."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -86,6 +87,18 @@ def test_measure_harmonic_constant_positive():
     assert rec.c_hat_v > 0 and rec.c_hat_w22 >= 0
 
 
+def test_row_prints_constants_past_float_range_from_their_logs():
+    rec = measure(solved_harmonic(), p2_schedule(), rho=0.2, R=0.4)
+    # representable constants and a true zero print as .6g floats
+    assert rec.row().split()[-2:] == [f"{rec.c_hat:.6g}", f"{rec.c_hat_v:.6g}"]
+    assert dataclasses.replace(rec, c_hat=0.0, log_c_hat=-math.inf).row().split()[-2] == "0"
+    # constants that _exp_clamped clamps to 0 or inf printed as 0 or inf;
+    # they print from their logs
+    log_small = math.log(4.0251) - 348 * math.log(10)
+    clamped = dataclasses.replace(rec, c_hat=0.0, log_c_hat=log_small, c_hat_v=math.inf, log_c_hat_v=800.0)
+    assert clamped.row().split()[-2:] == ["4.0251e-348", "2.72637e+347"]
+
+
 def test_measure_translation_invariance_affine():
     # same affine field, ball pair shifted by whole cells: identical c_hat
     sched = p2_schedule()
@@ -146,9 +159,10 @@ def test_sweep_affine_slope_near_one():
     assert rep.s1 is not None
     assert 0.95 <= rep.s1 <= float(sched.theta1) + 0.05
     assert rep.slope1_ok and rep.ratio_ok and rep.ratio_v_ok
-    # affine fields: W22 identically zero, slope3 skipped but flagged ok
-    assert rep.s3 is None and rep.slope3_ok
-    assert rep.passed
+    # affine fields: W22 identically zero, so slope3 is skipped and the
+    # report is inconclusive, not passed
+    assert rep.s3 is None and rep.slope3_ok is None
+    assert rep.verdict == "inconclusive" and not rep.passed
 
 
 def test_sweep_insufficient_spread_errors():
@@ -253,6 +267,30 @@ def test_sweep_reports_solve_failures():
     rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, 0.2, 0.4)
     assert len(rep.failures) >= 1
     assert rep.s1 is None  # fit skipped below 5 successes
+    assert (rep.slope1_ok, rep.slope3_ok, rep.verdict) == (None, None, "inconclusive")
+    assert "slope1=skipped slope3=skipped" in rep.render()
+
+
+def test_sweep_ratio_flags_count_converged_records_only(monkeypatch):
+    # a record whose solve did not converge, with constants 10^21 above the
+    # others, was counted by the ratio flags
+    real = validator.measure
+
+    def measure(problem, *args, **kwargs):
+        rec = real(problem, *args, **kwargs)
+        if problem.amplitude != 8:
+            return rec
+        return dataclasses.replace(rec, converged=False, log_c_hat=rec.log_c_hat + 50, log_c_hat_v=rec.log_c_hat_v + 50)
+
+    monkeypatch.setattr(validator, "measure", measure)
+    tpl = ProblemTemplate(
+        family=PLaplacian(2),
+        grid=Grid(1.0, 33, lambda x, y: x * x - y * y),
+        opts=SolveOptions(tolerance=1e-9, max_iter=8000),
+    )
+    rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8, 16], p2_schedule(), rho=0.2, R=0.4)
+    assert not rep.records[4].converged
+    assert rep.ratio_ok and rep.ratio_v_ok
 
 
 # --- radius sweeps ----------------------------------------------------------------
