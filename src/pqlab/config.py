@@ -23,8 +23,8 @@ Format::
     rho = 0.2
     R = 0.35
 
-    [schedule]
-    mode = auto            # or explicit with alpha/beta/gamma/delta/nu/mu
+    [schedule]             # mode, n, two_star, alpha, delta, nu, mu and K;
+    mode = auto            # explicit mode also beta, gamma and theta
     n = 2
 
     [sweep]
@@ -37,7 +37,8 @@ Format::
 
 Arithmetic expressions are allowed only in coefficient and boundary fields
 (variables x, y; operators + - * / ^; functions exp, log, min, max).
-Parse errors carry the config line (and column, for expressions).
+Parse errors carry the config line (and column, for expressions).  A key
+that [schedule] or [solver] does not read is a config error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import Optional
 
 from .expressions import Expression, ExpressionError, parse_expression
 from .exponents import (
+    DEFAULT_K,
     ExponentParams,
     MU_UNBOUNDED,
     MoserSchedule,
@@ -283,15 +285,7 @@ def build_family(cfg: ProblemConfig) -> IntegrandFamily:
         if kind == "anisotropic":
             q = cfg.get_float("family", "q", required=True)
             if cfg.get_str("family", "base_p") is not None:
-                p = cfg.get_float("family", "base_p")
-                consts = None
-                if cfg.get_str("family", "c1") is not None:
-                    consts = (
-                        cfg.get_float("family", "c1"),
-                        cfg.get_float("family", "c2", required=True),
-                        cfg.get_float("family", "c3", required=True),
-                    )
-                return Anisotropic(q, base_p=p, base_constants=consts)
+                return Anisotropic(q, base_p=cfg.get_float("family", "base_p"))
             aij = (
                 _coefficient(cfg, "family", "a11"),
                 _coefficient(cfg, "family", "a12"),
@@ -341,14 +335,20 @@ def build_ball(cfg: ProblemConfig):
     return (center[0], center[1]), rho, R
 
 
+def _known_keys(cfg: ProblemConfig, sect: str, keys: tuple):
+    """A ConfigError at the first key of [sect] that is not one of ``keys``."""
+    for key, entry in cfg.section(sect).items():
+        if key not in keys:
+            names = " and ".join([", ".join(keys[:-1]), keys[-1]])
+            raise ConfigError(f"[{sect}] takes {names} only, not {key!r}", cfg.path, entry.line)
+
+
 def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float] = None) -> SolveOptions:
-    for key, entry in cfg.section("solver").items():
-        if key not in ("tolerance", "max_iter"):
-            raise ConfigError(f"[solver] takes tolerance and max_iter only, not {key!r}", cfg.path, entry.line)
-    tol = cfg.get_float("solver", "tolerance", default=1e-8)
+    _known_keys(cfg, "solver", ("tolerance", "max_iter"))
+    tol = cfg.get_float("solver", "tolerance", default=SolveOptions.tolerance)
     if tolerance_override is not None:
         tol = tolerance_override
-    max_iter = cfg.get_int("solver", "max_iter", default=20000)
+    max_iter = cfg.get_int("solver", "max_iter", default=SolveOptions.max_iter)
     return _checked(cfg, "solver", lambda: SolveOptions(max_iter=max_iter, tolerance=tol))
 
 
@@ -356,8 +356,10 @@ def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
     """ExponentParams from the [schedule] section: 'auto' asks the family for
     its recipe (``auto_params``), 'explicit' gives (alpha, beta, gamma, delta).
     Values a recipe or the exponent region declines give a ParamRejection."""
+    mode = cfg.get_str("schedule", "mode", default="auto")
+    explicit = ("beta", "gamma", "theta") if mode == "explicit" else ()
+    _known_keys(cfg, "schedule", ("mode", "n", "two_star", "alpha", *explicit, "delta", "nu", "mu", "K"))
     try:
-        mode = cfg.get_str("schedule", "mode", default="auto")
         n = cfg.get_int("schedule", "n", default=2)
         ts = cfg.get_number("schedule", "two_star", default=None)
         if mode == "explicit":
@@ -380,7 +382,6 @@ def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
             ball,
             n,
             ts,
-            omega=cfg.get_number("schedule", "omega", default=Fraction(1, 100)),
             alpha=cfg.get_number("schedule", "alpha", default=Fraction(2)),
             delta=cfg.get_number("schedule", "delta", default=Fraction(0)),
         )
@@ -404,7 +405,7 @@ def resolve_schedule(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
     params = resolve_params(cfg, family, ball)
     if is_rejected(params):
         return params
-    K = cfg.get_int("schedule", "K", default=8)
+    K = cfg.get_int("schedule", "K", default=DEFAULT_K)
     if K < 1:  # lambda_sequence's rule, ahead of the degenerate-schedule outcomes
         raise ConfigError(f"K must be >= 1, got {K}", cfg.path, cfg.section("schedule")["K"].line)
     nu_cfg = cfg.get_number("schedule", "nu", default=None)

@@ -29,6 +29,13 @@ Number = Union[int, float, Fraction]
 #: Sentinel for the mu -> infinity limit used when beta = 1.
 MU_UNBOUNDED = math.inf
 
+#: The margin omega of the variable-exponent class: g3 grows like
+#: t^(q - 1 + omega), and the schedule's delta (``px_delta``) covers it.
+OMEGA = Fraction(1, 100)
+
+#: Number of lambda_k in a schedule.
+DEFAULT_K = 8
+
 _GUARD = 1e-12
 
 
@@ -349,24 +356,23 @@ def auto_px_params(
     p_min: Number,
     p_max: Number,
     n: int = 2,
-    omega: Number = Fraction(1, 100),
     two_star: Optional[Number] = None,
 ) -> Union[ExponentParams, ParamRejection]:
     """Variable-exponent recipe from the exponent range on the working ball.
 
-    theta = p_max/p_min; delta is the minimal admissible value; alpha is
-    pushed just far enough above 2 theta to absorb the delta terms.
+    theta = p_max/p_min; delta is the minimal admissible value at the margin
+    ``OMEGA``; alpha is pushed just far enough above 2 theta to absorb the
+    delta terms.
     """
     p, pq = _as_number(p_min), _as_number(p_max)
     if float(p) < 2 or float(pq) < float(p):
         raise ValueError("need 2 <= p_min <= p_max")
     th = pq / p if pq > p else _as_number(1) + Fraction(1, 10**6)
-    om = _as_number(omega)
-    d = px_delta(p, th, om)
+    d = px_delta(p, th, OMEGA)
     if n > 2 and not strictly_less(d, Fraction(4, n * (n - 2))):
         return ParamRejection(
             "auto_px_params",
-            "minimal delta exceeds 4/(n(n-2)); shrink the ball or omega",
+            "minimal delta exceeds 4/(n(n-2)); shrink the ball",
             d,
             Fraction(4, n * (n - 2)),
         )
@@ -380,7 +386,7 @@ def auto_px_params(
     if not params.bounds_ok():
         return ParamRejection(
             "auto_px_params",
-            "exponent oscillation too steep for the admissible region; shrink the ball or omega",
+            "exponent oscillation too steep for the admissible region; shrink the ball",
             params.beta,
             params.beta_upper_bound(),
         )
@@ -489,7 +495,7 @@ def nu_upper_bound(params: ExponentParams) -> Number:
     return params.two_star / (params.alpha - 2 + 2 * params.gamma)
 
 
-def moser_exponents(params: ExponentParams, nu: Number, mu: Number, K: int = 8) -> MoserSchedule:
+def moser_exponents(params: ExponentParams, nu: Number, mu: Number, K: int = DEFAULT_K) -> MoserSchedule:
     """theta_0 ... theta_4 for a chosen pair (nu, mu).
 
     theta0 = 2 * 2s * mu / ((2 mu - 2s) nu)   (2s = Sobolev exponent)

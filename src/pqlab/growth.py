@@ -13,7 +13,7 @@ A "pass" is finite-sample evidence, never proof: the inequality is checked
 on a grid plus a geometric tail scan of the ratio (bounded iff the ratio
 has a finite limit, the reduction the boundedness-via-limit lemma makes
 exact).  The constant M is an output: each M-carrying condition reports the
-fitted M = sup ratio; a user-supplied M is honored when present.
+fitted M = sup ratio, and its verdict asks only that the ratio stay bounded.
 
 Ratios for log-domain families (the exponential class) are formed in log
 space throughout, so the tail probes at t = 10^k never overflow.
@@ -101,14 +101,15 @@ def _classify_log_tail(logs: np.ndarray) -> TailResult:
     return TailResult(math.exp(min(float(logs[-1]), 700.0)), False, False, tuple(logs))
 
 
-def tail_limit(h: Callable, t0: float, n_probes: int = 13, step: float = math.sqrt(10.0)):
-    """Estimate lim h(t) for t -> inf by geometric probing.
+def tail_limit(h: Callable, t0: float):
+    """Estimate lim h(t) for t -> inf by geometric probing: 13 probes from
+    t0, two per decade.
 
     Returns (estimate, stabilized); estimate is math.inf when the probes
     grow monotonically by more than a factor 2 per decade.  The full
     classification is available on the returned TailResult.
     """
-    ts = max(float(t0), 1e-6) * step ** np.arange(n_probes)
+    ts = max(float(t0), 1e-6) * math.sqrt(10.0) ** np.arange(13)
     vals = np.array([float(h(t)) for t in ts], float)
     with np.errstate(divide="ignore"):
         logs = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -np.inf)
@@ -218,7 +219,6 @@ class SampleSpec:
     """
 
     ball: Ball
-    t_max: float = 1e3
     n_t: int = 160
     n_x: int = 12
     n_dirs: int = 6
@@ -241,7 +241,8 @@ class SampleSpec:
         return np.cos(th), np.sin(th)
 
     def t_grid(self, t_cap: Optional[float] = None):
-        top = self.t_max if t_cap is None else min(self.t_max, t_cap)
+        """{0} plus n_t log-spaced points on [1e-3, 1e3], capped at t_cap."""
+        top = 1e3 if t_cap is None else min(1e3, t_cap)
         return np.concatenate([[0.0], np.logspace(-3, math.log10(top), self.n_t)])
 
 
@@ -249,24 +250,20 @@ def _grid_tail_report(
     condition: str,
     t_grid: np.ndarray,
     log_ratio_at,               # callable t-array -> log(LHS/RHS) array (M excluded)
-    M: Optional[float],
 ) -> ConditionReport:
-    t_grid = np.asarray(t_grid, float)
-    pos = t_grid[t_grid > 0]
+    """The grid-and-tail verdict of one condition; ``t_grid`` is {0} followed
+    by increasing t > 0, as ``default_t_grid`` and ``SampleSpec.t_grid`` give."""
+    pos = t_grid[1:]
     d = np.asarray(log_ratio_at(pos), float)
     keep = ~np.isnan(d)  # NaN encodes 0 <= M * 0: satisfied, drop the sample
     pos, d = pos[keep], d[keep]
-    skipped_origin = False
-    if np.any(t_grid == 0):
-        d0 = float(np.asarray(log_ratio_at(np.array([0.0])))[0])
-        if d0 == np.inf:
-            # degenerate origin: RHS vanishes at exactly t = 0 while the LHS
-            # does not; the conditions are checked on t > 0 plus the tail
-            skipped_origin = True
-        elif math.isfinite(d0) or d0 == -np.inf:
-            pos = np.concatenate([[0.0], pos])
-            d = np.concatenate([[d0], d])
-        # NaN means 0 <= M * 0: satisfied, nothing to record
+    d0 = float(np.asarray(log_ratio_at(np.array([0.0])))[0])
+    # +inf is a degenerate origin: RHS vanishes at exactly t = 0 while the
+    # LHS does not; the conditions are checked on t > 0 plus the tail
+    skipped_origin = d0 == np.inf
+    if not (skipped_origin or math.isnan(d0)):
+        pos = np.concatenate([[0.0], pos])
+        d = np.concatenate([[d0], d])
     probes = 10.0 * math.sqrt(10.0) ** np.arange(13)
     dp = np.asarray(log_ratio_at(probes), float)
     tail = _classify_log_tail(dp)
@@ -281,16 +278,12 @@ def _grid_tail_report(
         idx = int(np.argmax(d)) if d.size else 0
         worst = float(np.exp(min(d[idx], 700.0))) if d.size else 0.0
         worst_t = float(pos[idx]) if d.size else 0.0
-    if M is not None:
-        worst /= M
 
     dpn = np.where(dp == -np.inf, -1e9, dp)
     bounded_tail = tail.stabilized or (
         not tail.diverging and np.all(np.isfinite(dpn[-4:])) and np.all(np.diff(dpn[-4:]) <= 1e-9)
     )
     if tail.diverging or not math.isfinite(worst):
-        verdict = "fail"
-    elif M is not None and worst > 1 + _RATIO_TOL:
         verdict = "fail"
     elif bounded_tail:
         verdict = "pass"
@@ -441,12 +434,9 @@ def check_growth_A(
     return ConditionReport("growth-A", verdict, worst, worst_t)
 
 
-def check_11M(
-    triple: GrowthTriple, params: ExponentParams, t_grid=None
-) -> ConditionReport:
+def check_11M(triple: GrowthTriple, params: ExponentParams) -> ConditionReport:
     """g2(t)^(2 gamma - 1) t^2 <= M (1 + int_0^t sqrt(g1))^alpha on a grid
     plus a stabilized tail."""
-    tg = default_t_grid() if t_grid is None else np.asarray(t_grid, float)
     gamma = float(params.gamma)
     alpha = float(params.alpha)
 
@@ -456,7 +446,7 @@ def check_11M(
         rhs = alpha * triple.log_one_plus_sqrt_g1_integral(ts)
         return lhs - rhs
 
-    return _grid_tail_report("11M", tg, log_ratio, triple.M)
+    return _grid_tail_report("11M", default_t_grid(), log_ratio)
 
 
 def check_12M(
@@ -497,12 +487,11 @@ def check_12M(
                 break
         return lhs - worst_rhs
 
-    return _grid_tail_report("12M", spec.t_grid(), log_ratio, triple.M)
+    return _grid_tail_report("12M", spec.t_grid(), log_ratio)
 
 
-def check_A3(triple: GrowthTriple, params: ExponentParams, t_grid=None) -> ConditionReport:
+def check_A3(triple: GrowthTriple, params: ExponentParams) -> ConditionReport:
     """g3(t) <= M (1 + t^gamma) g1(t)^(1/2) g2(t)^(gamma - 1/2), grid + tail."""
-    tg = default_t_grid() if t_grid is None else np.asarray(t_grid, float)
     gamma = float(params.gamma)
 
     def log_ratio(ts):
@@ -516,7 +505,7 @@ def check_A3(triple: GrowthTriple, params: ExponentParams, t_grid=None) -> Condi
         with np.errstate(invalid="ignore"):
             return lhs - rhs
 
-    return _grid_tail_report("A3", tg, log_ratio, triple.M)
+    return _grid_tail_report("A3", default_t_grid(), log_ratio)
 
 
 def exponent_bound_reports(params: ExponentParams) -> tuple:
@@ -560,6 +549,6 @@ def run_all_checks(
     return reports
 
 
-def paper_triple(family: IntegrandFamily, ball: Ball, omega: float = 0.01) -> GrowthTriple:
+def paper_triple(family: IntegrandFamily, ball: Ball) -> GrowthTriple:
     """The growth triple of a family on a working ball (``family.triple``)."""
-    return family.triple(ball, omega)
+    return family.triple(ball)

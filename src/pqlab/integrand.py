@@ -21,9 +21,9 @@ its type.  A family must supply ``value``, ``grad`` and ``hess_qf`` (a
 radial family subclasses ``RadialFamily``, supplies ``profile_value``,
 ``profile_dt``, ``profile_dtt`` and ``profile_slope`` and inherits them;
 ``radial`` is False on the base class and True on ``RadialFamily``),
-``triple(ball, omega)`` - its growth triple with honest constants on the
-ball - and ``auto_params(ball, n, two_star, *, omega, alpha, delta)`` - its
-exponent recipe, an ExponentParams or a ParamRejection.  It may override
+``triple(ball)`` - its growth triple with honest constants on the ball -
+and ``auto_params(ball, n, two_star, *, alpha, delta)`` - its exponent
+recipe, an ExponentParams or a ParamRejection.  It may override
 the class defaults ``log_domain`` (minimize and check through log f, which
 needs ``log_value`` and ``grad_coeff_over_f``),
 ``oscillating_coefficient`` (the coefficient whose oscillation on a ball the
@@ -54,6 +54,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import (
+    OMEGA,
     ParamRejection,
     anisotropic_params,
     auto_exponential_params,
@@ -232,7 +233,7 @@ class GrowthFn:
 
 @dataclass
 class GrowthTriple:
-    """The triple (g1, g2, g3) with the constant M and antiderivative metadata.
+    """The triple (g1, g2, g3) with its antiderivative metadata.
 
     ``f_scale`` multiplies the density inside the energy condition: the
     normalization g2(1) >= g1(1) >= 1 is achieved by scaling f and the
@@ -243,7 +244,6 @@ class GrowthTriple:
     g1: GrowthFn
     g2: GrowthFn
     g3: GrowthFn
-    M: Optional[float] = None
     sqrt_g1_antiderivative: Optional[GrowthFn] = None
     f_scale: float = 1.0
     degenerate: bool = False
@@ -352,9 +352,9 @@ class GrowthTriple:
         return bool(ok and self.g2(1.0) >= self.g1(1.0) >= 1.0 - 1e-12)
 
 
-def default_t_grid(t_max: float = 1e3, n: int = 400) -> np.ndarray:
-    """{0} plus a log-spaced grid on [1e-3, t_max]."""
-    return np.concatenate([[0.0], np.logspace(-3, math.log10(t_max), n)])
+def default_t_grid() -> np.ndarray:
+    """{0} plus 400 log-spaced points on [1e-3, 1e3]."""
+    return np.concatenate([[0.0], np.logspace(-3, 3, 400)])
 
 
 def _log_t(t) -> np.ndarray:
@@ -425,29 +425,19 @@ def _min_max_power_fns(coef_lo, coef_hi, e_small, e_big):
 
 
 def _normalize(triple: GrowthTriple) -> GrowthTriple:
-    """Rescale (g1, g2, g3, f) together until g2(1) >= g1(1) >= 1."""
+    """Rescale (g1, g2, g3, f) together until g2(1) >= g1(1) >= 1.  The
+    triple has no antiderivative, is not degenerate and has f_scale 1."""
     v1 = float(triple.g1(1.0))
-    if v1 >= 1.0 or triple.degenerate:
+    if v1 >= 1.0:
         return triple
     if v1 <= 0:
         raise ValueError("triple cannot be normalized: g1(1) = 0")
     s = 1.0 / v1
 
-    def scaled(g, factor=s):
-        return GrowthFn(lambda t: factor * g(t), lambda t: math.log(factor) + g.log(t))
+    def scaled(g):
+        return GrowthFn(lambda t: s * g(t), lambda t: math.log(s) + g.log(t))
 
-    anti = triple.sqrt_g1_antiderivative
-    if anti is not None:
-        anti = scaled(anti, math.sqrt(s))
-    return GrowthTriple(
-        g1=scaled(triple.g1),
-        g2=scaled(triple.g2),
-        g3=scaled(triple.g3),
-        M=triple.M,
-        sqrt_g1_antiderivative=anti,
-        f_scale=triple.f_scale * s,
-        degenerate=triple.degenerate,
-    )
+    return GrowthTriple(g1=scaled(triple.g1), g2=scaled(triple.g2), g3=scaled(triple.g3), f_scale=s)
 
 
 # ---------------------------------------------------------------------------
@@ -478,20 +468,19 @@ class IntegrandFamily:
         """Largest |xi| at which the Hessian is representable on the ball; None if unbounded."""
         return None
 
-    def triple(self, ball: Ball, omega: float) -> GrowthTriple:
+    def triple(self, ball: Ball) -> GrowthTriple:
         """The growth triple on a working ball.
 
         Constants are honest bounds on the ball (inf/sup of coefficients taken
         there), so the sandwich holds pointwise; the scale conditions then
-        carry a finite fitted M.  ``omega`` is the margin of the variable
-        exponent triples.
+        carry a finite fitted M.  The variable exponent triples take the
+        margin ``OMEGA`` of their schedule recipe.
         """
         raise TypeError(f"no cataloged triple for {self!r}")
 
-    def auto_params(self, ball: Ball, n: int, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball: Ball, n: int, two_star, *, alpha, delta):
         """The certified exponent recipe on the ball: ExponentParams or a
-        ParamRejection.  ``omega`` feeds the variable exponent recipes,
-        ``alpha`` and ``delta`` the natural-growth one."""
+        ParamRejection.  ``alpha`` and ``delta`` feed the natural-growth one."""
         raise NotImplementedError(f"no auto schedule for family kind {self.kind!r}")
 
     def describe(self) -> str:
@@ -601,7 +590,7 @@ class PLaplacian(_PowerSum):
     def _terms(self):
         return [(self.p, None)]
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         p = self.p
         return GrowthTriple(
             g1=_power_sum_fn([(p, p - 2)]),
@@ -610,7 +599,7 @@ class PLaplacian(_PowerSum):
             sqrt_g1_antiderivative=_power_sum_fn([(math.sqrt(p) / (p / 2), p / 2)]),
         )
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         return default_params(n, alpha, delta, two_star)
 
 
@@ -678,7 +667,7 @@ class Exponential(RadialFamily):
         w = self.a(x, y) * self.tau * np.power(t, self.tau - 2) if self.tau != 2 else 2.0 * self.a(x, y)
         return w * gx, w * gy
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         if self.tau != 2:
             raise ValueError("the triple catalog certifies the exponential class at tau = 2 only")
         p, q = self.a.range_on_ball(ball)
@@ -734,7 +723,9 @@ class Exponential(RadialFamily):
             sqrt_g1_antiderivative=GrowthFn(anti, anti_log),
         )
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
+        if self.tau != 2:
+            return ParamRejection("auto_exponential_params", f"the recipe certifies tau = 2 only, got {self.tau:g}")
         lo, hi = self.a.range_on_ball(ball)
         return auto_exponential_params(_frac(lo), _frac(hi), n, two_star)
 
@@ -767,18 +758,18 @@ class PxLaplacian(RadialFamily):
         p = self.pfun(x, y)
         return p * np.power(np.asarray(t, float), p - 2)
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         p, q = self.pfun.range_on_ball(ball)
         g1, g2 = _min_max_power_fns(p, q * (q - 1), p - 2, q - 2)
         c3 = _SQRT_N * self.pfun.lipschitz * max(
-            1 + q / omega, 1 + q / (math.e * max(p - 1, 1e-9))
+            1 + q / float(OMEGA), 1 + q / (math.e * max(p - 1, 1e-9))
         )
-        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + omega)])
+        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + float(OMEGA))])
         return GrowthTriple(g1=g1, g2=g2, g3=g3)
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         lo, hi = self.pfun.range_on_ball(ball)
-        return auto_px_params(_frac(lo), _frac(hi), n, omega, two_star)
+        return auto_px_params(_frac(lo), _frac(hi), n, two_star)
 
 
 class LogPxLaplacian(RadialFamily):
@@ -816,7 +807,7 @@ class LogPxLaplacian(RadialFamily):
         p = self.pfun(x, y)
         return np.power(t, p - 2) * (p * np.log1p(t * t) + 2 * t * t / (1 + t * t))
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         p, q = self.pfun.range_on_ball(ball)
 
         def ell(t):
@@ -832,16 +823,16 @@ class LogPxLaplacian(RadialFamily):
             return c2 * base_hi(t) * (ell(t) + 1)
 
         # |g_t x_k| has no clean closed constant; fit c3 on a dense scan
-        c3 = self._fit_g3_constant(ball, q, omega) * 1.05
-        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + omega)])
+        c3 = self._fit_g3_constant(ball, q) * 1.05
+        g3 = _power_sum_fn([(c3, 0.0), (c3, q - 1 + float(OMEGA))])
         return GrowthTriple(g1=GrowthFn(g1), g2=GrowthFn(g2), g3=g3)
 
-    def _fit_g3_constant(self, ball: Ball, q: float, omega: float) -> float:
+    def _fit_g3_constant(self, ball: Ball, q: float) -> float:
         xs, ys = ball.sample_points(6, 8)
         X, Y = xs[:, None], ys[:, None]
         ts = np.logspace(-3, 3, 160)
         h = 1e-6
-        envelope = 1.0 + np.power(ts, q - 1 + omega)
+        envelope = 1.0 + np.power(ts, q - 1 + float(OMEGA))
         worst = 0.0
         for dx, dy in ((h, 0.0), (0.0, h)):
             gp = self.profile_dt(X + dx, Y + dy, ts)
@@ -850,7 +841,7 @@ class LogPxLaplacian(RadialFamily):
             worst = max(worst, float(np.max(mixed / envelope)))
         return max(worst, 1e-6)
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         return ParamRejection(
             "resolve_params",
             "no certified auto recipe for the log-variant exponent class; "
@@ -876,14 +867,14 @@ class DoublePhase(_PowerSum):
     def _terms(self):
         return [(self.p, None), (self.q, self.a)]
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         ranges = [(e, (1.0, 1.0) if c is None else c.range_on_ball(ball)) for e, c in self._terms()]
         g1 = _power_sum_fn([(lo * e, e - 2) for e, (lo, _hi) in ranges])
         g2 = _power_sum_fn([(hi * e * (e - 1), e - 2) for e, (_lo, hi) in ranges])
         g3 = _power_sum_fn([(_SQRT_N * self.a.lipschitz * self.q, self.q - 1)])
         return GrowthTriple(g1=g1, g2=g2, g3=g3)
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         params = double_phase_params(_frac(self.p), _frac(self.q), n, two_star)
         # n = 2 puts no bound on q/p, but beta = q/p must still meet its own
         if n == 2 and params and not params.beta_ok():
@@ -917,7 +908,7 @@ class MultiPhase(DoublePhase):
         bcoef = Coefficient.constant(self.b)
         return [(self.p, None), (self.q, self.a), (self.r, bcoef)]
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         return double_phase_params(_frac(self.p), _frac(self.q), n, two_star, third_phase=True)
 
 
@@ -958,7 +949,7 @@ class VeryDegenerate(RadialFamily):
         safe = np.where(t > 0, t, 1.0)
         return np.where(t > 1.0, np.power(s, self.p - 1) / safe, 0.0)
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         # x-independent: g1 = g_t/t and g2 = g_tt themselves
         return GrowthTriple(
             g1=GrowthFn(lambda t: self.profile_slope(0.0, 0.0, t)),
@@ -977,8 +968,8 @@ class Anisotropic(IntegrandFamily):
     Two base forms:
 
     * ``aij``: h = sum a_ij(x) xi_i xi_j, the quadratic base (p = 2);
-    * ``power``: h = |xi|^p with p >= 2 and standard-condition constants
-      (c1, c2, c3) supplied by the caller or derived from p.
+    * ``power``: h = |xi|^p with p >= 2 and the standard-condition
+      constants (c1, c2, c3) = (p, p (p - 1), 0).
     """
 
     kind = "anisotropic"
@@ -988,7 +979,6 @@ class Anisotropic(IntegrandFamily):
         q: float,
         aij: Optional[tuple[Coefficient, Coefficient, Coefficient]] = None,
         base_p: Optional[float] = None,
-        base_constants: Optional[tuple[float, float, float]] = None,
     ):
         if q < 2:
             raise ValueError(f"anisotropic family requires q >= 2, got {q}")
@@ -999,9 +989,6 @@ class Anisotropic(IntegrandFamily):
         self.q = float(q)
         self.aij = aij
         self.base_p = None if base_p is None else float(base_p)
-        if base_p is not None and base_constants is None:
-            base_constants = (base_p, base_p * (base_p - 1), 0.0)
-        self.base_constants = base_constants
 
     @property
     def p(self) -> float:
@@ -1068,7 +1055,7 @@ class Anisotropic(IntegrandFamily):
         rad = np.sqrt(((m - d) / 2) ** 2 + o * o)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         q = self.q
         if self.aij is not None:
             lo, hi = self.eigen_range_on_ball(ball)
@@ -1081,13 +1068,13 @@ class Anisotropic(IntegrandFamily):
             p = 2.0
         else:
             p = self.base_p
-            c1, c2, c3 = self.base_constants
+            c1, c2, c3 = p, p * (p - 1), 0.0
         g1 = _power_sum_fn([(c1, p - 2)])
         g2 = _power_sum_fn([(max(c2, 1.0), p - 2), (q * (q - 1), q - 2)])
         g3 = _power_sum_fn([(c3, p - 1)])
         return _normalize(GrowthTriple(g1=g1, g2=g2, g3=g3))
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         return anisotropic_params(_frac(self.p), _frac(self.q), n, two_star)
 
 
@@ -1117,7 +1104,7 @@ def hessian_quadratic_form(family: IntegrandFamily, x, xi, lam) -> float:
     )
 
 
-def radial_bounds(family: IntegrandFamily, x, t: float, t_scan=None):
+def radial_bounds(family: IntegrandFamily, x, t: float):
     """Pointwise Hessian bounds and the monotonicity case of g_t/t at x.
 
     Returns ``(lower, upper, case)`` where case is 'ii' when g_t/t is
@@ -1134,9 +1121,7 @@ def radial_bounds(family: IntegrandFamily, x, t: float, t_scan=None):
     r = float(family.profile_dtt(px, py, t))
     if not (math.isfinite(s) and math.isfinite(r)):
         raise ProfileDomainError(f"profile not finite at t={t}")
-    if t_scan is None:
-        t_scan = np.logspace(-3, 3, 121)
-    t_scan = np.asarray(t_scan, float)
+    t_scan = np.logspace(-3, 3, 121)
     # shrink the scan range until the profile is representable on it
     # (exponential profiles overflow well below the default upper end)
     for _ in range(24):

@@ -252,6 +252,16 @@ def _bounded_log_spread(log_values: Sequence[float], log_ref: float) -> bool:
     return max(vals) - log_ref <= np.log(RATIO_SPREAD_LIMIT)
 
 
+def _ratio_flag(records, log_constant) -> Optional[bool]:
+    """The records' nonzero constants bounded against the smallest-energy one;
+    None (skipped) when fewer than two records have one."""
+    live = [r for r in records if log_constant(r) > -np.inf]
+    if len(live) < 2:
+        return None
+    base = min(live, key=lambda r: r.outer_energy)
+    return _bounded_log_spread([log_constant(r) for r in live], log_constant(base))
+
+
 def _flag(ok: Optional[bool]) -> str:
     return "skipped" if ok is None else "ok" if ok else "FAIL"
 
@@ -268,14 +278,14 @@ class EstimateReport:
     theta4: float
     slope1_ok: Optional[bool]   # None: the slope could not be fitted
     slope3_ok: Optional[bool]
-    ratio_ok: bool
-    ratio_v_ok: bool
+    ratio_ok: Optional[bool]    # None: fewer than two constants to compare
+    ratio_v_ok: Optional[bool]
     failures: list = field(default_factory=list)
     notes: str = ""
 
     @property
     def verdict(self) -> str:
-        """'fail' if a flag fails, else 'inconclusive' if a slope was
+        """'fail' if a flag fails, else 'inconclusive' if a flag was
         skipped, else 'pass'."""
         flags = (self.slope1_ok, self.slope3_ok, self.ratio_ok, self.ratio_v_ok)
         if False in flags:
@@ -329,7 +339,8 @@ def sweep_amplitudes(
     (skipped) when fewer than 5 solves converged or fewer than 3 of them
     measure a positive quantity; ratio flags require the converged members'
     implied constants to stay within 10^3 of the smallest-energy one
-    (growth past that falsifies single-constant boundedness).
+    (growth past that falsifies single-constant boundedness), and read
+    None when fewer than two converged members have a nonzero constant.
     Each amplitude's solve is warm-started from the one before it
     (``ProblemTemplate.solve``); the triple is built once for the sweep.
     """
@@ -368,14 +379,6 @@ def sweep_amplitudes(
         if np.sum(m3) >= 3:
             s3 = _ols_slope(np.log(xs[m3]), np.log(y3[m3]))
 
-    base = min((r for r in good if r.log_c_hat > -np.inf), key=lambda r: r.outer_energy, default=None)
-    ratio_ok = _bounded_log_spread(
-        [r.log_c_hat for r in good], base.log_c_hat if base else -np.inf
-    )
-    base_v = min((r for r in good if r.log_c_hat_v > -np.inf), key=lambda r: r.outer_energy, default=None)
-    ratio_v_ok = _bounded_log_spread(
-        [r.log_c_hat_v for r in good], base_v.log_c_hat_v if base_v else -np.inf
-    )
     return EstimateReport(
         records=records,
         s1=s1,
@@ -387,8 +390,8 @@ def sweep_amplitudes(
         theta4=float(schedule.theta4),
         slope1_ok=None if s1 is None else s1 <= t1 + SLOPE_TOL,
         slope3_ok=None if s3 is None else s3 <= t3 + SLOPE_TOL,
-        ratio_ok=ratio_ok,
-        ratio_v_ok=ratio_v_ok,
+        ratio_ok=_ratio_flag(good, lambda r: r.log_c_hat),
+        ratio_v_ok=_ratio_flag(good, lambda r: r.log_c_hat_v),
         failures=failures,
     )
 

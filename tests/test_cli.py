@@ -184,6 +184,10 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
         pytest.param("params", "n = 2\n", "n = 2\nK = 0\n", "config error: {at}: K must be >= 1", id="params-K0"),
         pytest.param("validate", "n = 2\n", "n = 2\nK = 0\n", "config error: {at}: K must be >= 1", id="validate-K0"),
         pytest.param(
+            "params", "n = 2\n", "n = 2\nbeta = 2\n", "config error: {at}: [schedule] takes mode, n, two_star, alpha, "
+            "delta, nu, mu and K only, not 'beta'", id="auto-beta",
+        ),
+        pytest.param(
             "solve", None, "--tolerance -1", "argument --tolerance: tolerance must be positive", id="flag-tol-1"
         ),
         pytest.param(
@@ -369,7 +373,7 @@ RECIPE_DECLINES = {
     ]
     + [
         pytest.param(cmd, "kind = exponential\na = 1\ntau = 3", "n = 2", id=f"{cmd}-exp-tau3")
-        for cmd in ("check", "validate")
+        for cmd in ("check", "params", "validate")
     ],
 )
 def test_declined_values_are_typed_rejections(tmp_path, capsys, command, family, schedule):
@@ -469,6 +473,48 @@ def test_validate_skipped_slopes_exit3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 3, out
     assert "pass flags: slope1=skipped slope3=skipped" in out
+
+
+def test_validate_ratio_flags_skip_without_converged_solves(tmp_path, capsys):
+    # the set-up above at max_iter = 0: no solve converges, and the ratio
+    # flags read ok on no data
+    text = BASE_P2
+    for old, new in (("p = 2", "p = 4"), ("n = 33", "n = 25"), ("1e-9", "1e-13"), ("8000", "0")):
+        text = text.replace(old, new)
+    rc = main(["validate", cfg_file(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert rc == 3, out
+    assert out.count("solve failure: ") == 5
+    assert "pass flags: slope1=skipped slope3=skipped ratio=skipped ratio_V=skipped" in out
+
+
+PX_CHECK = """
+[family]
+kind = px_laplacian
+p_expr = 2.5 + 0.2*x
+p_expr_lipschitz = 0.2
+
+[ball]
+center = 0.5, 0.5
+rho = 0.2
+R = 0.35
+
+[schedule]
+mode = auto
+n = 2
+"""
+
+
+def test_schedule_omega_is_a_config_error(tmp_path, capsys):
+    # omega reached the recipe's delta but not the triple's g3, so check
+    # failed A3 (exit 2)
+    path = cfg_file(tmp_path, PX_CHECK + "omega = 1/1000\n")
+    rc = main(["check", path])
+    cap = capsys.readouterr()
+    assert (rc, cap.out) == (1, ""), cap.out
+    assert cap.err == (
+        f"config error: {path}:15: [schedule] takes mode, n, two_star, alpha, delta, nu, mu and K only, not 'omega'\n"
+    )
 
 
 def test_validate_two_amplitudes_exit1(tmp_path, capsys):

@@ -38,7 +38,7 @@ class QuadQuartic(RadialFamily):
         t = np.asarray(t, float)
         return 2 + 4 * t * t
 
-    def triple(self, ball, omega):
+    def triple(self, ball):
         # g_t/t <= g_tt, and no x-dependence: g3 = 0
         return GrowthTriple(
             g1=GrowthFn(lambda t: 2 + 4 * t * t),
@@ -46,7 +46,7 @@ class QuadQuartic(RadialFamily):
             g3=GrowthFn(lambda t: 0.0 * t),
         )
 
-    def auto_params(self, ball, n, two_star, *, omega, alpha, delta):
+    def auto_params(self, ball, n, two_star, *, alpha, delta):
         # t^2 + t^4 is the multi phase density p = 2, q = 3 with a = 0, b = 1
         return double_phase_params(2, 3, n, two_star, third_phase=True)
 

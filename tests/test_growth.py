@@ -26,6 +26,7 @@ from pqlab.exponents import (
 from pqlab.growth import (
     _RATIO_TOL,
     _X_BLOCK_ELEMENTS,
+    _classify_log_tail,
     _grid_tail_report,
     _sandwich_ratios,
     _uniforms,
@@ -99,6 +100,67 @@ def test_tail_limit_anisotropic_ratio_p_equals_q():
 
     res = tail_limit(h, 10.0)
     assert res.stabilized and math.isfinite(res.estimate)
+
+
+@pytest.mark.parametrize(
+    "logs, want",
+    [
+        ([0.0, 1.0, np.inf, 2.0], (math.inf, False, True)),  # a +inf probe: blow-up
+        ([0.5, 0.2, -np.inf], (0.0, True, False)),  # the last probe vanished
+        ([-np.inf, 0.3, 0.2], (math.exp(0.2), False, False)),  # the last finite probe
+        ([-np.inf, -np.inf], (0.0, True, False)),
+    ],
+)
+def test_classify_log_tail_with_infinite_probes(logs, want):
+    assert _classify_log_tail(np.array(logs))[:3] == want
+
+
+GAMMA1 = ExponentParams(2, 1, 1, 0, sobolev_context(3))
+
+
+def synthetic_A3(log_ratio):
+    """check_A3 at gamma = 1 on a triple with g1 = g2 = 1, whose g3 is set so
+    that the A3 log ratio is ``log_ratio(t)``."""
+    one = GrowthFn(np.ones_like, np.zeros_like)
+
+    def g3_log(t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return log_ratio(t) + np.logaddexp(0.0, _log_t(t))
+
+    g3 = GrowthFn(lambda t: np.exp(g3_log(t)), g3_log)
+    return check_A3(GrowthTriple(g1=one, g2=one, g3=g3), GAMMA1)
+
+
+def test_grid_tail_report_inconclusive_on_an_oscillating_tail():
+    # sin(pi log10 t) at the probes t = 10^(1 + k/2): 0, -1, 0, 1, ... neither
+    # settles nor grows, so the tail is neither bounded nor diverging
+    rep = synthetic_A3(lambda t: 0.5 * np.sin(math.pi * np.log10(np.maximum(t, 1e-300))))
+    assert rep.verdict == "inconclusive" and rep.tail_limit_estimate is None
+    assert 1.0 < rep.worst_ratio <= math.exp(0.5)
+    assert rep.row().split()[4] == "-"
+
+
+def test_grid_tail_report_infinite_worst_ratio():
+    # the ratio is +inf on [1, 2] of the grid and 1 elsewhere
+    rep = synthetic_A3(lambda t: np.where((t >= 1) & (t <= 2), np.inf, 0.0))
+    grid = default_t_grid()
+    assert (rep.verdict, rep.worst_ratio, rep.worst_t) == ("fail", math.inf, grid[grid >= 1][0])
+    assert (rep.tail_limit_estimate, rep.fitted_M) == (1.0, 1.0)
+    assert rep.row().split()[2] == "inf"
+
+
+@pytest.mark.parametrize(
+    "log_ratio, verdict, tail",
+    [
+        (lambda t: np.where(t > 1e5, np.inf, 0.0), "fail", math.inf),  # blows up past the grid
+        (lambda t: np.where(t > 1e5, -np.inf, 0.0), "pass", 0.0),  # vanishes past the grid
+        (lambda t: np.where((t > 1e4) & (t < 1e6), -np.inf, 0.0), "inconclusive", None),
+    ],
+    ids=["probe-inf", "probe-vanishes", "probe-vanishes-then-returns"],
+)
+def test_grid_tail_report_on_partly_infinite_tails(log_ratio, verdict, tail):
+    rep = synthetic_A3(log_ratio)
+    assert (rep.verdict, rep.tail_limit_estimate, rep.worst_ratio) == (verdict, tail, 1.0)
 
 
 # --- sandwich ------------------------------------------------------------------
@@ -599,17 +661,6 @@ def test_11M_monotone_in_alpha():
     assert all(worst[i + 1] <= worst[i] * (1 + 1e-12) for i in range(len(worst) - 1))
 
 
-def test_11M_respects_supplied_M():
-    triple = natural_growth_triple(3.0)
-    fitted = check_11M(triple, default_params(3, 2, 0)).fitted_M
-    triple_ok = natural_growth_triple(3.0)
-    triple_ok.M = fitted * 2
-    assert check_11M(triple_ok, default_params(3, 2, 0)).verdict == "pass"
-    triple_bad = natural_growth_triple(3.0)
-    triple_bad.M = fitted / 10
-    assert check_11M(triple_bad, default_params(3, 2, 0)).verdict == "fail"
-
-
 def test_quadrature_matches_closed_form_antiderivative():
     rng = np.random.default_rng(7)
     for fam in (PLaplacian(2.0), PLaplacian(3.5)):
@@ -778,7 +829,7 @@ def check_12M_reference(family, triple, params, spec):
                 logf = np.where(fv > 0, np.log(np.maximum(fv, 1e-300)), -np.inf)
         return lhs - np.min(beta * np.logaddexp(0.0, logf), axis=(0, 2))
 
-    return _grid_tail_report("12M", spec.t_grid(), log_ratio, triple.M)
+    return _grid_tail_report("12M", spec.t_grid(), log_ratio)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4])

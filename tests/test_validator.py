@@ -267,8 +267,9 @@ def test_sweep_reports_solve_failures():
     rep = sweep_amplitudes(tpl, [0.5, 1, 2, 4, 8], sched, 0.2, 0.4)
     assert len(rep.failures) >= 1
     assert rep.s1 is None  # fit skipped below 5 successes
-    assert (rep.slope1_ok, rep.slope3_ok, rep.verdict) == (None, None, "inconclusive")
-    assert "slope1=skipped slope3=skipped" in rep.render()
+    flags = (rep.slope1_ok, rep.slope3_ok, rep.ratio_ok, rep.ratio_v_ok)
+    assert (flags, rep.verdict) == ((None,) * 4, "inconclusive")
+    assert "slope1=skipped slope3=skipped ratio=skipped ratio_V=skipped" in rep.render()
 
 
 def test_sweep_ratio_flags_count_converged_records_only(monkeypatch):

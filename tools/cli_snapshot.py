@@ -6,11 +6,12 @@
 Runs ``pqlab.cli.main`` in process, importing ``pqlab`` from the ``src/`` of
 the checkout this script sits in, on every config under
 ``perfbench/configs/`` (read only): ``solve`` on solve-ladder, ``check`` and
-``params`` on check-catalog, ``validate`` on validate-sweep.  Each command
-gets ``OUTDIR/<workload>/<config>/<command>/`` holding ``stdout.txt``
-(stdout and stderr), ``exit_code.txt`` and ``out/``, the report and field
-files written through ``--out``.  The OUTDIR prefix is replaced by the word
-OUTDIR in every file, so snapshots of two checkouts compare with
+``params`` on check-catalog, ``validate`` and ``params`` on validate-sweep.
+Each command gets ``OUTDIR/<workload>/<config>/<command>/`` holding
+``stdout.txt`` (stdout and stderr), ``exit_code.txt`` and ``out/``, the
+report and field files written through ``--out``.  The OUTDIR prefix is
+replaced by the word OUTDIR in every file, so snapshots of two checkouts
+compare with
 
     diff -r OUTDIR_A OUTDIR_B
 """
@@ -23,7 +24,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "perfbench" / "configs"
-COMMANDS = {"solve-ladder": ("solve",), "check-catalog": ("check", "params"), "validate-sweep": ("validate",)}
+COMMANDS = {
+    "solve-ladder": ("solve",),
+    "check-catalog": ("check", "params"),
+    "validate-sweep": ("validate", "params"),
+}
 
 
 def snapshot(main, cfg: Path, command: str, seed: int, dest: Path):
