@@ -57,8 +57,8 @@ p_var = Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)")
 cases = [
     (PLaplacian(3.0), default_params(2, 2, 0)),
     (DoublePhase(2.0, 3.0, a_quad), double_phase_params(2, 3, 2)),
-    (Exponential(a_lin, 2.0), auto_exponential_params(*(F(v).limit_denominator(10**9) for v in a_lin.range_on_ball(ball)), n=2)),
-    (PxLaplacian(p_var), auto_px_params(*(F(v).limit_denominator(10**9) for v in p_var.range_on_ball(ball)), n=2)),
+    (Exponential(a_lin, 2.0), auto_exponential_params(*a_lin.range_on_ball(ball), n=2)),
+    (PxLaplacian(p_var), auto_px_params(*p_var.range_on_ball(ball), n=2)),
 ]
 for fam, params in cases:
     triple = paper_triple(fam, ball)

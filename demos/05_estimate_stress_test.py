@@ -7,8 +7,6 @@ with the predicted theta exponents; radius sweeps check nested-ball
 monotonicity and single-constant boundedness in (R - rho).
 """
 
-from fractions import Fraction as F
-
 import numpy as np
 
 from pqlab import (
@@ -65,7 +63,7 @@ a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x")
 ex = Exponential(a_lin, 2.0)
 ball = Ball(0.5, 0.5, 0.35)
 lo, hi = a_lin.range_on_ball(ball)
-exp_params = auto_exponential_params(F(lo).limit_denominator(10**9), F(hi).limit_denominator(10**9), n=2)
+exp_params = auto_exponential_params(lo, hi, n=2)
 pair = select_mu_nu(exp_params)
 exs = moser_exponents(exp_params, *pair)
 tpl = ProblemTemplate(

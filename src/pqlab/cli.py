@@ -19,6 +19,7 @@ from .config import (
     build_family,
     build_grid_spec,
     build_solver_options,
+    build_sweep,
     load_config,
     resolve_schedule,
 )
@@ -160,6 +161,7 @@ def cmd_solve(cfg_path: str, seed: int, out_dir, tolerance) -> int:
 def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     cfg = load_config(cfg_path)
     family, grid, opts = _build_problem(cfg, tolerance)
+    amps, pairs = build_sweep(cfg)
     (cx, cy), rho, R = build_ball(cfg)
     ball = Ball(cx, cy, R)
     resolved = resolve_schedule(cfg, family, ball)
@@ -179,8 +181,6 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
             f"R0 = {r0:.6g}; the empirical theta check below is binding"
         )
     tpl = ProblemTemplate(family=family, grid=grid, opts=opts)
-    amps = cfg.get_float_list("sweep", "amplitudes")
-    pairs = cfg.get_pair_list("sweep", "pairs")
     try:
         if amps is not None:
             report = sweep_amplitudes(tpl, amps, sched, rho, R, center=(cx, cy))
@@ -193,7 +193,7 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
                 "pair            sup|Du|^2      normalized",
             ]
             for (r_, R_), s, c, lc in zip(rep.pairs, rep.sup_values, rep.normalized, rep.log_normalized):
-                lines.append(f"({r_:g}, {R_:g})".ljust(15) + f" {s:<14.8g} {format_constant(c, lc, 8):<14}")
+                lines.append(f"({r_:g}, {R_:g})".ljust(15) + f" {s:<14.8g} {format_constant(c, lc, 8, 14):<14}")
             lines.append(
                 f"flags: monotone={'ok' if rep.monotone_ok else 'FAIL'} "
                 f"bounded={'ok' if rep.bounded_ok else 'FAIL'}"

@@ -38,7 +38,9 @@ Format::
 Arithmetic expressions are allowed only in coefficient and boundary fields
 (variables x, y; operators + - * / ^; functions exp, log, min, max).
 Parse errors carry the config line (and column, for expressions).  A key
-that [schedule] or [solver] does not read is a config error.
+that its section does not read is a config error, in every section; [family]
+reads ``kind`` and the keys of that kind, a coefficient key ``c`` with its
+``c_lipschitz``.
 """
 
 from __future__ import annotations
@@ -252,10 +254,26 @@ def _coefficient(cfg: ProblemConfig, sect: str, key: str, required=True) -> Opti
     return Coefficient(expr, lipschitz=lip, source=expr.source)
 
 
+# The [family] keys each kind reads besides ``kind``.
+_FAMILY_KEYS = {
+    "p_laplacian": ("p",),
+    "very_degenerate": ("p",),
+    "exponential": ("a", "a_lipschitz", "tau"),
+    "px_laplacian": ("p_expr", "p_expr_lipschitz"),
+    "log_px_laplacian": ("p_expr", "p_expr_lipschitz"),
+    "double_phase": ("p", "q", "a", "a_lipschitz"),
+    "multi_phase": ("p", "q", "a", "a_lipschitz", "b"),
+    "anisotropic": ("q", "base_p", "a11", "a11_lipschitz", "a12", "a12_lipschitz", "a22", "a22_lipschitz"),
+}
+
+
 def build_family(cfg: ProblemConfig) -> IntegrandFamily:
     sect = cfg.require_section("family")
     kind = cfg.get_str("family", "kind", required=True)
     line = sect["kind"].line
+    if kind not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown family kind {kind!r}", cfg.path, line)
+    _known_keys(cfg, "family", ("kind", *_FAMILY_KEYS[kind]))
     try:
         if kind == "p_laplacian":
             return PLaplacian(cfg.get_float("family", "p", required=True))
@@ -296,10 +314,10 @@ def build_family(cfg: ProblemConfig) -> IntegrandFamily:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid family parameters: {exc}", cfg.path, line) from None
-    raise ConfigError(f"unknown family kind {kind!r}", cfg.path, line)
 
 
 def build_boundary(cfg: ProblemConfig):
+    _known_keys(cfg, "boundary", ("expr",))
     expr = cfg.get_expression("boundary", "expr", required=True)
     return lambda x, y: expr(x, y)
 
@@ -315,6 +333,7 @@ def _checked(cfg: ProblemConfig, sect: str, make):
 
 
 def build_grid_spec(cfg: ProblemConfig):
+    _known_keys(cfg, "grid", ("side", "n", "x0", "y0"))
     side = cfg.get_float("grid", "side", required=True)
     n = cfg.get_int("grid", "n", required=True)
     x0 = cfg.get_float("grid", "x0", default=0.0)
@@ -325,6 +344,7 @@ def build_grid_spec(cfg: ProblemConfig):
 
 def build_ball(cfg: ProblemConfig):
     sect = cfg.require_section("ball")
+    _known_keys(cfg, "ball", ("center", "rho", "R"))
     center = cfg.get_float_list("ball", "center", required=True)
     if len(center) != 2:
         raise ConfigError("ball center must be two numbers", cfg.path, sect["center"].line)
@@ -339,8 +359,14 @@ def _known_keys(cfg: ProblemConfig, sect: str, keys: tuple):
     """A ConfigError at the first key of [sect] that is not one of ``keys``."""
     for key, entry in cfg.section(sect).items():
         if key not in keys:
-            names = " and ".join([", ".join(keys[:-1]), keys[-1]])
+            names = " and ".join(filter(None, [", ".join(keys[:-1]), keys[-1]]))
             raise ConfigError(f"[{sect}] takes {names} only, not {key!r}", cfg.path, entry.line)
+
+
+def build_sweep(cfg: ProblemConfig):
+    """The [sweep] ``(amplitudes, pairs)``; either is None when not given."""
+    _known_keys(cfg, "sweep", ("amplitudes", "pairs"))
+    return cfg.get_float_list("sweep", "amplitudes"), cfg.get_pair_list("sweep", "pairs")
 
 
 def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float] = None) -> SolveOptions:

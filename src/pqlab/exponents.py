@@ -11,9 +11,11 @@ Three layers:
 * the iteration exponents: the sequence lambda_k, the pair (nu, mu), and
   theta_0 ... theta_4 entering the gradient and second-derivative estimates.
 
-Exponent algebra runs in exact rational arithmetic whenever the inputs are
-rational, so strict inequalities at region boundaries never flip on
-roundoff; float inputs degrade gracefully to floats with a small guard band.
+Exponent algebra runs in exact rational arithmetic only, so strict
+inequalities at region boundaries never flip on roundoff.  Every entry point
+converts its inputs once: an integer or rational becomes the equal
+``Fraction``, a float x becomes ``Fraction(x).limit_denominator(10**9)``
+(so 2.6 is 13/5).
 """
 
 from __future__ import annotations
@@ -36,43 +38,16 @@ OMEGA = Fraction(1, 100)
 #: Number of lambda_k in a schedule.
 DEFAULT_K = 8
 
-_GUARD = 1e-12
 
-
-def _exact(*vals) -> bool:
-    return all(isinstance(v, Rational) for v in vals)
-
-
-def _as_number(x: Number) -> Number:
+def _as_number(x: Number) -> Fraction:
+    """The exact rational the exponent algebra takes for ``x``."""
     if isinstance(x, bool):
         raise TypeError("booleans are not exponent values")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, float)):
-        return x
+    if isinstance(x, float):
+        return Fraction(x).limit_denominator(10**9)
     if isinstance(x, Rational):
         return Fraction(x)
     raise TypeError(f"expected a number, got {type(x).__name__}")
-
-
-def strictly_less(a: Number, b: Number) -> bool:
-    """a < b, exact when both are rational, guard-banded for floats."""
-    if _exact(a, b):
-        return a < b
-    fa, fb = float(a), float(b)
-    if math.isinf(fb):
-        return not math.isinf(fa) or fa < 0
-    return fa < fb - _GUARD * max(1.0, abs(fb))
-
-
-def at_most(a: Number, b: Number) -> bool:
-    """a <= b with the same exact/guarded semantics."""
-    if _exact(a, b):
-        return a <= b
-    fa, fb = float(a), float(b)
-    if math.isinf(fb):
-        return True
-    return fa <= fb + _GUARD * max(1.0, abs(fb))
 
 
 @dataclass(frozen=True)
@@ -84,14 +59,15 @@ class SobolevContext:
     """
 
     n: int
-    two_star: Number
+    two_star: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "two_star", _as_number(self.two_star))
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if self.n > 2 and Fraction(self.two_star) != Fraction(2 * self.n, self.n - 2):
+        if self.n > 2 and self.two_star != Fraction(2 * self.n, self.n - 2):
             raise ValueError(f"for n = {self.n} the Sobolev exponent is 2n/(n-2) exactly")
-        if self.n == 2 and float(self.two_star) <= 2:
+        if self.n == 2 and self.two_star <= 2:
             raise ValueError("for n = 2 pick a Sobolev exponent > 2")
 
 
@@ -104,9 +80,9 @@ def sobolev_context(
     if two_star is not None:
         ts = _as_number(two_star)
         a, g = _as_number(alpha), _as_number(gamma)
-        if not strictly_less(a, ts):
+        if not a < ts:
             raise ValueError(f"n = 2 requires alpha < 2*: {a} vs {ts}")
-        if not strictly_less(g, (ts - a + 2) / 2):
+        if not g < (ts - a + 2) / 2:
             raise ValueError(f"n = 2 requires gamma < (2* - alpha + 2)/2: {g} vs {(ts - a + 2) / 2}")
         return SobolevContext(n, ts)
     a, g = _as_number(alpha), _as_number(gamma)
@@ -122,39 +98,34 @@ class ExponentParams:
     the x-homogeneous classes.
     """
 
-    alpha: Number
-    beta: Number
-    gamma: Number
-    delta: Number
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    delta: Fraction
     ctx: SobolevContext
-    theta: Optional[Number] = None
+    theta: Optional[Fraction] = None
 
     def __post_init__(self):
-        a, b, g, d = map(_as_number, (self.alpha, self.beta, self.gamma, self.delta))
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "delta", d)
-        if float(d) < -_GUARD:
-            raise ValueError(f"delta must be >= 0, got {d}")
-        if _exact(g, d):
-            if g != 1 + d:
-                raise ValueError(f"gamma must equal 1 + delta, got gamma={g}, delta={d}")
-        elif abs(float(g) - 1 - float(d)) > 1e-9:
-            raise ValueError(f"gamma must equal 1 + delta, got gamma={g}, delta={d}")
+        for name in ("alpha", "beta", "gamma", "delta", "theta"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_number(getattr(self, name)))
+        if self.delta < 0:
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if self.gamma != 1 + self.delta:
+            raise ValueError(f"gamma must equal 1 + delta, got gamma={self.gamma}, delta={self.delta}")
 
     @property
     def n(self) -> int:
         return self.ctx.n
 
     @property
-    def two_star(self) -> Number:
+    def two_star(self) -> Fraction:
         return self.ctx.two_star
 
     def beta_upper_bound(self) -> Number:
         """Upper strict bound for beta; +inf when the denominator is <= 0."""
         denom = self.n * (self.alpha + 2 * self.gamma - 4)
-        if float(denom) <= 0:
+        if denom <= 0:
             return math.inf
         return 2 * (self.alpha + 2 * self.gamma - 2) / denom
 
@@ -162,10 +133,10 @@ class ExponentParams:
         return self.two_star - 2 * (self.gamma - 1)
 
     def alpha_ok(self) -> bool:
-        return at_most(2, self.alpha) and strictly_less(self.alpha, self.alpha_upper_bound())
+        return 2 <= self.alpha < self.alpha_upper_bound()
 
     def beta_ok(self) -> bool:
-        return at_most(1, self.beta) and strictly_less(self.beta, self.beta_upper_bound())
+        return 1 <= self.beta < self.beta_upper_bound()
 
     def bounds_ok(self) -> bool:
         return self.alpha_ok() and self.beta_ok()
@@ -218,15 +189,15 @@ def default_params(
     2 <= alpha < 2* - 2 delta.  Raises on inputs outside the region.
     """
     a, d = _as_number(alpha), _as_number(delta)
-    if float(d) < 0:
+    if d < 0:
         raise ValueError(f"delta must be >= 0, got {d}")
     if n > 2:
         dmax = Fraction(4, n * (n - 2))
-        if not strictly_less(d, dmax):
+        if not d < dmax:
             raise ValueError(f"delta must satisfy delta < 4/(n(n-2)) = {dmax}, got {d}")
     g = 1 + d
     ctx = sobolev_context(n, two_star, alpha=a, gamma=g)
-    if not at_most(2, a) or not strictly_less(a, ctx.two_star - 2 * d):
+    if not 2 <= a < ctx.two_star - 2 * d:
         raise ValueError(
             f"alpha must satisfy 2 <= alpha < 2* - 2 delta = {ctx.two_star - 2 * d}, got {a}"
         )
@@ -249,11 +220,11 @@ def anisotropic_params(
     Accepted exactly when q/p < 1 + 2/n.
     """
     p, q = _as_number(p), _as_number(q)
-    if not (at_most(2, p) and at_most(p, q)):
+    if not 2 <= p <= q:
         raise ValueError(f"anisotropic recipe needs 2 <= p <= q, got p={p}, q={q}")
     ratio = q / p
     bound = 1 + Fraction(2, n)
-    if not strictly_less(ratio, bound):
+    if not ratio < bound:
         return ParamRejection(
             "anisotropic_params", "q/p must satisfy q/p < 1 + 2/n", ratio, bound
         )
@@ -279,12 +250,12 @@ def double_phase_params(
     n = 2, and ``DoublePhase.auto_params`` rejects those params.
     """
     p, q = _as_number(p), _as_number(q)
-    if not (at_most(2, p) and at_most(p, q)):
+    if not 2 <= p <= q:
         raise ValueError(f"double phase recipe needs 2 <= p <= q, got p={p}, q={q}")
     ratio = q / p
     if n > 2:
         bound = Fraction(n, n - 2)
-        if not strictly_less(ratio, bound):
+        if not ratio < bound:
             return ParamRejection(
                 "double_phase_params", "q/p must satisfy q/p < n/(n-2)", ratio, bound
             )
@@ -294,7 +265,7 @@ def double_phase_params(
     return ExponentParams(alpha=alpha, beta=beta, gamma=Fraction(1), delta=Fraction(0), ctx=ctx)
 
 
-def px_delta(p_min: Number, theta: Number, omega: Number) -> Number:
+def px_delta(p_min: Number, theta: Number, omega: Number) -> Fraction:
     """Minimal delta for the variable-exponent class:
 
         delta = ((theta - 1) p + 2 omega) / (2 (theta p - 1)),
@@ -302,7 +273,7 @@ def px_delta(p_min: Number, theta: Number, omega: Number) -> Number:
     with p the minimum of the exponent field on the working ball.
     """
     p, th, om = map(_as_number, (p_min, theta, omega))
-    if float(th) <= 1 or float(om) <= 0 or float(p) < 2:
+    if th <= 1 or om <= 0 or p < 2:
         raise ValueError("px_delta needs theta > 1, omega > 0, p_min >= 2")
     return ((th - 1) * p + 2 * om) / (2 * (th * p - 1))
 
@@ -321,13 +292,13 @@ def exponential_params(
         2 theta delta <= alpha/2 - theta   and   beta > theta (2 delta + 1).
     """
     a, th, d = map(_as_number, (alpha, theta, delta))
-    if not strictly_less(2, a):
+    if not 2 < a:
         return ParamRejection("exponential_params", "alpha must be > 2 strictly", a, 2)
-    if not strictly_less(1, th):
+    if not 1 < th:
         return ParamRejection("exponential_params", "theta must be > 1 strictly", th, 1)
-    if not strictly_less(0, d):
+    if not 0 < d:
         return ParamRejection("exponential_params", "delta must be > 0 strictly", d, 0)
-    if not at_most(2 * th * d, a / 2 - th):
+    if not 2 * th * d <= a / 2 - th:
         return ParamRejection(
             "exponential_params",
             "need 2 theta delta <= alpha/2 - theta",
@@ -335,17 +306,17 @@ def exponential_params(
             a / 2 - th,
         )
     beta = a / 2 + d
-    if not strictly_less(th * (2 * d + 1), beta):
+    if not th * (2 * d + 1) < beta:
         return ParamRejection(
             "exponential_params", "need beta > theta (2 delta + 1)", beta, th * (2 * d + 1)
         )
     gamma = 1 + d
-    if n > 2 and not strictly_less(d, Fraction(4, n * (n - 2))):
+    if n > 2 and not d < Fraction(4, n * (n - 2)):
         return ParamRejection(
             "exponential_params", "delta must be < 4/(n(n-2))", d, Fraction(4, n * (n - 2))
         )
     ctx = sobolev_context(n, two_star, alpha=a, gamma=gamma)
-    if not strictly_less(a, ctx.two_star - 2 * d):
+    if not a < ctx.two_star - 2 * d:
         return ParamRejection(
             "exponential_params", "alpha must be < 2* - 2 delta", a, ctx.two_star - 2 * d
         )
@@ -365,11 +336,11 @@ def auto_px_params(
     delta terms.
     """
     p, pq = _as_number(p_min), _as_number(p_max)
-    if float(p) < 2 or float(pq) < float(p):
+    if not 2 <= p <= pq:
         raise ValueError("need 2 <= p_min <= p_max")
-    th = pq / p if pq > p else _as_number(1) + Fraction(1, 10**6)
+    th = pq / p if pq > p else 1 + Fraction(1, 10**6)
     d = px_delta(p, th, OMEGA)
-    if n > 2 and not strictly_less(d, Fraction(4, n * (n - 2))):
+    if n > 2 and not d < Fraction(4, n * (n - 2)):
         return ParamRejection(
             "auto_px_params",
             "minimal delta exceeds 4/(n(n-2)); shrink the ball",
@@ -380,7 +351,7 @@ def auto_px_params(
     a = 2 * th + 4 * d * (th * p - 1) / p + Fraction(1, 10)
     gamma = 1 + d
     ctx = sobolev_context(n, two_star, alpha=a, gamma=gamma)
-    if not strictly_less(a, ctx.two_star - 2 * d):
+    if not a < ctx.two_star - 2 * d:
         return ParamRejection("auto_px_params", "alpha exceeds 2* - 2 delta", a, ctx.two_star - 2 * d)
     params = ExponentParams(alpha=a, beta=a / 2 + d, gamma=gamma, delta=d, ctx=ctx, theta=th)
     if not params.bounds_ok():
@@ -404,9 +375,9 @@ def auto_exponential_params(
     whole condition suite for the recipe's own triple decidable.
     """
     p, q = _as_number(a_min), _as_number(a_max)
-    if float(p) <= 0:
+    if p <= 0:
         raise ValueError("exponential coefficient must be strictly positive on the ball")
-    th = q / p if q > p else _as_number(1) + Fraction(1, 10**6)
+    th = q / p if q > p else 1 + Fraction(1, 10**6)
     # delta must cover (theta-1)/(2 theta) from the mixed-derivative side and
     # stay below (alpha/2 - theta)/(2 theta) from the scale side
     alpha = max(2 * th + 1, 4 * th - 2 + Fraction(1, 2))
@@ -442,27 +413,15 @@ def lambda_sequence(params: ExponentParams, K: int):
     if K < 1:
         raise ValueError("K must be >= 1")
     ts, a, g = params.two_star, params.alpha, params.gamma
-    exact = _exact(ts, a, g)
-    lam = [Fraction(0) if exact else 0.0]
+    lam = [Fraction(0)]
     for _ in range(K - 1):
         lam.append((ts * lam[-1]) / 2 + (ts - a + 2) / 2 - g)
     front = (ts - a - 2 * (g - 1)) / (ts - 2)
     for k, lk in enumerate(lam, start=1):
-        closed = front * ((ts / 2) ** (k - 1) - 1)
-        if exact:
-            if closed != lk:
-                raise ArithmeticError(f"closed form mismatch at k={k}")
-        else:
-            scale = max(1.0, abs(float(closed)))
-            if abs(float(closed) - float(lk)) > 1e-12 * scale:
-                raise ArithmeticError(f"closed form mismatch at k={k}: {lk} vs {closed}")
+        if front * ((ts / 2) ** (k - 1) - 1) != lk:
+            raise ArithmeticError(f"closed form mismatch at k={k}")
     for k in range(K - 1):
-        lhs = ts * (lam[k] + 1) - a + 2
-        rhs = 2 * (lam[k + 1] + g)
-        if exact:
-            if lhs != rhs:
-                raise ArithmeticError(f"shift relation fails at k={k + 1}")
-        elif abs(float(lhs) - float(rhs)) > 1e-10 * max(1.0, abs(float(rhs))):
+        if ts * (lam[k] + 1) - a + 2 != 2 * (lam[k + 1] + g):
             raise ArithmeticError(f"shift relation fails at k={k + 1}")
     return tuple(lam)
 
@@ -472,14 +431,14 @@ class MoserSchedule:
     """Everything the estimate validator needs: (nu, mu), lambdas, thetas."""
 
     params: ExponentParams
-    nu: Number
-    mu: Number  # MU_UNBOUNDED encodes the beta = 1 limit mu -> infinity
+    nu: Fraction
+    mu: Fraction  # MU_UNBOUNDED encodes the beta = 1 limit mu -> infinity
     lambdas: tuple
-    theta0: Number
-    theta1: Number
-    theta2: Number
-    theta3: Number
-    theta4: Number
+    theta0: Fraction
+    theta1: Fraction
+    theta2: Fraction
+    theta3: Fraction
+    theta4: Fraction
 
     def rows(self):
         yield from self.params.rows()
@@ -491,7 +450,7 @@ class MoserSchedule:
             yield name, getattr(self, name)
 
 
-def nu_upper_bound(params: ExponentParams) -> Number:
+def nu_upper_bound(params: ExponentParams) -> Fraction:
     return params.two_star / (params.alpha - 2 + 2 * params.gamma)
 
 
@@ -508,19 +467,19 @@ def moser_exponents(params: ExponentParams, nu: Number, mu: Number, K: int = DEF
     """
     ts, a, g, b = params.two_star, params.alpha, params.gamma, params.beta
     nu = _as_number(nu)
-    if not (at_most(1, nu) and strictly_less(nu, nu_upper_bound(params))):
+    if not 1 <= nu < nu_upper_bound(params):
         raise ValueError(
             f"nu must lie in [1, 2*/(alpha - 2 + 2 gamma)) = [1, {nu_upper_bound(params)}), got {nu}"
         )
     shrink = (ts - 2) / (ts - a - 2 * (g - 1))
-    if float(shrink) <= 0:
+    if shrink <= 0:
         raise ValueError("alpha + 2(gamma - 1) must stay below 2* for the gradient estimate")
     if mu == MU_UNBOUNDED:
         theta0 = ts / nu
         theta3 = ts / (2 * nu)
     else:
         mu = _as_number(mu)
-        if not strictly_less(ts / 2, mu):
+        if not ts / 2 < mu:
             raise ValueError(f"mu must exceed 2*/2 = {ts / 2}, got {mu}")
         implied = (mu - 1) / (mu - nu)
         if abs(float(implied) - float(b)) > 1e-9 * max(1.0, abs(float(b))):
@@ -543,7 +502,7 @@ def moser_exponents(params: ExponentParams, nu: Number, mu: Number, K: int = DEF
         theta3=theta3,
         theta4=theta4,
     )
-    if not (strictly_less(1, sched.theta1) and strictly_less(1, sched.theta3)):
+    if not (1 < sched.theta1 and 1 < sched.theta3):
         raise ArithmeticError(
             f"theta1, theta3 must exceed 1; got {float(sched.theta1)}, {float(sched.theta3)}"
         )
@@ -567,16 +526,16 @@ def select_mu_nu(
     b = params.beta
     ts = params.two_star
     vsup = nu_upper_bound(params)
-    if not strictly_less(1, vsup):
+    if not 1 < vsup:
         return ParamRejection(
             "select_mu_nu", "nu interval [1, 2*/(alpha-2+2gamma)) is empty", 1, vsup
         )
-    if float(b) == 1.0:
+    if b == 1:
         chosen = _as_number(nu) if nu is not None else Fraction(1)
-        if not (at_most(1, chosen) and strictly_less(chosen, vsup)):
+        if not 1 <= chosen < vsup:
             return ParamRejection("select_mu_nu", "nu outside its interval", chosen, vsup)
         return chosen, MU_UNBOUNDED
-    if not strictly_less(1, b):
+    if not 1 < b:
         return ParamRejection("select_mu_nu", "beta must be >= 1", b, 1)
 
     half = ts / 2
@@ -586,10 +545,10 @@ def select_mu_nu(
 
     if nu is not None:
         v = _as_number(nu)
-        if not (at_most(1, v) and strictly_less(v, vsup)):
+        if not 1 <= v < vsup:
             return ParamRejection("select_mu_nu", "nu outside its interval", v, vsup)
         m = mu_of(v)
-        if strictly_less(half, m):
+        if half < m:
             return v, m
         return ParamRejection(
             "select_mu_nu", f"mu = {float(m):.6g} not above 2*/2 for the given nu", m, half
@@ -597,8 +556,8 @@ def select_mu_nu(
 
     # attainability: mu > 2*/2 needs nu > 1/beta + (1 - 1/beta) 2*/2
     nu_min = 1 / b + (1 - 1 / b) * half
-    if not strictly_less(nu_min, vsup):
-        beta_max = (half - 1) / (half - vsup) if strictly_less(vsup, half) else math.inf
+    if not nu_min < vsup:
+        beta_max = (half - 1) / (half - vsup) if vsup < half else math.inf
         return ParamRejection(
             "select_mu_nu",
             f"beta outside the attainable interval [1, {float(beta_max):.6g})",
@@ -607,17 +566,17 @@ def select_mu_nu(
         )
     v = (1 + vsup) / 2
     m = mu_of(v)
-    if strictly_less(half, m):
+    if half < m:
         return v, m
     # the midpoint of the full interval undershoots: retry at the midpoint of
     # the feasible subinterval (keeps mu comfortably above the 2*/2 pole)
     v = (nu_min + vsup) / 2
     m = mu_of(v)
-    if strictly_less(half, m) and strictly_less(v, vsup):
+    if half < m and v < vsup:
         return v, m
     for _ in range(200):
         v = vsup - (vsup - v) / 2
         m = mu_of(v)
-        if strictly_less(half, m) and strictly_less(v, vsup):
+        if half < m and v < vsup:
             return v, m
     raise AssertionError("geometric retry failed despite attainable beta")

@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,11 +73,6 @@ def _const_like(value: float, *arrays):
     """Array filled with ``value``, broadcast to the common shape of ``arrays``."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
     return np.full(shape, float(value)) if shape else float(value)
-
-
-def _frac(value: float) -> Fraction:
-    """The exact rational the exponent recipes take for a float parameter."""
-    return Fraction(value).limit_denominator(10**9)
 
 
 class SaturationError(ArithmeticError):
@@ -727,7 +721,7 @@ class Exponential(RadialFamily):
         if self.tau != 2:
             return ParamRejection("auto_exponential_params", f"the recipe certifies tau = 2 only, got {self.tau:g}")
         lo, hi = self.a.range_on_ball(ball)
-        return auto_exponential_params(_frac(lo), _frac(hi), n, two_star)
+        return auto_exponential_params(lo, hi, n, two_star)
 
 
 class PxLaplacian(RadialFamily):
@@ -769,7 +763,7 @@ class PxLaplacian(RadialFamily):
 
     def auto_params(self, ball, n, two_star, *, alpha, delta):
         lo, hi = self.pfun.range_on_ball(ball)
-        return auto_px_params(_frac(lo), _frac(hi), n, two_star)
+        return auto_px_params(lo, hi, n, two_star)
 
 
 class LogPxLaplacian(RadialFamily):
@@ -875,7 +869,7 @@ class DoublePhase(_PowerSum):
         return GrowthTriple(g1=g1, g2=g2, g3=g3)
 
     def auto_params(self, ball, n, two_star, *, alpha, delta):
-        params = double_phase_params(_frac(self.p), _frac(self.q), n, two_star)
+        params = double_phase_params(self.p, self.q, n, two_star)
         # n = 2 puts no bound on q/p, but beta = q/p must still meet its own
         if n == 2 and params and not params.beta_ok():
             return ParamRejection(
@@ -909,7 +903,7 @@ class MultiPhase(DoublePhase):
         return [(self.p, None), (self.q, self.a), (self.r, bcoef)]
 
     def auto_params(self, ball, n, two_star, *, alpha, delta):
-        return double_phase_params(_frac(self.p), _frac(self.q), n, two_star, third_phase=True)
+        return double_phase_params(self.p, self.q, n, two_star, third_phase=True)
 
 
 class VeryDegenerate(RadialFamily):
@@ -1075,7 +1069,7 @@ class Anisotropic(IntegrandFamily):
         return _normalize(GrowthTriple(g1=g1, g2=g2, g3=g3))
 
     def auto_params(self, ball, n, two_star, *, alpha, delta):
-        return anisotropic_params(_frac(self.p), _frac(self.q), n, two_star)
+        return anisotropic_params(self.p, self.q, n, two_star)
 
 
 # ---------------------------------------------------------------------------

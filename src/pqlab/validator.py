@@ -140,8 +140,8 @@ class MeasureRecord:
     log_c_hat_v: float = -np.inf
 
     def row(self) -> str:
-        c_hat = format_constant(self.c_hat, self.log_c_hat, 6)
-        c_hat_v = format_constant(self.c_hat_v, self.log_c_hat_v, 6)
+        c_hat = format_constant(self.c_hat, self.log_c_hat, 6, 12)
+        c_hat_v = format_constant(self.c_hat_v, self.log_c_hat_v, 6, 12)
         return (
             f"{self.amplitude:<10.6g} {self.sup_grad_sq:<14.8g} {self.outer_energy:<14.8g} "
             f"{self.w22_weighted:<14.8g} {c_hat:<12} {c_hat_v:<12}"
@@ -223,13 +223,18 @@ def _exp_clamped(logc: float) -> float:
     return float(np.exp(logc))
 
 
-def format_constant(value: float, log_value: float, digits: int) -> str:
-    """``value`` in ``.{digits}g`` format.  Where ``_exp_clamped`` clamped a
-    finite ``log_value`` to 0 or inf, the same decimal is computed from the
-    log instead, since the float cannot hold it."""
-    if value in (0.0, np.inf) and np.isfinite(log_value):
-        value = Context(prec=digits).exp(Decimal(log_value)).normalize()
-    return f"{value:.{digits}g}"
+def format_constant(value: float, log_value: float, digits: int, width: int) -> str:
+    """``value`` in ``.{digits}g`` format, with fewer significant digits
+    where that is wider than ``width`` characters.  Where ``_exp_clamped``
+    clamped a finite ``log_value`` to 0 or inf, the same decimal is computed
+    from the log instead, since the float cannot hold it."""
+    from_log = value in (0.0, np.inf) and np.isfinite(log_value)
+    for d in range(digits, 0, -1):
+        shown = Context(prec=d).exp(Decimal(log_value)).normalize() if from_log else value
+        text = f"{shown:.{d}g}"
+        if len(text) <= width:
+            break
+    return text
 
 
 def _implied_constant(quantity, gap, gap_exp, energy, e_exp) -> float:

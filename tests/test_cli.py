@@ -524,6 +524,27 @@ def test_validate_two_amplitudes_exit1(tmp_path, capsys):
     assert "insufficient spread" in capsys.readouterr().out
 
 
+LOG_PX_EXPLICIT = """
+[family]
+kind = log_px_laplacian
+p_expr = 2.5 + 0.2*x
+p_expr_lipschitz = 0.2
+
+[ball]
+center = 0.5, 0.5
+rho = 0.2
+R = 0.35
+
+[schedule]
+mode = explicit
+n = 2
+two_star = 1872971/211255
+alpha = 5913/2530
+beta = 1027951/845020
+gamma = 175/167
+theta = 267/253
+"""
+
 DOUBLE_PHASE = """
 [family]
 kind = double_phase
@@ -564,6 +585,52 @@ def test_check_and_validate_double_phase_auto(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "slope1=ok" in out and "ratio=ok" in out
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("check", "a_lipschitz = 3.0", "a_lipshitz = 3.0"),  # left L = 0, g3 = 0: growth-A fail inf
+        ("check", "a = x^2 + y^2", "a = x^2 + y^2\ntau = 2"),  # an exponential key
+        ("check", "R = 0.35", "R = 0.35\nradius = 0.3"),
+        ("solve", "n = 33", "n = 33\nnx = 17"),
+        ("solve", "expr = x*y + 0.5*(x + y)", "expr = x*y + 0.5*(x + y)\nexpression = x"),
+        ("validate", "amplitudes = 0.5, 1, 2, 4, 8", "amplitudes = 0.5, 1, 2, 4, 8\namplitude = 9"),
+    ],
+    ids=["family-lipschitz", "family-other-kind", "ball", "grid", "boundary", "sweep"],
+)
+def test_unread_key_is_a_config_error_in_every_section(tmp_path, capsys, command, old, new):
+    text = DOUBLE_PHASE.replace(old, new)
+    key = new.splitlines()[-1].split(" = ")[0]
+    path = cfg_file(tmp_path, text)
+    rc = main([command, path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    assert (rc, cap.out) == (1, ""), cap.out
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    assert cap.err.startswith(f"config error: {path}:{line}: [") and cap.err.endswith(f" only, not {key!r}\n")
+    assert cap.err.count("\n") == 1
+
+
+def test_family_keys_of_the_kind_and_unknown_kind(tmp_path, capsys):
+    path = cfg_file(tmp_path, DOUBLE_PHASE.replace("a_lipschitz = 3.0", "a_lipshitz = 3.0"))
+    main(["check", path])
+    assert "[family] takes kind, p, q, a and a_lipschitz only, not 'a_lipshitz'" in capsys.readouterr().err
+    path = cfg_file(tmp_path, DOUBLE_PHASE.replace("kind = double_phase", "kind = triple_phase"))
+    assert main(["check", path]) == 1
+    assert "unknown family kind 'triple_phase'" in capsys.readouterr().err
+    path = cfg_file(tmp_path, BASE_P2.replace("expr = x^2 - y^2", "expr = x^2 - y^2\nx0 = 0"))
+    main(["solve", path])
+    assert "[boundary] takes expr only, not 'x0'" in capsys.readouterr().err
+
+
+def test_params_e_notation_prints_fractions(tmp_path, capsys):
+    # an e-notation number was a float, and the schedule built on it printed floats
+    text = LOG_PX_EXPLICIT.replace("alpha = 5913/2530", "alpha = 2.6e0")
+    assert main(["params", cfg_file(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "alpha        = 13/5 (2.6)\n" in out
+    assert "nu           = 1221237/569503 (2.1443908)\n" in out
+    assert "lambda_2     = 651734/211255 (3.0850583)\n" in out
 
 
 def test_validate_radius_pairs(tmp_path, capsys):

@@ -295,3 +295,48 @@ def test_theta_positivity_sample():
             s = moser_exponents(p, nu, mu)
             assert float(s.theta1) > 1 and float(s.theta3) > 1
             assert s.theta4 == 2 + s.theta0
+
+
+# --- one number type: floats are converted once at every entry point ------------
+
+
+def _limited(x):
+    return Fraction(x).limit_denominator(10**9)
+
+
+@pytest.mark.parametrize(
+    "recipe, args",
+    [
+        (default_params, (2, 2.6, 0.05)),
+        (anisotropic_params, (2.0, 2.5, 2)),
+        (double_phase_params, (2.0, 2.5, 3)),
+        (exponential_params, (3.1, 1.05, 0.1)),
+        (auto_px_params, (2.55, 2.65)),
+        (auto_exponential_params, (0.55, 0.6)),
+    ],
+    ids=["default", "anisotropic", "double_phase", "exponential", "auto_px", "auto_exponential"],
+)
+def test_float_inputs_give_the_fraction_result(recipe, args):
+    # floats used to run the algebra in floats with a guard band
+    exact = recipe(*(_limited(a) if isinstance(a, float) else a for a in args))
+    got = recipe(*args)
+    assert not is_rejected(got) and got == exact
+    fields = [got.alpha, got.beta, got.gamma, got.delta, got.two_star]
+    assert all(type(v) is Fraction for v in fields + ([got.theta] if got.theta is not None else []))
+    sched = moser_exponents(got, *select_mu_nu(got))
+    assert all(type(v) is Fraction for v in (sched.nu, sched.mu, sched.theta0, sched.theta1, *sched.lambdas))
+
+
+def test_float_nu_and_mu_are_converted():
+    p = default_params(3, 2, 0)  # beta = 1: mu unbounded, nu free in [1, 3/2)
+    assert select_mu_nu(p, nu=1.2) == (F(6, 5), MU_UNBOUNDED)
+    sched = moser_exponents(p, 1.2, MU_UNBOUNDED)
+    assert (sched.nu, sched.theta0) == (F(6, 5), F(5))
+    q = ExponentParams(F(5, 2), F(3, 2), 1, 0, sobolev_context(3))
+    assert moser_exponents(q, 2.0, 4.0) == moser_exponents(q, F(2), F(4))
+
+
+def test_float_at_a_strict_boundary_is_decided_exactly():
+    # q/p = 5/3 is the anisotropic bound at n = 3
+    assert is_rejected(anisotropic_params(3.0, 5.0, 3))
+    assert px_delta(2, 1.01, 0.01) == px_delta(2, F(101, 100), F(1, 100))

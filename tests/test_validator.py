@@ -99,6 +99,19 @@ def test_row_prints_constants_past_float_range_from_their_logs():
     assert clamped.row().split()[-2:] == ["4.0251e-348", "2.72637e+347"]
 
 
+def test_row_keeps_constants_in_their_columns():
+    # 1.02801e-2667 is 13 characters and pushed c_hat_V out of its 12-wide column
+    rec = measure(solved_harmonic(), p2_schedule(), rho=0.2, R=0.4)
+    log_c = math.log(1.02801) - 2667 * math.log(10)
+    row = dataclasses.replace(rec, c_hat=0.0, log_c_hat=log_c).row()
+    c_hat_v = f"{rec.c_hat_v:.6g}"
+    assert row.index(c_hat_v) == validator.MeasureRecord.header().index("c_hat_V")
+    assert row.split()[-2:] == ["1.028e-2667", c_hat_v]
+    # the radius report's 14-wide column at 8 digits
+    assert validator.format_constant(0.0, log_c, 8, 14) == "1.02801e-2667"
+    assert validator.format_constant(0.0, math.log(1.2345678) - 2667 * math.log(10), 8, 14) == "1.234568e-2667"
+
+
 def test_measure_translation_invariance_affine():
     # same affine field, ball pair shifted by whole cells: identical c_hat
     sched = p2_schedule()
