@@ -37,10 +37,10 @@ Format::
 
 Arithmetic expressions are allowed only in coefficient and boundary fields
 (variables x, y; operators + - * / ^; functions exp, log, min, max).
-Parse errors carry the config line (and column, for expressions).  A key
-that its section does not read is a config error, in every section; [family]
-reads ``kind`` and the keys of that kind, a coefficient key ``c`` with its
-``c_lipschitz``.
+Parse errors carry the config line (and column, for expressions).  A section
+other than these seven, and a key that its section does not read, is a config
+error; [family] reads ``kind`` and the keys of that kind, a coefficient key
+``c`` with its ``c_lipschitz``.
 """
 
 from __future__ import annotations
@@ -219,6 +219,8 @@ def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
             if not line.endswith("]") or len(line) < 3:
                 raise ConfigError(f"malformed section header {raw.strip()!r}", path, lineno)
             current = line[1:-1].strip()
+            if current not in ("family", "grid", "boundary", "ball", "schedule", "sweep", "solver"):
+                raise ConfigError(f"unknown section [{current}]", path, lineno)
             sections.setdefault(current, {})
             continue
         if "=" not in line:

@@ -161,9 +161,6 @@ class ParamRejection:
     value: Optional[Number] = None
     bound: Optional[Number] = None
 
-    def __bool__(self):
-        return False
-
     def describe(self) -> str:
         extra = ""
         if self.value is not None and self.bound is not None:
@@ -471,9 +468,7 @@ def moser_exponents(params: ExponentParams, nu: Number, mu: Number, K: int = DEF
         raise ValueError(
             f"nu must lie in [1, 2*/(alpha - 2 + 2 gamma)) = [1, {nu_upper_bound(params)}), got {nu}"
         )
-    shrink = (ts - 2) / (ts - a - 2 * (g - 1))
-    if shrink <= 0:
-        raise ValueError("alpha + 2(gamma - 1) must stay below 2* for the gradient estimate")
+    shrink = (ts - 2) / (ts - a - 2 * (g - 1))  # positive: the nu interval is not empty
     if mu == MU_UNBOUNDED:
         theta0 = ts / nu
         theta3 = ts / (2 * nu)
@@ -516,9 +511,9 @@ def select_mu_nu(
 
     beta = 1 gives the unbounded-mu sentinel (nu defaults to 1).  For
     beta > 1 the default nu is the midpoint of [1, 2*/(alpha - 2 + 2 gamma));
-    when solving for mu lands at or below 2*/2 the choice retries toward the
-    upper end of the interval, where larger beta become attainable.  If no
-    nu admits a valid mu the rejection reports the attainable beta interval.
+    when solving for mu lands at or below 2*/2 it is the midpoint of the
+    feasible part, where mu > 2*/2 exactly.  If no nu admits a valid mu the
+    rejection reports the attainable beta interval.
     A rejection passed in as ``params`` is returned unchanged.
     """
     if is_rejected(params):
@@ -568,15 +563,7 @@ def select_mu_nu(
     m = mu_of(v)
     if half < m:
         return v, m
-    # the midpoint of the full interval undershoots: retry at the midpoint of
-    # the feasible subinterval (keeps mu comfortably above the 2*/2 pole)
+    # the midpoint of the full interval undershoots: take the midpoint of the
+    # feasible subinterval (keeps mu comfortably above the 2*/2 pole)
     v = (nu_min + vsup) / 2
-    m = mu_of(v)
-    if half < m and v < vsup:
-        return v, m
-    for _ in range(200):
-        v = vsup - (vsup - v) / 2
-        m = mu_of(v)
-        if half < m and v < vsup:
-            return v, m
-    raise AssertionError("geometric retry failed despite attainable beta")
+    return v, mu_of(v)

@@ -12,8 +12,7 @@ numpy arrays and pure: a family is immutable once built.
 
 The exponential family stores the density in log space and refuses to
 silently return IEEE infinities; it raises :class:`SaturationError` instead
-so callers (the solver's line search, the condition checkers) can switch to
-log-domain arithmetic.
+so callers (the condition checkers) can switch to log-domain arithmetic.
 
 Family protocol: the checks, the solver, the schedule resolver and the
 validator use a family only through what it supplies here, never through
@@ -871,7 +870,7 @@ class DoublePhase(_PowerSum):
     def auto_params(self, ball, n, two_star, *, alpha, delta):
         params = double_phase_params(self.p, self.q, n, two_star)
         # n = 2 puts no bound on q/p, but beta = q/p must still meet its own
-        if n == 2 and params and not params.beta_ok():
+        if n == 2 and not params.beta_ok():
             return ParamRejection(
                 "double_phase_params", "beta = q/p breaks its bound at n = 2", params.beta,
                 params.beta_upper_bound(),

@@ -17,9 +17,12 @@ transform) scaled by the local slope of the density, and Armijo backtracking
 takes the step.  Its step count does not grow with N, and p = 2 converges in
 one step.  Log-domain families (the exponential class) are minimized through
 the logarithm of the energy (same minimizer, overflow-free) with the energy's
-own Newton steps; a saturated initial state triggers an automatic amplitude
-rescale with a warning in the trace.  Amplitude sweeps warm-start each
-amplitude from the previous solved field, scaled by the amplitude ratio.
+own Newton steps.  ``minimize``'s start guard is the one place saturation
+is handled: it rescales an initial state whose peak cell log-density exceeds
+LOG_MAX - 20, with a warning in the trace.  No step raises log E, which is
+at least every cell log-density + 2 ln h, so no cell reaches LOG_MAX while
+n <= 22,027.  Amplitude sweeps warm-start each amplitude from the previous
+solved field, scaled by the amplitude ratio.
 
 Energy, gradient and Hessian-vector assembly and the solver's inner products
 reduce with numpy's pairwise summation in a fixed order, never through BLAS,
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .growth import GrowthTriple, paper_triple
-from .integrand import Ball, IntegrandFamily, LOG_MAX, SaturationError
+from .integrand import Ball, IntegrandFamily, LOG_MAX
 
 _C1 = 1e-4               # sufficient-decrease constant
 _BACKTRACK = 0.5         # step shrink factor
@@ -271,9 +274,10 @@ class _Objective:
         return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
 
     def raw_grad_inf(self, value, grad_interior) -> float:
-        """Infinity norm of the energy gradient (not the log-energy one)."""
+        """Infinity norm of the energy gradient (not the log-energy one); a
+        zero gradient is zero in either scale."""
         ginf = float(np.max(np.abs(grad_interior)))
-        if not self.log_domain:
+        if not self.log_domain or ginf == 0:
             return ginf
         return math.exp(value) * ginf if value <= LOG_MAX else math.inf
 
@@ -351,13 +355,10 @@ def _line_search(objective: _Objective, z, F, g, d, trace: SolveTrace):
     """Armijo backtracking from z along d: (z + t d, F, grad) at the first
     accepted t, or None after 60 halvings.  A decrease below the float
     resolution of F cannot rank a trial; a gradient of at most half the norm
-    then decides.  A trial that saturates is rejected."""
+    then decides."""
     gg, slope, t = _dot(g, g), _dot(g, d), 1.0
     for _bt in range(60):
-        try:
-            F1, g1 = objective(z + t * d)
-        except SaturationError:
-            F1 = math.inf
+        F1, g1 = objective(z + t * d)
         trace.objective_evals += 1
         resolved = F - F1 > 8 * np.finfo(float).eps * abs(F)
         if F1 <= F + _C1 * t * slope if resolved else F1 <= F and _dot(g1, g1) <= 0.25 * gg:
@@ -380,10 +381,7 @@ def _newton(objective: _Objective, z: np.ndarray, opts: SolveOptions, trace: Sol
         gg = _dot(g, g)
         if gg_prev is not None:  # Eisenstat-Walker choice 2: gamma = 0.9, alpha = 2
             forcing = min(_FORCING_MAX, 0.9 * gg / gg_prev)
-        try:
-            d = _truncated_pcg(*objective.hessian(z, F), g, forcing, precondition, trace)
-        except SaturationError:  # the Hessian overflows: take the gradient step
-            d = -precondition(g)
+        d = _truncated_pcg(*objective.hessian(z, F), g, forcing, precondition, trace)
         step = _line_search(objective, z, F, g, d, trace) or _line_search(
             objective, z, F, g, -precondition(g), trace
         )
@@ -406,7 +404,9 @@ def minimize(
 
     The minimizer satisfies the Dirichlet constraint exactly and the energy
     is nonincreasing along the trace.  Non-convergence is reported in the
-    trace (the achieved gradient norm and the stop reason), not raised.
+    trace (the achieved gradient norm and the stop reason), not raised.  An
+    initial guess off the boundary data, or a log-domain one whose peak
+    log-density is beyond float range, raises ValueError.
     """
     trace = SolveTrace()
     u = bilinear_interpolant(grid) if u0 is None else u0
@@ -418,9 +418,10 @@ def minimize(
     # saturation guard: rescale the whole problem until the initial state is
     # comfortably representable, and say so
     if family.log_domain:
-        gx, gy = cell_gradients(grid, u.values)
-        XC, YC = grid.cell_coords()
-        smax = float(np.max(family.log_value(XC, YC, gx, gy)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the test below decides
+            smax = float(np.max(family.log_value(*grid.cell_coords(), *cell_gradients(grid, u.values))))
+        if not math.isfinite(smax):
+            raise ValueError("initial state too steep: its peak log-density exceeds float range")
         if smax > LOG_MAX - 20:
             # bring the peak log-density down to order one so the gradient
             # tolerance stays reachable in double precision
@@ -436,7 +437,7 @@ def minimize(
     objective = _Objective(grid, family)
     z, F, g = _newton(objective, u.values[1:-1, 1:-1].ravel(), opts, trace, _p2_stiffness_inverse(grid.n))
 
-    trace.final_energy = math.exp(F) if objective.log_domain and F <= LOG_MAX else F
+    trace.final_energy = F if not objective.log_domain else math.exp(F) if F <= LOG_MAX else math.inf
     trace.final_grad_norm = objective.raw_grad_inf(F, g)
     trace.converged = trace.final_grad_norm <= opts.tolerance
     ran_out = trace.iterations >= opts.max_iter

@@ -286,7 +286,6 @@ class EstimateReport:
     ratio_ok: Optional[bool]    # None: fewer than two constants to compare
     ratio_v_ok: Optional[bool]
     failures: list = field(default_factory=list)
-    notes: str = ""
 
     @property
     def verdict(self) -> str:
@@ -324,8 +323,6 @@ class EstimateReport:
         )
         for f in self.failures:
             lines.append(f"solve failure: {f}")
-        if self.notes:
-            lines.append(self.notes)
         return "\n".join(lines)
 
 

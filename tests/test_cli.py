@@ -456,6 +456,54 @@ max_iter = 6000
     assert "rescaled" in out
 
 
+EXPONENTIAL = """
+[family]
+kind = exponential
+a = 1.0
+tau = 2
+
+[grid]
+side = {side}
+n = 17
+
+[boundary]
+expr = {expr}
+
+[ball]
+center = 0.5, 0.5
+rho = 0.2
+R = 0.4
+
+[schedule]
+mode = auto
+n = 2
+
+[sweep]
+amplitudes = 0.5, 1, 2, 4, 8
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_too_steep_exponential_start_is_one_error_line(tmp_path, capsys, command):
+    # the peak log-density overflowed to inf and the start guard rescaled by 0:
+    # an all-zero field read converged
+    path = cfg_file(tmp_path, EXPONENTIAL.format(side=1.0, expr="1e200*(x + y)"))
+    rc = main([command, path, "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert (rc, out) == (1, "error: initial state too steep: its peak log-density exceeds float range\n")
+
+
+def test_log_domain_energy_beyond_float_range(tmp_path, capsys):
+    # the start's peak log-density 669.8 is under the guard, but log E = 711.2 is
+    # past float range: an exactly zero gradient read inf and the Newton loop
+    # divided by zero
+    path = cfg_file(tmp_path, EXPONENTIAL.format(side=1e9, expr="18.3*(x + y)"))
+    rc = main(["solve", path, "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "final_energy  = inf\ngradient_norm = 0\nconverged     = True\n" in out
+
+
 def test_validate_p2_sweep_exit0(tmp_path, capsys):
     rc = main(["validate", cfg_file(tmp_path, BASE_P2), "--out", str(tmp_path / "v")])
     out = capsys.readouterr().out
@@ -609,6 +657,17 @@ def test_unread_key_is_a_config_error_in_every_section(tmp_path, capsys, command
     line = text.splitlines().index(new.splitlines()[-1]) + 1
     assert cap.err.startswith(f"config error: {path}:{line}: [") and cap.err.endswith(f" only, not {key!r}\n")
     assert cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "params", "solve", "validate"])
+def test_unknown_section_is_a_config_error(tmp_path, capsys, command):
+    # a misspelt [solver] was ignored with its keys: the solve ran at 1e-8
+    text = BASE_P2.replace("[solver]\ntolerance = 1e-9", "[solvr]\ntolerance = 1e-3")
+    path = cfg_file(tmp_path, text)
+    rc = main([command, path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    line = text.splitlines().index("[solvr]") + 1
+    assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: unknown section [solvr]\n")
 
 
 def test_family_keys_of_the_kind_and_unknown_kind(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqlab.exponents import (
@@ -278,6 +278,33 @@ def test_select_mu_nu_rejects_unattainable_beta():
 def test_select_mu_nu_passes_a_rejection_through():
     rejected = ParamRejection("double_phase_params", "q/p outside the admissible range")
     assert select_mu_nu(rejected) is rejected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    tsnum=st.integers(1, 40),
+    dnum=st.integers(0, 20),
+    anum=st.integers(0, 40),
+    bnum=st.integers(1, 999),
+)
+@example(n=3, tsnum=1, dnum=0, anum=0, bnum=150)  # beta = 4: the first midpoint undershoots
+@example(n=3, tsnum=1, dnum=0, anum=20, bnum=900)  # near the attainable end
+def test_select_mu_nu_default_pair_is_exact(n, tsnum, dnum, anum, bnum):
+    # every attainable beta > 1 gets its pair from one of the two midpoints:
+    # mu(nu) = (beta nu - 1)/(beta - 1) increases and is 2*/2 at nu_min
+    ts = F(2 * n, n - 2) if n > 2 else 2 + F(tsnum, 4)
+    half = ts / 2
+    gamma = 1 + (half - 1) * F(dnum, 21)
+    alpha = 2 + (ts - 2 * gamma) * F(anum, 41)
+    vsup = ts / (alpha - 2 + 2 * gamma)
+    beta = 1 + ((half - 1) / (half - vsup) - 1) * F(bnum, 1000) if vsup < half else 1 + F(bnum, 50)
+    ctx = sobolev_context(n, ts, alpha=alpha, gamma=gamma)
+    nu, mu = select_mu_nu(ExponentParams(alpha, beta, gamma, gamma - 1, ctx))
+    assert 1 <= nu < vsup and mu > half
+    assert (mu - 1) / (mu - nu) == beta
+    nu_min = 1 / beta + (1 - 1 / beta) * half
+    assert nu == ((1 + vsup) / 2 if (1 + vsup) / 2 > nu_min else (nu_min + vsup) / 2)
 
 
 def test_theta_positivity_sample():

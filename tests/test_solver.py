@@ -12,6 +12,7 @@ import pytest
 
 import pqlab
 from pqlab.integrand import (
+    LOG_MAX,
     Anisotropic,
     Coefficient,
     DoublePhase,
@@ -29,6 +30,7 @@ from pqlab.solver import (
     Grid,
     SolveOptions,
     bilinear_interpolant,
+    cell_gradients,
     discrete_energy,
     field_stats,
     harmonic_direct_solve,
@@ -387,6 +389,40 @@ def test_minimize_exponential_autorescale_on_saturation():
     # the returned problem (rescaled) still satisfies its own boundary data
     bv = u.grid.boundary_values()
     np.testing.assert_allclose(u.values[u.grid.boundary_mask()], bv[u.grid.boundary_mask()])
+
+
+@pytest.mark.parametrize(
+    "a, boundary, opts, rescaled",
+    [
+        (
+            Coefficient.constant(1.0),
+            lambda x, y: 16.8 * (x + y) + np.sin(3 * x) * y,  # peak log-density 675.3
+            SolveOptions(max_iter=50),
+            False,
+        ),
+        (  # the amplitude-80 member of the validator's rescaled-member sweep
+            Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1),
+            lambda x, y: 80 * (0.35 * (x + y)),
+            SolveOptions(tolerance=1e-5, max_iter=30000),
+            True,
+        ),
+    ],
+    ids=["just-under-the-guard", "amplitude-80"],
+)
+def test_log_domain_solve_never_saturates_after_the_start_guard(a, boundary, opts, rescaled):
+    # no accepted step raises log E, and log E >= s_c + 2 ln h for every cell, so
+    # no cell log-density s_c passes the guarded start's peak by more than
+    # 2 ln(n - 1): the Hessian of a later step cannot saturate
+    fam = Exponential(a, 2.0)
+    u, trace = minimize(Grid(1.0, 17, boundary), fam, opts=opts)
+
+    def peak(values):
+        return float(np.max(fam.log_value(*u.grid.cell_coords(), *cell_gradients(u.grid, values))))
+
+    start = peak(bilinear_interpolant(u.grid).values)
+    assert (trace.rescale_factor < 1.0) == rescaled and (rescaled or start >= 670)
+    assert trace.iterations > 0 and np.all(np.diff(trace.energies) <= 0.0)
+    assert peak(u.values) <= start + 2 * math.log(16) <= LOG_MAX - 20 + 2 * math.log(16)
 
 
 def test_minimize_comparison_principle_p3():
