@@ -74,6 +74,11 @@ def _const_like(value: float, *arrays):
     return np.full(shape, float(value)) if shape else float(value)
 
 
+def _frozen(a) -> bool:
+    """A read-only array that owns its memory: no view of it can write to it."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable and a.base is None
+
+
 class SaturationError(ArithmeticError):
     """An exponential density exceeded the representable range."""
 
@@ -112,12 +117,22 @@ class Coefficient:
 
     The Lipschitz constant is declared, not estimated: the growth-condition
     constants (e.g. c3 for the exponential family) use it directly.
+
+    ``fn`` must depend on (x, y) only.  A call keeps its result when x and y
+    are read-only arrays that own their memory, such as a grid's shared
+    coordinates, and the next call on those very two objects, still
+    read-only, returns it (read-only) without evaluating ``fn``.  Any other
+    call evaluates ``fn``; a call on writeable arrays or views neither uses
+    nor replaces the kept result.  An array that is made writeable, changed
+    and made read-only again is the caller's error, as it is for the grid's
+    coordinates themselves.
     """
 
     def __init__(self, fn: Callable, lipschitz: float = 0.0, source: str = "<callable>"):
         self._fn = fn
         self.lipschitz = float(lipschitz)
         self.source = source
+        self._memo = (None, None, None)  # (x, y, value) of the last call on frozen arrays
 
     @classmethod
     def constant(cls, value: float) -> "Coefficient":
@@ -125,7 +140,16 @@ class Coefficient:
         return cls(lambda x, y: _const_like(v, x, y), lipschitz=0.0, source=repr(v))
 
     def __call__(self, x, y):
-        return np.asarray(self._fn(np.asarray(x, float), np.asarray(y, float)), float)
+        frozen = _frozen(x) and _frozen(y)
+        mx, my, value = self._memo
+        if frozen and x is mx and y is my:
+            return value
+        value = np.asarray(self._fn(np.asarray(x, float), np.asarray(y, float)), float)
+        if frozen:
+            value = value.view()  # read-only without freezing an array fn may hold
+            value.flags.writeable = False
+            self._memo = (x, y, value)
+        return value
 
     def range_on_ball(self, ball: Ball) -> tuple[float, float]:
         xs, ys = ball.sample_points()

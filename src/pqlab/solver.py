@@ -28,6 +28,20 @@ Energy, gradient and Hessian-vector assembly and the solver's inner products
 reduce with numpy's pairwise summation in a fixed order, never through BLAS,
 so results are bit-reproducible run to run and across BLAS thread counts.
 
+Each quantity is computed once where its inputs stay fixed:
+- per geometry (side, n, origin): the node and cell-centre coordinates,
+  read-only and shared by every ``Grid`` of that geometry, and the p = 2
+  preconditioner's eigenvalues per n.  Both caches are bounded
+  ``functools.lru_cache``s keyed by these values, hold only read-only
+  arrays, are not stored on a ``Grid`` and fill on first use.
+  A ``Coefficient`` keeps its values on the shared cell centres, so a sweep
+  on one geometry evaluates each coefficient expression once;
+- per solve: the boundary data, evaluated by ``minimize`` and handed to the
+  objective as its frame;
+- per evaluated point: the cell gradients, which the Newton step's Hessian
+  reuses for the point the line search accepted.
+``field_stats`` computes on the index windows of its balls only.
+
 Only the sparse assembly ``_cell_matrix`` and the p = 2 oracle built on it,
 ``harmonic_direct_solve``, import scipy, inside those functions; ``check``,
 ``params``, ``solve`` and ``validate`` import none.
@@ -35,6 +49,7 @@ Only the sparse assembly ``_cell_matrix`` and the p = 2 oracle built on it,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -78,22 +93,23 @@ class Grid:
         return self.side / (self.n - 1)
 
     def node_coords(self):
-        xs = self.x0 + self.h * np.arange(self.n)
-        ys = self.y0 + self.h * np.arange(self.n)
-        return np.meshgrid(xs, ys, indexing="ij")
+        """Node coordinates (X, Y), n x n, indexing "ij": read-only arrays shared
+        by every grid of the same side, n and origin."""
+        return _coords(self.side, self.n, self.x0, self.y0)[0]
 
     def cell_coords(self):
-        xs = self.x0 + self.h * (np.arange(self.n - 1) + 0.5)
-        ys = self.y0 + self.h * (np.arange(self.n - 1) + 0.5)
-        return np.meshgrid(xs, ys, indexing="ij")
+        """Cell-centre coordinates (XC, YC), (n - 1) x (n - 1), indexing "ij":
+        read-only arrays shared by every grid of the same side, n and origin."""
+        return _coords(self.side, self.n, self.x0, self.y0)[1]
 
     def boundary_values(self) -> np.ndarray:
+        """The boundary data on every node, as an array the caller owns."""
         X, Y = self.node_coords()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the test below decides
             vals = np.asarray(self.boundary(X, Y), float)
         if not np.all(np.isfinite(vals[self.boundary_mask()])):
             raise ValueError("boundary data must be finite on all boundary nodes")
-        return vals
+        return vals if vals.flags.writeable else vals.copy()  # data "x" returns the shared X itself
 
     def boundary_mask(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), bool)
@@ -106,6 +122,17 @@ class Grid:
     def scaled_boundary(self, factor: float) -> "Grid":
         g = self.boundary
         return Grid(self.side, self.n, lambda x, y: factor * g(x, y), self.x0, self.y0)
+
+
+@functools.lru_cache(maxsize=4)
+def _coords(side, n, x0, y0):
+    """((X, Y), (XC, YC)) of ``Grid.node_coords`` / ``cell_coords``, read-only."""
+    h = side / (n - 1)
+    nodes = np.meshgrid(x0 + h * np.arange(n), y0 + h * np.arange(n), indexing="ij")
+    cells = np.meshgrid(x0 + h * (np.arange(n - 1) + 0.5), y0 + h * (np.arange(n - 1) + 0.5), indexing="ij")
+    for a in (*nodes, *cells):
+        a.flags.writeable = False
+    return tuple(nodes), tuple(cells)
 
 
 @dataclass
@@ -130,7 +157,7 @@ def bilinear_interpolant(grid: Grid) -> DiscreteField:
     Finite energy for every catalog family.
     """
     n = grid.n
-    vals = grid.boundary_values().copy()
+    vals = grid.boundary_values()
     s = np.linspace(0.0, 1.0, n)
     left, right = vals[0, :], vals[-1, :]
     bottom, top = vals[:, 0], vals[:, -1]
@@ -167,9 +194,9 @@ def cell_gradients(grid: Grid, u: np.ndarray):
     return gx, gy
 
 
-def _energy(grid: Grid, family: IntegrandFamily, u: np.ndarray, XC, YC):
-    """(E, interior gradient as an (n - 2) x (n - 2) array) of discrete_energy."""
-    gx, gy = cell_gradients(grid, u)
+def _energy(grid: Grid, family: IntegrandFamily, gx, gy, XC, YC):
+    """(E, interior gradient as an (n - 2) x (n - 2) array) of discrete_energy,
+    from the cell gradients (gx, gy)."""
     vals = family.value(XC, YC, gx, gy)
     wx, wy = family.grad(XC, YC, gx, gy)
     c = grid.h / 2  # the cell's h^2 times the 1/2h of the differences
@@ -180,7 +207,7 @@ def discrete_energy(grid: Grid, family: IntegrandFamily, u: np.ndarray):
     """(E, G): E = sum over cells of f(x_c, Du_c) h^2 for the nodal values u,
     and G its exact gradient in the nodal values, zero on the boundary nodes
     (Dirichlet constraint)."""
-    E, g = _energy(grid, family, u, *grid.cell_coords())
+    E, g = _energy(grid, family, *cell_gradients(grid, u), *grid.cell_coords())
     return E, np.pad(g, 1)
 
 
@@ -219,15 +246,19 @@ class SolveTrace:
 
 class _Objective:
     """Energy + gradient over the interior, optionally in log domain, and the
-    energy Hessian for the Newton steps."""
+    energy Hessian for the Newton steps.  ``frame`` holds the boundary values
+    (its interior is never read); the cell gradients of the last evaluated
+    point are kept, and ``hessian`` reuses them when it is given that same
+    array."""
 
-    def __init__(self, grid: Grid, family: IntegrandFamily):
+    def __init__(self, grid: Grid, family: IntegrandFamily, frame: np.ndarray):
         self.grid = grid
         self.family = family
         self.log_domain = family.log_domain
         self.XC, self.YC = grid.cell_coords()
-        self._frame = grid.boundary_values()  # interior overwritten by assemble
+        self._frame = frame
         self._V = np.zeros((grid.n, grid.n))  # zero-padded direction of the Hessian products
+        self._last = (None, None, None)  # (evaluated point, gx, gy)
 
     def assemble(self, interior_flat: np.ndarray) -> np.ndarray:
         u = self._frame.copy()
@@ -236,11 +267,11 @@ class _Objective:
 
     def __call__(self, interior_flat: np.ndarray):
         grid, fam = self.grid, self.family
-        u = self.assemble(interior_flat)
+        gx, gy = cell_gradients(grid, self.assemble(interior_flat))
+        self._last = (interior_flat, gx, gy)
         if not self.log_domain:
-            E, g = _energy(grid, fam, u, self.XC, self.YC)
+            E, g = _energy(grid, fam, gx, gy, self.XC, self.YC)
             return E, g.ravel()
-        gx, gy = cell_gradients(grid, u)
         s = fam.log_value(self.XC, self.YC, gx, gy)
         smax = float(np.max(s))
         w = np.exp(s - smax)
@@ -260,7 +291,9 @@ class _Objective:
         diagonals (a, b) the block is [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4,
         q the form of f_xixi: the cell's h^2 cancels the 1/h^2 of the differences."""
         m = self.grid.n - 2
-        gx, gy = cell_gradients(self.grid, self.assemble(interior_flat))
+        z, gx, gy = self._last
+        if z is not interior_flat:
+            gx, gy = cell_gradients(self.grid, self.assemble(interior_flat))
         q11, qpp, qpm = self.family.hess_qf(self.XC, self.YC, gx, gy, *_DIAGONAL_DIRECTIONS)
         scale = 0.25 * (math.exp(-value) if self.log_domain else 1.0)
         haa, hbb, hab = scale * qpp, scale * qpm, scale * (2 * q11 - 0.5 * (qpp + qpm))
@@ -288,6 +321,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
+@functools.lru_cache(maxsize=4)
+def _p2_inverse_eigenvalues(n: int) -> np.ndarray:
+    """1 / eigenvalue of ``_p2_stiffness_inverse``, times the inverse
+    transform's normalization, read-only."""
+    m = n - 2
+    c = np.cos(np.pi * np.arange(1, m + 1) / (n - 1))
+    inv_eig = 1.0 / ((2.0 - 2.0 * np.outer(c, c)) * (2 * (m + 1)) ** 2)
+    inv_eig.flags.writeable = False
+    return inv_eig
+
+
 def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the p = 2 interior stiffness on an n x n grid.
 
@@ -299,12 +343,12 @@ def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     The returned map takes and returns flat interior vectors.  A 1-D sine
     transform is minus the imaginary part of the real FFT of the odd extension
     (scipy.fft's DST-I without its ~24 MB import); four run per call, so the
-    signs cancel, on extension and spectrum buffers reused across calls.
+    signs cancel, on extension and spectrum buffers reused across the calls
+    of one map.  The eigenvalues are cached per n; the buffers are not, so
+    each solve has its own.
     """
     m = n - 2
-    c = np.cos(np.pi * np.arange(1, m + 1) / (n - 1))
-    # 1 / eigenvalue, times the inverse transform's normalization
-    inv_eig = 1.0 / ((2.0 - 2.0 * np.outer(c, c)) * (2 * (m + 1)) ** 2)
+    inv_eig = _p2_inverse_eigenvalues(n)
     ext = np.zeros((m, 2 * (m + 1)))
     spec = np.empty((m, m + 2), complex)
 
@@ -353,16 +397,17 @@ def _truncated_pcg(hess, D, g, forcing, precondition, trace):
 
 def _line_search(objective: _Objective, z, F, g, d, trace: SolveTrace):
     """Armijo backtracking from z along d: (z + t d, F, grad) at the first
-    accepted t, or None after 60 halvings.  A decrease below the float
-    resolution of F cannot rank a trial; a gradient of at most half the norm
-    then decides."""
+    accepted t, the point being the array the objective evaluated, or None
+    after 60 halvings.  A decrease below the float resolution of F cannot
+    rank a trial; a gradient of at most half the norm then decides."""
     gg, slope, t = _dot(g, g), _dot(g, d), 1.0
     for _bt in range(60):
-        F1, g1 = objective(z + t * d)
+        z1 = z + t * d
+        F1, g1 = objective(z1)
         trace.objective_evals += 1
         resolved = F - F1 > 8 * np.finfo(float).eps * abs(F)
         if F1 <= F + _C1 * t * slope if resolved else F1 <= F and _dot(g1, g1) <= 0.25 * gg:
-            return z + t * d, F1, g1
+            return z1, F1, g1
         trace.backtracks += 1
         t *= _BACKTRACK
     return None
@@ -410,7 +455,8 @@ def minimize(
     """
     trace = SolveTrace()
     u = bilinear_interpolant(grid) if u0 is None else u0
-    bvals = grid.boundary_values()
+    # the objective's frame: only its boundary nodes, the data, are read
+    bvals = u.values if u0 is None else grid.boundary_values()
     mask = grid.boundary_mask()
     if not np.allclose(u.values[mask], bvals[mask], rtol=0, atol=1e-12):
         raise ValueError("initial guess violates the boundary constraint")
@@ -427,6 +473,7 @@ def minimize(
             # tolerance stays reachable in double precision
             factor = (2.0 / smax) ** (1.0 / family.tau)
             grid = grid.scaled_boundary(factor)
+            bvals = grid.boundary_values()
             u = DiscreteField(grid, factor * u.values)
             trace.rescale_factor = factor
             trace.warnings.append(
@@ -434,7 +481,7 @@ def minimize(
                 f"rescaled by {factor:.6g}"
             )
 
-    objective = _Objective(grid, family)
+    objective = _Objective(grid, family, bvals)
     z, F, g = _newton(objective, u.values[1:-1, 1:-1].ravel(), opts, trace, _p2_stiffness_inverse(grid.n))
 
     trace.final_energy = F if not objective.log_domain else math.exp(F) if F <= LOG_MAX else math.inf
@@ -474,6 +521,12 @@ def _check_ball_inside(grid: Grid, cx: float, cy: float, r: float):
         )
 
 
+def _window(c: float, r: float, h: float, offset: float, lo: int, hi: int) -> slice:
+    """The indices lo <= i < hi of the points (i + offset) h within r of c,
+    widened by one index on each side against rounding."""
+    return slice(max(lo, math.floor((c - r) / h - offset) - 1), min(hi, math.ceil((c + r) / h - offset) + 2))
+
+
 def field_stats(
     grid: Grid,
     family: IntegrandFamily,
@@ -489,6 +542,9 @@ def field_stats(
 
     Ball membership is by cell-center (resp. node) distance to the center;
     a B_rho without a cell centre or an interior node raises GeometryError.
+    Only the index windows around B_R's cells and B_rho's interior nodes are
+    computed; each sum takes the same elements in the same order as over the
+    whole grid.
     """
     if not 0 < rho < R:
         raise GeometryError(f"need 0 < rho < R, got rho={rho}, R={R}")
@@ -496,14 +552,15 @@ def field_stats(
     _check_ball_inside(grid, cx, cy, R)
     if triple is None:
         triple = paper_triple(family, Ball(cx, cy, R))
-    h = grid.h
-    XC, YC = grid.cell_coords()
-    gx, gy = cell_gradients(grid, u.values)
+    h, n = grid.h, grid.n
+    ci, cj = _window(cx - grid.x0, R, h, 0.5, 0, n - 1), _window(cy - grid.y0, R, h, 0.5, 0, n - 1)
+    ni, nj = _window(cx - grid.x0, rho, h, 0.0, 1, n - 1), _window(cy - grid.y0, rho, h, 0.0, 1, n - 1)
+    XC, YC = (a[ci, cj] for a in grid.cell_coords())
+    gx, gy = cell_gradients(grid, u.values[ci.start : ci.stop + 1, cj.start : cj.stop + 1])
     dist2 = (XC - cx) ** 2 + (YC - cy) ** 2
     inner_cells = dist2 <= rho * rho
     outer_cells = dist2 <= R * R
-    XN, YN = grid.node_coords()
-    XN, YN = XN[1:-1, 1:-1], YN[1:-1, 1:-1]
+    XN, YN = (a[ni, nj] for a in grid.node_coords())
     inner_nodes = (XN - cx) ** 2 + (YN - cy) ** 2 <= rho * rho
     if not (inner_cells.any() and inner_nodes.any()):
         raise GeometryError(f"B_rho holds no cell centre or no interior node: rho = {rho:g}, h = {h:g}")
@@ -521,8 +578,8 @@ def field_stats(
         * h
     )
 
-    # second differences on interior nodes only
-    un = u.values
+    # second differences on the window's interior nodes, from it and one more layer
+    un = u.values[ni.start - 1 : ni.stop + 1, nj.start - 1 : nj.stop + 1]
     uxx = (un[2:, 1:-1] - 2 * un[1:-1, 1:-1] + un[:-2, 1:-1]) / h**2
     uyy = (un[1:-1, 2:] - 2 * un[1:-1, 1:-1] + un[1:-1, :-2]) / h**2
     uxy = (un[2:, 2:] - un[2:, :-2] - un[:-2, 2:] + un[:-2, :-2]) / (4 * h**2)
@@ -598,8 +655,7 @@ def save_field(path, u: DiscreteField, family_id: str = ""):
         f"y0 = {g.y0!r}",
         f"family = {family_id}",
     ]
-    for row in u.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in u.values.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

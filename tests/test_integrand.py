@@ -330,3 +330,32 @@ def test_coefficient_range_on_ball():
     lo, hi = a.range_on_ball(Ball(0.0, 0.0, 1.0))
     assert lo == pytest.approx(-math.sqrt(2), abs=5e-3)
     assert hi == pytest.approx(math.sqrt(2), abs=5e-3)
+
+
+def test_coefficient_memo_answers_only_for_the_same_frozen_arrays():
+    calls = []
+
+    def fn(x, y):
+        calls.append(1)
+        return x + 2 * y
+
+    def frozen(a):
+        a = np.array(a, float)
+        a.flags.writeable = False
+        return a
+
+    coef = Coefficient(fn, 2.0)
+    X, Y = frozen(RNG.standard_normal((5, 5))), frozen(RNG.standard_normal((5, 5)))
+    first = coef(X, Y)
+    assert coef(X, Y) is first and len(calls) == 1 and not first.flags.writeable
+    # equal values in other arrays, writeable arrays and read-only views all evaluate
+    others = (frozen(X), Y), (X.copy(), Y.copy()), (X[:], Y[:])
+    for x, y in others:
+        np.testing.assert_array_equal(coef(x, y), X + 2 * Y)
+    assert len(calls) == 1 + len(others)
+    # the kept arrays, made writeable, are not trusted
+    coef(X, Y)
+    X.flags.writeable = True
+    X += 1.0
+    np.testing.assert_array_equal(coef(X, Y), X + 2 * Y)
+    assert len(calls) == 3 + len(others)

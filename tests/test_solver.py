@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import pqlab
+from pqlab.growth import paper_triple
 from pqlab.integrand import (
     LOG_MAX,
     Anisotropic,
+    Ball,
     Coefficient,
     DoublePhase,
     Exponential,
@@ -26,6 +28,7 @@ from pqlab.integrand import (
 )
 from pqlab.solver import (
     DiscreteField,
+    FieldStats,
     GeometryError,
     Grid,
     SolveOptions,
@@ -224,7 +227,7 @@ def test_hessian_matches_four_corner_assembly(fam):
     rng = np.random.default_rng(7)
     u = bilinear_interpolant(g).values
     u[1:-1, 1:-1] += 0.05 * rng.standard_normal((g.n - 2, g.n - 2))
-    objective = _Objective(g, fam)
+    objective = _Objective(g, fam, g.boundary_values())
     z = u[1:-1, 1:-1].ravel()
     F = objective(z)[0]
     product, D = objective.hessian(z, F)
@@ -243,6 +246,50 @@ def test_hessian_matches_four_corner_assembly(fam):
         assert np.max(np.abs(product(v) - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
         assert np.max(np.abs(K_ii @ v - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
     np.testing.assert_allclose(D, ref_D, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref_D)))
+
+
+def test_hessian_after_another_point_matches_a_fresh_objective():
+    fam = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0))
+    g = unit_grid(13, boundary=lambda x, y: 1.2 * x + 0.8 * y)
+    rng = np.random.default_rng(8)
+    z1, z2 = (bilinear_interpolant(g).values[1:-1, 1:-1].ravel() + 0.05 * rng.standard_normal(121) for _ in range(2))
+    objective = _Objective(g, fam, g.boundary_values())
+    F1 = objective(z1)[0]
+    F2 = objective(z2)[0]
+    v = rng.standard_normal(z1.size)
+    # z1 is no longer the last point evaluated, and a copy of z2 is another array
+    for z, F in ((z1, F1), (z2, F2), (z2.copy(), F2)):
+        product, D = objective.hessian(z, F)
+        ref_product, ref_D = _Objective(g, fam, g.boundary_values()).hessian(z, F)
+        np.testing.assert_array_equal(product(v), ref_product(v))
+        np.testing.assert_array_equal(D, ref_D)
+
+
+def test_equal_geometries_share_read_only_coordinates():
+    a = Grid(1.0, 17, lambda x, y: x)
+    b = Grid(1.0, 17, lambda x, y: 2 * y)
+    shifted = Grid(1.0, 17, lambda x, y: x, x0=0.25)
+    for coords in (Grid.node_coords, Grid.cell_coords):
+        assert all(p is q for p, q in zip(coords(a), coords(b)))
+        assert not any(arr.flags.writeable for arr in coords(a))
+        assert not np.shares_memory(coords(a)[0], coords(shifted)[0])
+        np.testing.assert_array_equal(coords(shifted)[0], coords(a)[0] + 0.25)
+    # boundary data "x" hands back a copy the caller may write, not the shared X
+    vals = a.boundary_values()
+    assert vals.flags.writeable and not np.shares_memory(vals, a.node_coords()[0])
+    np.testing.assert_array_equal(vals, a.node_coords()[0])
+
+
+def test_solves_interleaved_across_n_are_bit_identical():
+    fam = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0))
+    opts = SolveOptions(tolerance=1e-9)
+
+    def solve(n):
+        return minimize(Grid(1.0, n, lambda x, y: np.sin(3 * x) + y), fam, opts=opts)[0].values
+
+    first = solve(65)
+    solve(129)
+    np.testing.assert_array_equal(solve(65), first)
 
 
 def test_preconditioner_does_not_alias_its_workspace():
@@ -570,6 +617,59 @@ def test_field_stats_very_degenerate_skips_plateau_exactly():
     assert st.sup_grad < 1.0
     assert st.w22_weighted == 0.0
     assert st.w22_unweighted > 0.0
+
+
+def whole_grid_field_stats(grid, family, u, rho, R, center, triple, gamma=1.0):
+    """field_stats' formula on every cell and interior node, then masked, with
+    coordinates built here."""
+    cx, cy = center
+    h, n = grid.h, grid.n
+    XC, YC = np.meshgrid(grid.x0 + h * (np.arange(n - 1) + 0.5), grid.y0 + h * (np.arange(n - 1) + 0.5), indexing="ij")
+    XN, YN = np.meshgrid(grid.x0 + h * np.arange(n), grid.y0 + h * np.arange(n), indexing="ij")
+    gx, gy = cell_gradients(grid, u.values)
+    dist2 = (XC - cx) ** 2 + (YC - cy) ** 2
+    inner_cells, outer_cells = dist2 <= rho * rho, dist2 <= R * R
+    inner_nodes = (XN[1:-1, 1:-1] - cx) ** 2 + (YN[1:-1, 1:-1] - cy) ** 2 <= rho * rho
+    tmod = np.hypot(gx, gy)
+    g2v = triple.g2(tmod[inner_cells])
+    un = u.values
+    uxx = (un[2:, 1:-1] - 2 * un[1:-1, 1:-1] + un[:-2, 1:-1]) / h**2
+    uyy = (un[1:-1, 2:] - 2 * un[1:-1, 1:-1] + un[1:-1, :-2]) / h**2
+    uxy = (un[2:, 2:] - un[2:, :-2] - un[:-2, 2:] + un[:-2, :-2]) / (4 * h**2)
+    d2 = uxx**2 + 2 * uxy**2 + uyy**2
+    tn = np.hypot((un[2:, 1:-1] - un[:-2, 1:-1]) / (2 * h), (un[1:-1, 2:] - un[1:-1, :-2]) / (2 * h))
+    return FieldStats(
+        sup_grad=float(np.max(tmod[inner_cells])),
+        w22_weighted=float(np.sum((triple.g1(tn) * d2)[inner_nodes]) * h * h),
+        outer_energy=float(np.sum((1.0 + family.value(XC, YC, gx, gy))[outer_cells]) * h * h),
+        w22_unweighted=float(np.sum(d2[inner_nodes]) * h * h),
+        g1_at_zero=float(triple.g1(0.0)),
+        n_outer_cells=int(np.sum(outer_cells)),
+        v_integral=float(
+            np.sum(1.0 + np.power(tmod[inner_cells], 2 * gamma) * np.power(g2v, 2 * gamma - 1)) * h * h
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "side, n, x0, y0, center, rho, R",
+    [
+        (1.0, 33, 0.0, 0.0, (0.5, 0.5), 0.2, 0.4),          # centred
+        (1.0, 33, 0.0, 0.0, (0.5, 0.5), 0.25, 0.5),         # B_R touches all four edges
+        (1.0, 33, 0.0, 0.0, (0.3, 0.62), 0.1, 0.3),         # B_R touches the left edge
+        (2.0, 41, -1.3, 0.7, (-0.2, 1.85), 0.3, 0.55),      # shifted origin, off-centre
+        (2.0, 41, -1.3, 0.7, (-0.3, 1.7), 0.05, 0.5),       # rho = one h
+        (1.0, 33, 0.0, 0.0, (0.5, 0.5), 0.0625, 0.4),       # rho = two h
+    ],
+)
+def test_field_stats_windows_match_the_whole_grid(side, n, x0, y0, center, rho, R):
+    fam = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: 1.0 + np.exp(np.sin(3 * x) * y), 3.0))
+    g = Grid(side, n, lambda x, y: np.sin(2 * x) + x * y, x0, y0)
+    u = bilinear_interpolant(g)
+    u.values[1:-1, 1:-1] += 0.1 * np.random.default_rng(n).standard_normal((n - 2, n - 2))
+    triple = paper_triple(fam, Ball(*center, R))
+    st = field_stats(g, fam, u, rho, R, center=center, triple=triple, gamma=1.3)
+    assert st == whole_grid_field_stats(g, fam, u, rho, R, center, triple, gamma=1.3)
 
 
 def test_field_stats_geometry_error():
