@@ -23,7 +23,7 @@ from .config import (
     load_config,
     resolve_schedule,
 )
-from .exponents import DEFAULT_K, is_rejected, lambda_sequence
+from .exponents import is_rejected, lambda_sequence
 from .growth import ConditionReport, SampleSpec, paper_triple, run_all_checks
 from .integrand import Ball
 from .solver import Grid, SolveOptions, minimize, save_field
@@ -111,7 +111,7 @@ def cmd_params(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     lines = [f"{key:<12} = {_fmt(val)}" for key, val in rows]
     if sched is None:
         p = resolved.params
-        for k, lam in enumerate(lambda_sequence(p, cfg.get_int('schedule', 'K', default=DEFAULT_K)), 1):
+        for k, lam in enumerate(lambda_sequence(p, resolved.K), 1):
             lines.append(f"{f'lambda_{k}':<12} = {_fmt(lam)}")
         lines.append(f"note: iteration exponents degenerate ({resolved.degenerate_reason})")
     _emit("\n".join(lines), out_dir, "schedule.txt")

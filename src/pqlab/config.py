@@ -27,7 +27,7 @@ Format::
     mode = auto            # explicit mode also beta, gamma and theta
     n = 2
 
-    [sweep]
+    [sweep]                # amplitudes or pairs, not both
     amplitudes = 0.5, 1, 2, 4, 8
     # or: pairs = (0.05, 0.45), (0.25, 0.45), (0.33, 0.45), (0.41, 0.45)
 
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import Expression, ExpressionError, parse_expression
+from .expressions import parse_expression
 from .exponents import (
     DEFAULT_K,
     ExponentParams,
@@ -96,6 +96,42 @@ class _Entry:
     line: int
 
 
+def _number(text: str):
+    """Fraction when the text is exact (int, ratio, or decimal), else float."""
+    try:
+        return Fraction(text) if "/" in text or "e" not in text.lower() else float(text)
+    except (ValueError, ZeroDivisionError):
+        return float(text)
+
+
+def _floats(text: str) -> list:
+    return [float(tok) for tok in text.replace(",", " ").split()]
+
+
+def _pairs(text: str) -> list:
+    chunks = [c for c in text.replace("(", " ").split(")") if c.strip()]
+    return [(a, b) for a, b in map(_floats, chunks)]
+
+
+def _numbers(value) -> list:
+    """The numbers of a parsed value: itself, or those of its list or pairs."""
+    return [v for item in value for v in _numbers(item)] if isinstance(value, (list, tuple)) else [value]
+
+
+# The value kinds of ProblemConfig.get: a parser, the message for a text it
+# rejects with a ValueError, and whether the numbers it returns must be finite
+# (``1e400`` is inf).  An expression's error also carries its column.
+_KINDS = {
+    "str": (str, None, False),
+    "int": (int, "{key} = {text!r} is not an integer", False),
+    "float": (float, "{key} = {text!r} is not a number", True),
+    "number": (_number, "{key} = {text!r} is not a number", True),
+    "floats": (_floats, "{key} = {text!r} is not a number list", True),
+    "pairs": (_pairs, "{key} must be a list of (rho, R) pairs, got {text!r}", True),
+    "expr": (parse_expression, "bad expression for {key}: {exc.reason}", False),
+}
+
+
 @dataclass
 class ProblemConfig:
     """Parsed config: sections of key -> (value, line)."""
@@ -111,101 +147,33 @@ class ProblemConfig:
             raise ConfigError(f"missing [{name}] section", self.path, 0)
         return self.sections[name]
 
-    # --- typed getters ------------------------------------------------------
-
-    def _entry(self, sect: str, key: str, default=None, required=False) -> Optional[_Entry]:
+    def get(self, sect: str, key: str, kind: str = "str", default=None, required=False):
+        """[sect] ``key`` parsed as ``kind`` (a key of ``_KINDS``); ``default``
+        when the key is absent, a ConfigError when it is also ``required``."""
         entry = self.section(sect).get(key)
         if entry is None:
             if required:
                 raise ConfigError(f"[{sect}] is missing the key {key!r}", self.path, 0)
             return default
-        return entry
-
-    def get_str(self, sect, key, default=None, required=False):
-        e = self._entry(sect, key, None, required)
-        return default if e is None else e.value
-
-    def _require_finite(self, key, e: _Entry, values):
-        """A ConfigError at the line of entry ``e`` when one of the numbers
-        read from it is inf or nan (``1e400`` included)."""
-        if not all(isinstance(v, Fraction) or math.isfinite(v) for v in values):
-            raise ConfigError(f"{key} = {e.value!r} must be finite", self.path, e.line)
-
-    def get_float(self, sect, key, default=None, required=False):
-        e = self._entry(sect, key, None, required)
-        if e is None:
-            return default
+        parse, message, finite = _KINDS[kind]
         try:
-            value = float(e.value)
-        except ValueError:
-            raise ConfigError(f"{key} = {e.value!r} is not a number", self.path, e.line) from None
-        self._require_finite(key, e, [value])
+            value = parse(entry.value)
+        except ValueError as exc:
+            reason = message.format(key=key, text=entry.value, exc=exc)
+            raise ConfigError(reason, self.path, entry.line, getattr(exc, "column", None)) from None
+        if finite and not all(isinstance(v, Fraction) or math.isfinite(v) for v in _numbers(value)):
+            raise ConfigError(f"{key} = {entry.value!r} must be finite", self.path, entry.line)
         return value
 
-    def get_number(self, sect, key, default=None, required=False):
-        """Fraction when the text is exact (int, ratio, or decimal), else float."""
-        e = self._entry(sect, key, None, required)
-        if e is None:
-            return default
-        txt = e.value
-        try:
-            value = Fraction(txt) if "/" in txt or "e" not in txt.lower() else float(txt)
-        except (ValueError, ZeroDivisionError):
-            try:
-                value = float(txt)
-            except ValueError:
-                raise ConfigError(f"{key} = {txt!r} is not a number", self.path, e.line) from None
-        self._require_finite(key, e, [value])
-        return value
-
-    def get_int(self, sect, key, default=None, required=False):
-        e = self._entry(sect, key, None, required)
-        if e is None:
-            return default
-        try:
-            return int(e.value)
-        except ValueError:
-            raise ConfigError(f"{key} = {e.value!r} is not an integer", self.path, e.line) from None
-
-    def get_expression(self, sect, key, required=False) -> Optional[Expression]:
-        e = self._entry(sect, key, None, required)
-        if e is None:
-            return None
-        try:
-            return parse_expression(e.value)
-        except ExpressionError as exc:
-            raise ConfigError(
-                f"bad expression for {key}: {exc.reason}", self.path, e.line, exc.column
-            ) from None
-
-    def get_float_list(self, sect, key, required=False):
-        e = self._entry(sect, key, None, required)
-        if e is None:
-            return None
-        try:
-            values = [float(tok) for tok in e.value.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"{key} = {e.value!r} is not a number list", self.path, e.line) from None
-        self._require_finite(key, e, values)
-        return values
-
-    def get_pair_list(self, sect, key):
-        e = self._entry(sect, key)
-        if e is None:
-            return None
-        txt = e.value
-        pairs = []
-        try:
-            chunks = [c.strip() for c in txt.replace("(", " ").split(")") if c.strip()]
-            for c in chunks:
-                a, b = [float(tok) for tok in c.replace(",", " ").split()]
-                pairs.append((a, b))
-        except ValueError:
-            raise ConfigError(
-                f"{key} must be a list of (rho, R) pairs, got {txt!r}", self.path, e.line
-            ) from None
-        self._require_finite(key, e, [v for pair in pairs for v in pair])
-        return pairs
+    def read(self, sect: str, **schema) -> list:
+        """The values of the schema's keys in its order, once ``_known_keys``
+        has checked [sect] against them.  A schema entry is a kind, for a
+        required key, or a ``(kind, default)`` pair."""
+        _known_keys(self, sect, tuple(schema))
+        return [
+            self.get(sect, key, spec, required=True) if isinstance(spec, str) else self.get(sect, key, *spec)
+            for key, spec in schema.items()
+        ]
 
 
 def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
@@ -249,10 +217,10 @@ def load_config(path) -> ProblemConfig:
 
 
 def _coefficient(cfg: ProblemConfig, sect: str, key: str, required=True) -> Optional[Coefficient]:
-    expr = cfg.get_expression(sect, key, required=required)
+    expr = cfg.get(sect, key, "expr", required=required)
     if expr is None:
         return None
-    lip = cfg.get_float(sect, f"{key}_lipschitz", default=0.0)
+    lip = cfg.get(sect, f"{key}_lipschitz", "float", 0.0)
     return Coefficient(expr, lipschitz=lip, source=expr.source)
 
 
@@ -271,46 +239,35 @@ _FAMILY_KEYS = {
 
 def build_family(cfg: ProblemConfig) -> IntegrandFamily:
     sect = cfg.require_section("family")
-    kind = cfg.get_str("family", "kind", required=True)
+    kind = cfg.get("family", "kind", required=True)
     line = sect["kind"].line
     if kind not in _FAMILY_KEYS:
         raise ConfigError(f"unknown family kind {kind!r}", cfg.path, line)
     _known_keys(cfg, "family", ("kind", *_FAMILY_KEYS[kind]))
+
+    def num(key):
+        return cfg.get("family", key, "float", required=True)
+
     try:
         if kind == "p_laplacian":
-            return PLaplacian(cfg.get_float("family", "p", required=True))
+            return PLaplacian(num("p"))
         if kind == "very_degenerate":
-            return VeryDegenerate(cfg.get_float("family", "p", required=True))
+            return VeryDegenerate(num("p"))
         if kind == "exponential":
-            return Exponential(
-                _coefficient(cfg, "family", "a"), cfg.get_float("family", "tau", default=2.0)
-            )
+            return Exponential(_coefficient(cfg, "family", "a"), cfg.get("family", "tau", "float", 2.0))
         if kind == "px_laplacian":
             return PxLaplacian(_coefficient(cfg, "family", "p_expr"))
         if kind == "log_px_laplacian":
             return LogPxLaplacian(_coefficient(cfg, "family", "p_expr"))
         if kind == "double_phase":
-            return DoublePhase(
-                cfg.get_float("family", "p", required=True),
-                cfg.get_float("family", "q", required=True),
-                _coefficient(cfg, "family", "a"),
-            )
+            return DoublePhase(num("p"), num("q"), _coefficient(cfg, "family", "a"))
         if kind == "multi_phase":
-            return MultiPhase(
-                cfg.get_float("family", "p", required=True),
-                cfg.get_float("family", "q", required=True),
-                _coefficient(cfg, "family", "a"),
-                cfg.get_float("family", "b", required=True),
-            )
+            return MultiPhase(num("p"), num("q"), _coefficient(cfg, "family", "a"), num("b"))
         if kind == "anisotropic":
-            q = cfg.get_float("family", "q", required=True)
-            if cfg.get_str("family", "base_p") is not None:
-                return Anisotropic(q, base_p=cfg.get_float("family", "base_p"))
-            aij = (
-                _coefficient(cfg, "family", "a11"),
-                _coefficient(cfg, "family", "a12"),
-                _coefficient(cfg, "family", "a22"),
-            )
+            q = num("q")
+            if "base_p" in sect:
+                return Anisotropic(q, base_p=num("base_p"))
+            aij = tuple(_coefficient(cfg, "family", key) for key in ("a11", "a12", "a22"))
             return Anisotropic(q, aij=aij)
     except ConfigError:
         raise
@@ -319,8 +276,7 @@ def build_family(cfg: ProblemConfig) -> IntegrandFamily:
 
 
 def build_boundary(cfg: ProblemConfig):
-    _known_keys(cfg, "boundary", ("expr",))
-    expr = cfg.get_expression("boundary", "expr", required=True)
+    (expr,) = cfg.read("boundary", expr="expr")
     return lambda x, y: expr(x, y)
 
 
@@ -335,23 +291,16 @@ def _checked(cfg: ProblemConfig, sect: str, make):
 
 
 def build_grid_spec(cfg: ProblemConfig):
-    _known_keys(cfg, "grid", ("side", "n", "x0", "y0"))
-    side = cfg.get_float("grid", "side", required=True)
-    n = cfg.get_int("grid", "n", required=True)
-    x0 = cfg.get_float("grid", "x0", default=0.0)
-    y0 = cfg.get_float("grid", "y0", default=0.0)
+    side, n, x0, y0 = cfg.read("grid", side="float", n="int", x0=("float", 0.0), y0=("float", 0.0))
     _checked(cfg, "grid", lambda: Grid(side, n, None, x0, y0))  # Grid's own rules
     return side, n, x0, y0
 
 
 def build_ball(cfg: ProblemConfig):
     sect = cfg.require_section("ball")
-    _known_keys(cfg, "ball", ("center", "rho", "R"))
-    center = cfg.get_float_list("ball", "center", required=True)
+    center, rho, R = cfg.read("ball", center="floats", rho="float", R="float")
     if len(center) != 2:
         raise ConfigError("ball center must be two numbers", cfg.path, sect["center"].line)
-    rho = cfg.get_float("ball", "rho", required=True)
-    R = cfg.get_float("ball", "R", required=True)
     if not 0 < rho < R:
         raise ConfigError(f"need 0 < rho < R, got rho={rho}, R={R}", cfg.path, sect["rho"].line)
     return (center[0], center[1]), rho, R
@@ -366,17 +315,20 @@ def _known_keys(cfg: ProblemConfig, sect: str, keys: tuple):
 
 
 def build_sweep(cfg: ProblemConfig):
-    """The [sweep] ``(amplitudes, pairs)``; either is None when not given."""
-    _known_keys(cfg, "sweep", ("amplitudes", "pairs"))
-    return cfg.get_float_list("sweep", "amplitudes"), cfg.get_pair_list("sweep", "pairs")
+    """The [sweep] ``(amplitudes, pairs)``: one of them, the other None."""
+    amplitudes, pairs = cfg.read("sweep", amplitudes=("floats", None), pairs=("pairs", None))
+    if amplitudes is not None and pairs is not None:
+        line = max(entry.line for entry in cfg.section("sweep").values())
+        raise ConfigError("[sweep] takes amplitudes or pairs, not both", cfg.path, line)
+    return amplitudes, pairs
 
 
 def build_solver_options(cfg: ProblemConfig, tolerance_override: Optional[float] = None) -> SolveOptions:
-    _known_keys(cfg, "solver", ("tolerance", "max_iter"))
-    tol = cfg.get_float("solver", "tolerance", default=SolveOptions.tolerance)
+    tol, max_iter = cfg.read(
+        "solver", tolerance=("float", SolveOptions.tolerance), max_iter=("int", SolveOptions.max_iter)
+    )
     if tolerance_override is not None:
         tol = tolerance_override
-    max_iter = cfg.get_int("solver", "max_iter", default=SolveOptions.max_iter)
     return _checked(cfg, "solver", lambda: SolveOptions(max_iter=max_iter, tolerance=tol))
 
 
@@ -384,35 +336,32 @@ def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
     """ExponentParams from the [schedule] section: 'auto' asks the family for
     its recipe (``auto_params``), 'explicit' gives (alpha, beta, gamma, delta).
     Values a recipe or the exponent region declines give a ParamRejection."""
-    mode = cfg.get_str("schedule", "mode", default="auto")
+    mode = cfg.get("schedule", "mode", default="auto")
     explicit = ("beta", "gamma", "theta") if mode == "explicit" else ()
     _known_keys(cfg, "schedule", ("mode", "n", "two_star", "alpha", *explicit, "delta", "nu", "mu", "K"))
+
+    def number(key, default=None, required=False):
+        return cfg.get("schedule", key, "number", default, required)
+
     try:
-        n = cfg.get_int("schedule", "n", default=2)
-        ts = cfg.get_number("schedule", "two_star", default=None)
+        n = cfg.get("schedule", "n", "int", 2)
+        ts = number("two_star")
         if mode == "explicit":
-            alpha = cfg.get_number("schedule", "alpha", required=True)
-            gamma = cfg.get_number("schedule", "gamma", default=None)
-            delta = cfg.get_number("schedule", "delta", default=None)
+            alpha = number("alpha", required=True)
+            gamma = number("gamma")
+            delta = number("delta")
             if gamma is None and delta is None:
                 gamma, delta = Fraction(1), Fraction(0)
             elif gamma is None:
                 gamma = 1 + delta
             elif delta is None:
                 delta = gamma - 1
-            beta = cfg.get_number("schedule", "beta", required=True)
+            beta = number("beta", required=True)
             ctx = sobolev_context(n, ts, alpha=alpha, gamma=gamma)
-            theta = cfg.get_number("schedule", "theta", default=None)
-            return ExponentParams(alpha, beta, gamma, delta, ctx, theta=theta)
+            return ExponentParams(alpha, beta, gamma, delta, ctx, theta=number("theta"))
         if mode != "auto":
             raise ConfigError(f"schedule mode must be auto or explicit, got {mode!r}", cfg.path, 0)
-        return family.auto_params(
-            ball,
-            n,
-            ts,
-            alpha=cfg.get_number("schedule", "alpha", default=Fraction(2)),
-            delta=cfg.get_number("schedule", "delta", default=Fraction(0)),
-        )
+        return family.auto_params(ball, n, ts, alpha=number("alpha", Fraction(2)), delta=number("delta", Fraction(0)))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -421,10 +370,12 @@ def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
 
 @dataclass
 class ResolvedSchedule:
-    """Either a full schedule or params whose iteration machinery degenerates."""
+    """Either a full schedule or params whose iteration machinery degenerates;
+    ``K`` is the [schedule] number of lambda_k."""
 
     params: ExponentParams
     schedule: Optional[MoserSchedule]
+    K: int
     degenerate_reason: Optional[str] = None
 
 
@@ -433,22 +384,22 @@ def resolve_schedule(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
     params = resolve_params(cfg, family, ball)
     if is_rejected(params):
         return params
-    K = cfg.get_int("schedule", "K", default=DEFAULT_K)
+    K = cfg.get("schedule", "K", "int", DEFAULT_K)
     if K < 1:  # lambda_sequence's rule, ahead of the degenerate-schedule outcomes
         raise ConfigError(f"K must be >= 1, got {K}", cfg.path, cfg.section("schedule")["K"].line)
-    nu_cfg = cfg.get_number("schedule", "nu", default=None)
-    mu_txt = cfg.get_str("schedule", "mu", default=None)
+    nu_cfg = cfg.get("schedule", "nu", "number")
+    mu_txt = cfg.get("schedule", "mu")
     if mu_txt is not None and mu_txt.lower() in ("unbounded", "inf", "infinity"):
         pair = (nu_cfg if nu_cfg is not None else Fraction(1), MU_UNBOUNDED)
     elif mu_txt is not None:
-        pair = (nu_cfg if nu_cfg is not None else Fraction(1), cfg.get_number("schedule", "mu"))
+        pair = (nu_cfg if nu_cfg is not None else Fraction(1), cfg.get("schedule", "mu", "number"))
     else:
         pair = select_mu_nu(params, nu=nu_cfg)
     if is_rejected(pair):
-        return ResolvedSchedule(params=params, schedule=None, degenerate_reason=pair.describe())
+        return ResolvedSchedule(params=params, schedule=None, K=K, degenerate_reason=pair.describe())
     nu, mu = pair
     try:
         sched = moser_exponents(params, nu, mu, K=K)
     except (ValueError, ArithmeticError) as exc:
-        return ResolvedSchedule(params=params, schedule=None, degenerate_reason=str(exc))
-    return ResolvedSchedule(params=params, schedule=sched)
+        return ResolvedSchedule(params=params, schedule=None, K=K, degenerate_reason=str(exc))
+    return ResolvedSchedule(params=params, schedule=sched, K=K)

@@ -1,6 +1,7 @@
 """Config parsing and the CLI exit-code matrix."""
 
 import gc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,9 +80,9 @@ def cfg_file(tmp_path, text, name="problem.cfg"):
 
 def test_parse_config_sections_and_comments():
     cfg = parse_config(BASE_P2)
-    assert cfg.get_str("family", "kind") == "p_laplacian"
-    assert cfg.get_int("grid", "n") == 33
-    assert cfg.get_float_list("sweep", "amplitudes") == [0.5, 1, 2, 4, 8]
+    assert cfg.get("family", "kind") == "p_laplacian"
+    assert cfg.get("grid", "n", "int") == 33
+    assert cfg.get("sweep", "amplitudes", "floats") == [0.5, 1, 2, 4, 8]
 
 
 def test_parse_error_carries_line():
@@ -94,7 +95,7 @@ def test_expression_error_carries_line_and_column():
     text = BASE_P2.replace("expr = x^2 - y^2", "expr = x^2 -* y")
     with pytest.raises(ConfigError) as exc:
         cfg = parse_config(text)
-        cfg.get_expression("boundary", "expr", required=True)
+        cfg.get("boundary", "expr", "expr", required=True)
     assert exc.value.line == 11  # the boundary expr line of BASE_P2
     assert exc.value.column is not None
 
@@ -103,6 +104,42 @@ def test_missing_family_key_is_config_error():
     text = BASE_P2.replace("p = 2\n", "")
     with pytest.raises(ConfigError, match="missing the key 'p'"):
         build_family(parse_config(text))
+
+
+@pytest.mark.parametrize(
+    "kind, text, value, error",
+    [
+        ("str", "any text", "any text", None),
+        ("int", "65.5", None, "3: n = '65.5' is not an integer"),
+        ("int", "inf", None, "3: n = 'inf' is not an integer"),
+        ("float", "abc", None, "3: n = 'abc' is not a number"),
+        ("float", "-inf", None, "3: n = '-inf' must be finite"),
+        ("number", "5/2", Fraction(5, 2), None),
+        ("number", "2.5e0", 2.5, None),
+        ("number", "1/0", None, "3: n = '1/0' is not a number"),
+        ("number", "Infinity", None, "3: n = 'Infinity' must be finite"),
+        ("floats", "0.5, x", None, "3: n = '0.5, x' is not a number list"),
+        ("floats", "0.5 1e400", None, "3: n = '0.5 1e400' must be finite"),
+        ("pairs", "(0.05, 0.45), (a, b)", None, "3: n must be a list of (rho, R) pairs, got '(0.05, 0.45), (a, b)'"),
+        ("pairs", "(0.05, 0.25, 0.45)", None, "3: n must be a list of (rho, R) pairs, got '(0.05, 0.25, 0.45)'"),
+        ("pairs", "(0.05, -nan)", None, "3: n = '(0.05, -nan)' must be finite"),
+        ("expr", "x +* y", None, "3:4: bad expression for n: expected a value, found '*'"),
+    ],
+)
+def test_value_kinds(kind, text, value, error):
+    cfg = parse_config(f"[grid]\n# the key sits on line 3\nn = {text}\n")
+    default = object()
+    assert cfg.get("grid", "absent", kind, default) is default
+    with pytest.raises(ConfigError) as exc:
+        cfg.get("grid", "absent", kind, default, required=True)
+    assert (str(exc.value), exc.value.line) == ("<config>:0: [grid] is missing the key 'absent'", 0)
+    if error is None:
+        got = cfg.get("grid", "n", kind)
+        assert (type(got), got) == (type(value), value)
+        return
+    with pytest.raises(ConfigError) as exc:
+        cfg.get("grid", "n", kind)
+    assert (str(exc.value), exc.value.line) == (f"<config>:{error}", 3)
 
 
 def test_duplicate_key_rejected():
@@ -680,6 +717,26 @@ def test_family_keys_of_the_kind_and_unknown_kind(tmp_path, capsys):
     path = cfg_file(tmp_path, BASE_P2.replace("expr = x^2 - y^2", "expr = x^2 - y^2\nx0 = 0"))
     main(["solve", path])
     assert "[boundary] takes expr only, not 'x0'" in capsys.readouterr().err
+
+
+def test_sweep_with_amplitudes_and_pairs_is_a_config_error(tmp_path, capsys):
+    # validate ran the amplitude sweep, ignored the pairs and exited 0
+    text = BASE_P2.replace(
+        "amplitudes = 0.5, 1, 2, 4, 8", "pairs = (0.05, 0.45), (0.25, 0.45)\namplitudes = 0.5, 1, 2, 4, 8"
+    )
+    path = cfg_file(tmp_path, text)
+    rc = main(["validate", path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    line = text.splitlines().index("amplitudes = 0.5, 1, 2, 4, 8") + 1
+    assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: [sweep] takes amplitudes or pairs, not both\n")
+
+
+def test_params_of_a_degenerate_schedule_list_K_lambdas(tmp_path, capsys):
+    text = BASE_P2.replace("mode = auto", "mode = explicit\nalpha = 2\nbeta = 1\nnu = 1\nmu = 1\nK = 3")
+    assert main(["params", cfg_file(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "lambda_3     = " in out and "lambda_4" not in out, out
+    assert out.endswith("note: iteration exponents degenerate (mu must exceed 2*/2 = 4, got 1)\n"), out
 
 
 def test_params_e_notation_prints_fractions(tmp_path, capsys):

@@ -9,9 +9,13 @@ the checkout this script sits in, on every config under
 ``params`` on check-catalog, ``validate`` and ``params`` on validate-sweep.
 Each command gets ``OUTDIR/<workload>/<config>/<command>/`` holding
 ``stdout.txt`` (stdout and stderr), ``exit_code.txt`` and ``out/``, the
-report and field files written through ``--out``.  The OUTDIR prefix is
-replaced by the word OUTDIR in every file, so snapshots of two checkouts
-compare with
+report and field files written through ``--out``.
+
+The config-error paths are snapshot too: each case of ``ERRORS`` replaces
+one line of a benchmark config (the replacement may add a line), and gets
+``OUTDIR/config-errors/<case>/`` with the edited ``problem.cfg`` and the
+same three entries.  The OUTDIR prefix is replaced by the word OUTDIR in
+every file, so snapshots of two checkouts compare with
 
     diff -r OUTDIR_A OUTDIR_B
 """
@@ -29,6 +33,28 @@ COMMANDS = {
     "check-catalog": ("check", "params"),
     "validate-sweep": ("validate", "params"),
 }
+DP, PX, LOG_PX = "validate-sweep/dp_amplitudes", "validate-sweep/px_radii", "check-catalog/log_px_laplacian"
+PX_PAIRS = "pairs = (0.05, 0.45), (0.25, 0.45), (0.33, 0.45), (0.41, 0.45)"
+# case: (config, command, the line replaced, its replacement)
+ERRORS = {
+    "str-rejected": ("check-catalog/double_phase", "params", "mode = auto", "mode = sometimes"),
+    "int-text": (DP, "validate", "n = 65", "n = 65.5"),
+    "float-text": (DP, "validate", "rho = 0.2", "rho = abc"),
+    "float-inf": (DP, "validate", "rho = 0.2", "rho = inf"),
+    "number-text": (LOG_PX, "params", "alpha = 5913/2530", "alpha = 1/0"),
+    "number-inf": (LOG_PX, "params", "alpha = 5913/2530", "alpha = inf"),
+    "floats-text": (DP, "validate", "center = 0.5, 0.5", "center = 0.5, x"),
+    "floats-inf": (DP, "validate", "amplitudes = 0.5, 1, 2, 4, 8", "amplitudes = 0.5, 1, 2, 4, inf"),
+    "pairs-text": (PX, "validate", PX_PAIRS, "pairs = (0.05, 0.45), (a, b)"),
+    "pairs-inf": (PX, "validate", PX_PAIRS, "pairs = (0.05, inf), (0.25, 0.45)"),
+    "pairs-arity-3": (PX, "validate", PX_PAIRS, "pairs = (0.05, 0.25, 0.45), (0.33, 0.45)"),
+    "expr-column": (DP, "validate", "expr = x*y + 0.5*(x + y)", "expr = x*y + 0.5*(x +* y)"),
+    "missing-key": (DP, "validate", "rho = 0.2", ""),
+    "unknown-key": (DP, "validate", "a_lipschitz = 3.0", "a_lipshitz = 3.0"),
+    "unknown-section": (DP, "validate", "[solver]", "[solvr]"),
+    "sweep-both-keys": (DP, "validate", "amplitudes = 0.5, 1, 2, 4, 8",
+                        "amplitudes = 0.5, 1, 2, 4, 8\npairs = (0.05, 0.45), (0.25, 0.45)"),
+}
 
 
 def snapshot(main, cfg: Path, command: str, seed: int, dest: Path):
@@ -42,6 +68,15 @@ def snapshot(main, cfg: Path, command: str, seed: int, dest: Path):
     dest.mkdir(parents=True, exist_ok=True)
     (dest / "stdout.txt").write_text(buf.getvalue())
     (dest / "exit_code.txt").write_text(f"{rc}\n")
+
+
+def snapshot_error(main, case: str, seed: int, dest: Path):
+    config, command, old, new = ERRORS[case]
+    lines = (CONFIGS / f"{config}.cfg").read_text().splitlines()
+    lines[lines.index(old)] = new  # a ValueError when the config lost that line
+    dest.mkdir(parents=True, exist_ok=True)
+    (dest / "problem.cfg").write_text("\n".join(lines) + "\n")
+    snapshot(main, dest / "problem.cfg", command, seed, dest)
 
 
 def normalize(outdir: Path):
@@ -66,6 +101,8 @@ def main(argv=None) -> int:
         for cfg in sorted((CONFIGS / workload).glob("*.cfg")):
             for command in commands:
                 snapshot(cli_main, cfg, command, args.seed, outdir / workload / cfg.stem / command)
+    for case in ERRORS:
+        snapshot_error(cli_main, case, args.seed, outdir / "config-errors" / case)
     normalize(outdir)
     return 0
 
