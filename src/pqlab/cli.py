@@ -158,6 +158,10 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
     if is_rejected(resolved):
         print(f"rejected: {resolved.describe()}")
         return EXIT_FAIL
+    n = resolved.params.ctx.n
+    if n != 2:  # the schedule's dimension is the grid's; check and params keep n free
+        line = cfg.section("schedule")["n"].line
+        raise ConfigError(f"validate solves on a 2-D grid, so [schedule] n must be 2, got {n}", cfg.path, line)
     if resolved.schedule is None:
         print(f"schedule degenerate: {resolved.degenerate_reason}")
         return EXIT_FAIL
@@ -176,28 +180,25 @@ def cmd_validate(cfg_path: str, seed: int, out_dir, tolerance) -> int:
             report = sweep_amplitudes(tpl, amps, sched, rho, R, center=(cx, cy))
             _emit(report.render(), out_dir, "estimate_report.txt")
             return exit_code_from_reports([report])
-        if pairs is not None:
-            solved = tpl.solve(1.0)
-            rep = radius_sweep(solved, sched, pairs, center=(cx, cy))
-            lines = [
-                "pair            sup|Du|^2      normalized",
-            ]
-            for (r_, R_), s, c, lc in zip(rep.pairs, rep.sup_values, rep.normalized, rep.log_normalized):
-                lines.append(f"({r_:g}, {R_:g})".ljust(15) + f" {s:<14.8g} {format_constant(c, lc, 8, 14):<14}")
-            lines.append(
-                f"flags: monotone={'ok' if rep.monotone_ok else 'FAIL'} "
-                f"bounded={'ok' if rep.bounded_ok else 'FAIL'}"
-            )
-            _emit("\n".join(lines), out_dir, "radius_report.txt")
-            return EXIT_OK if rep.passed else EXIT_FAIL
+        solved = tpl.solve(1.0)
+        rep = radius_sweep(solved, sched, pairs, center=(cx, cy))
+        lines = [
+            "pair            sup|Du|^2      normalized",
+        ]
+        for (r_, R_), s, c, lc in zip(rep.pairs, rep.sup_values, rep.normalized, rep.log_normalized):
+            lines.append(f"({r_:g}, {R_:g})".ljust(15) + f" {s:<14.8g} {format_constant(c, lc, 8, 14):<14}")
+        lines.append(
+            f"flags: monotone={'ok' if rep.monotone_ok else 'FAIL'} "
+            f"bounded={'ok' if rep.bounded_ok else 'FAIL'}"
+        )
+        _emit("\n".join(lines), out_dir, "radius_report.txt")
+        return EXIT_OK if rep.passed else EXIT_FAIL
     except ThetaOscillationError as exc:
         print(f"geometry/oscillation error: {exc}")
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}")
         return EXIT_USAGE
-    print("error: [sweep] must define either amplitudes or pairs")
-    return EXIT_USAGE
 
 
 def _seed(text: str) -> int:

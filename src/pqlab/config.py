@@ -134,10 +134,12 @@ _KINDS = {
 
 @dataclass
 class ProblemConfig:
-    """Parsed config: sections of key -> (value, line)."""
+    """Parsed config: sections of key -> (value, line), and the line of each
+    section's first header, where an error about a missing key points."""
 
     path: str
     sections: dict
+    headers: dict
 
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})
@@ -153,7 +155,7 @@ class ProblemConfig:
         entry = self.section(sect).get(key)
         if entry is None:
             if required:
-                raise ConfigError(f"[{sect}] is missing the key {key!r}", self.path, 0)
+                raise ConfigError(f"[{sect}] is missing the key {key!r}", self.path, self.headers.get(sect, 0))
             return default
         parse, message, finite = _KINDS[kind]
         try:
@@ -178,6 +180,7 @@ class ProblemConfig:
 
 def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
     sections: dict = {}
+    headers: dict = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,6 +193,7 @@ def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
             if current not in ("family", "grid", "boundary", "ball", "schedule", "sweep", "solver"):
                 raise ConfigError(f"unknown section [{current}]", path, lineno)
             sections.setdefault(current, {})
+            headers.setdefault(current, lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", path, lineno)
@@ -203,7 +207,7 @@ def parse_config(text: str, path: str = "<config>") -> ProblemConfig:
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", path, lineno)
         sections[current][key] = _Entry(value=value, line=lineno)
-    return ProblemConfig(path=path, sections=sections)
+    return ProblemConfig(path=path, sections=sections, headers=headers)
 
 
 def load_config(path) -> ProblemConfig:
@@ -320,6 +324,8 @@ def build_sweep(cfg: ProblemConfig):
     if amplitudes is not None and pairs is not None:
         line = max(entry.line for entry in cfg.section("sweep").values())
         raise ConfigError("[sweep] takes amplitudes or pairs, not both", cfg.path, line)
+    if amplitudes is None and pairs is None:
+        raise ConfigError("[sweep] must define either amplitudes or pairs", cfg.path, cfg.headers.get("sweep", 0))
     return amplitudes, pairs
 
 
@@ -360,7 +366,8 @@ def resolve_params(cfg: ProblemConfig, family: IntegrandFamily, ball: Ball):
             ctx = sobolev_context(n, ts, alpha=alpha, gamma=gamma)
             return ExponentParams(alpha, beta, gamma, delta, ctx, theta=number("theta"))
         if mode != "auto":
-            raise ConfigError(f"schedule mode must be auto or explicit, got {mode!r}", cfg.path, 0)
+            line = cfg.section("schedule")["mode"].line
+            raise ConfigError(f"schedule mode must be auto or explicit, got {mode!r}", cfg.path, line)
         return family.auto_params(ball, n, ts, alpha=number("alpha", Fraction(2)), delta=number("delta", Fraction(0)))
     except ConfigError:
         raise

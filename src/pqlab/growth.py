@@ -29,9 +29,8 @@ here (``_uniforms``) so that the checks never import ``numpy.random``.
 Everything family-specific comes from the family (:mod:`pqlab.integrand`):
 its triple, its Hessian t-cap and its log-domain flag.  The growth-function
 layer (GrowthFn, GrowthTriple) lives there and is re-exported here.  The
-checks import no scipy (quadrature, logsumexp and the Dawson function are
-numpy), and neither do ``check``, ``params``, ``solve`` or ``validate``;
-only the p = 2 oracle in :mod:`pqlab.solver` does.
+checks import no scipy, as no module of the package does: quadrature,
+logsumexp and the Dawson function are numpy.
 """
 
 from __future__ import annotations

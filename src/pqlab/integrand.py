@@ -32,11 +32,10 @@ sum_i c_i(x) t^(e_i) over their ``_terms()``.
 
 The growth-function layer (GrowthFn, GrowthTriple and the power-law
 builders) lives here, ahead of the families that build their triples
-from it; :mod:`pqlab.growth` re-exports it.  It needs no scipy: the
-Gauss-Legendre rules, the power-sum logsumexp and the Dawson function of the
-exponential antiderivative are numpy, so ``check``, ``params``, ``solve``
-and ``validate`` import no scipy; only the p = 2 oracle in
-:mod:`pqlab.solver` does.  Nor does a check load ``numpy.polynomial`` or
+from it; :mod:`pqlab.growth` re-exports it.  It needs no scipy, as no
+module of the package does: the Gauss-Legendre rules, the power-sum
+logsumexp and the Dawson function of the exponential antiderivative are
+numpy.  Nor does a check load ``numpy.polynomial`` or
 ``numpy.ma``: the Gauss-Legendre nodes and weights are float literals equal
 to ``leggauss``'s, and the cumulative integral dedupes its panel ends
 without ``np.unique``.

@@ -42,9 +42,8 @@ Each quantity is computed once where its inputs stay fixed:
   reuses for the point the line search accepted.
 ``field_stats`` computes on the index windows of its balls only.
 
-Only the sparse assembly ``_cell_matrix`` and the p = 2 oracle built on it,
-``harmonic_direct_solve``, import scipy, inside those functions; ``check``,
-``params``, ``solve`` and ``validate`` import none.
+The module needs numpy only: the p = 2 oracle ``harmonic_direct_solve`` is a
+dense eigendecomposition solve, and no code path imports scipy.
 """
 
 from __future__ import annotations
@@ -287,9 +286,10 @@ class _Objective:
         """(Hv, D): the energy Hessian as a map on interior vectors (cell blocks
         h^2 f_xixi, over E in the log domain, where ``value`` is log E, so that
         the Newton step is E's own), and per node the mean of the cell slope
-        (H11 + H22) / 2 over its four cells, halved: 1 at p = 2.  On a cell's
-        diagonals (a, b) the block is [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4,
-        q the form of f_xixi: the cell's h^2 cancels the 1/h^2 of the differences."""
+        (H11 + H22) / 2 over its four cells, halved and in the blocks' scale:
+        1 at p = 2.  On a cell's diagonals (a, b) the block is
+        [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4, q the form of
+        f_xixi: the cell's h^2 cancels the 1/h^2 of the differences."""
         m = self.grid.n - 2
         z, gx, gy = self._last
         if z is not interior_flat:
@@ -303,7 +303,7 @@ class _Objective:
             a, b = _diagonals(self._V)
             return _scatter(haa * a + hab * b, hab * a + hbb * b).ravel()
 
-        c = (qpp + qpm) / 32
+        c = (qpp + qpm) * (scale / 8)
         return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
 
     def raw_grad_inf(self, value, grad_interior) -> float:
@@ -606,37 +606,25 @@ def field_stats(
 # ---------------------------------------------------------------------------
 
 
-def _cell_matrix(n: int, h_aa, h_ab, h_bb):
-    """D_a^T (h_aa D_a + h_ab D_b) + D_b^T (h_ab D_a + h_bb D_b) over all n^2 nodes
-    (row-major) as scipy.sparse CSR: the sum over cells of h_aa a^2 + 2 h_ab a b
-    + h_bb b^2 on the diagonals (a, b) of ``_diagonals``.  The weights are scalars
-    or (n - 1) x (n - 1) cell arrays; scipy stores no zero that it computes."""
-    from scipy import sparse
-
-    up, low = sparse.eye(n - 1, n, 1), sparse.eye(n - 1, n)  # node i + 1, node i of cell i
-    Da = sparse.kron(up, up) - sparse.kron(low, low)
-    Db = sparse.kron(up, low) - sparse.kron(low, up)
-    Haa, Hab, Hbb = (sparse.diags(np.broadcast_to(h, (n - 1, n - 1)).ravel()) for h in (h_aa, h_ab, h_bb))
-    return (Da.T @ (Haa @ Da + Hab @ Db) + Db.T @ (Hab @ Da + Hbb @ Db)).tocsr()
-
-
 def harmonic_direct_solve(grid: Grid) -> DiscreteField:
-    """Exact minimizer of the p = 2 discrete energy by a sparse linear solve.
+    """Exact minimizer of the p = 2 discrete energy by a direct solve.
 
-    The stiffness is ``_cell_matrix`` at h_aa = h_bb = 1/2, h_ab = 0: a node
-    couples to itself and its four diagonal neighbours, no explicit zeros.  It
-    shares no code with the numpy ``_diagonals``/``_scatter`` kernels or the
+    The interior stiffness of ``_p2_stiffness_inverse`` is K = 2 I - S (x) S / 2,
+    S the adjacency matrix of a path of n - 2 nodes, so K U = 2 U - S U S / 2
+    on the interior values U, and S's eigenvectors Q diagonalise it:
+    U = Q ((Q^T R Q) / (2 - lam_i lam_j / 2)) Q^T for the boundary terms R
+    (the matrix-decomposition method of Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 7, 1970).  A dense symmetric eigensolver and matrix products
+    share no code with the ``_diagonals``/``_scatter`` kernels or the
     sine-transform preconditioner, so it is an oracle for the iterative path.
-    SuperLU orders its symmetric positive definite interior by minimum degree.
     """
-    from scipy.sparse.linalg import spsolve
-
-    inner = np.flatnonzero(~grid.boundary_mask().ravel())
-    K = _cell_matrix(grid.n, 0.5, 0.0, 0.5)[inner]
-    u = grid.boundary_values().flatten()  # a copy: boundary may return its own array
-    u[inner] = 0.0
-    u[inner] = spsolve(K[:, inner].tocsc(), -(K @ u), permc_spec="MMD_AT_PLUS_A")
-    return DiscreteField(grid, u.reshape(grid.n, grid.n))
+    m = grid.n - 2
+    u = grid.boundary_values().copy()  # boundary may return its own array
+    u[1:-1, 1:-1] = 0.0
+    r = 0.5 * (u[2:, 2:] + u[:-2, :-2] + u[2:, :-2] + u[:-2, 2:])
+    lam, Q = np.linalg.eigh(np.eye(m, k=1) + np.eye(m, k=-1))
+    u[1:-1, 1:-1] = Q @ ((Q.T @ r @ Q) / (2.0 - 0.5 * np.outer(lam, lam))) @ Q.T
+    return DiscreteField(grid, u)
 
 
 # ---------------------------------------------------------------------------

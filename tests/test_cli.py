@@ -132,7 +132,7 @@ def test_value_kinds(kind, text, value, error):
     assert cfg.get("grid", "absent", kind, default) is default
     with pytest.raises(ConfigError) as exc:
         cfg.get("grid", "absent", kind, default, required=True)
-    assert (str(exc.value), exc.value.line) == ("<config>:0: [grid] is missing the key 'absent'", 0)
+    assert (str(exc.value), exc.value.line) == ("<config>:1: [grid] is missing the key 'absent'", 1)
     if error is None:
         got = cfg.get("grid", "n", kind)
         assert (type(got), got) == (type(value), value)
@@ -225,6 +225,14 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
             "delta, nu, mu and K only, not 'beta'", id="auto-beta",
         ),
         pytest.param(
+            "params", "mode = auto", "mode = sometimes",
+            "config error: {at}: schedule mode must be auto or explicit, got 'sometimes'", id="mode-sometimes",
+        ),
+        pytest.param(
+            "validate", "n = 2\n", "n = 3\n",
+            "config error: {at}: validate solves on a 2-D grid, so [schedule] n must be 2, got 3", id="validate-n3",
+        ),
+        pytest.param(
             "solve", None, "--tolerance -1", "argument --tolerance: tolerance must be positive", id="flag-tol-1"
         ),
         pytest.param(
@@ -281,7 +289,8 @@ def test_rejected_values_end_in_one_line(tmp_path, capsys, command, old, new, ex
     # max_iter = -3 ran no step, and K = 0 under validate read as a degenerate
     # schedule (exit 2); non-finite numbers ran on into nan verdicts, a
     # converged solve after 0 iterations, an OverflowError or a numpy warning;
-    # a B_rho without cells measured sup|Du|^2 = 0
+    # a B_rho without cells measured sup|Du|^2 = 0; a bad schedule mode was
+    # anchored at line 0, and validate judged a 2-D field by n = 3 exponents
     text = BASE_P2 if old is None else BASE_P2.replace(old, new)
     path = cfg_file(tmp_path, text)
     args = new.split() if old is None else []
@@ -729,6 +738,25 @@ def test_sweep_with_amplitudes_and_pairs_is_a_config_error(tmp_path, capsys):
     cap = capsys.readouterr()
     line = text.splitlines().index("amplitudes = 0.5, 1, 2, 4, 8") + 1
     assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: [sweep] takes amplitudes or pairs, not both\n")
+
+
+@pytest.mark.parametrize(
+    "removed, header, message",
+    [
+        ("rho = 0.2\n", "[ball]", "[ball] is missing the key 'rho'"),
+        ("amplitudes = 0.5, 1, 2, 4, 8\n", "[sweep]", "[sweep] must define either amplitudes or pairs"),
+    ],
+    ids=["missing-key", "sweep-no-keys"],
+)
+def test_missing_keys_are_anchored_at_the_section_header(tmp_path, capsys, removed, header, message):
+    # both were anchored at line 0 or not at all: an empty [sweep] printed
+    # "error: ..." on stdout, once the schedule was built
+    text = BASE_P2.replace(removed, "")
+    path = cfg_file(tmp_path, text)
+    rc = main(["validate", path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    line = text.splitlines().index(header) + 1
+    assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: {message}\n")
 
 
 def test_params_of_a_degenerate_schedule_list_K_lambdas(tmp_path, capsys):

@@ -1,10 +1,10 @@
-"""scipy stays out of every CLI command: ``check``, ``params``, ``solve``
-and ``validate`` import none, and only the p = 2 oracle does; neither
-``numpy.random`` nor the ``secrets`` / ``hashlib`` / ``_hashlib`` modules it
-brings in load on any of them, nor do ``numpy.polynomial`` and ``numpy.ma``,
-as the Gauss-Legendre literals equal ``leggauss``'s bit for bit; calls whose
-first run sets something up lazily (the cached Gauss-Legendre nodes, the
-oracle's deferred scipy import) give the same values cold in a fresh
+"""No package module imports scipy, at any level, and the p = 2 oracle and
+the ``check``, ``params``, ``solve`` and ``validate`` commands run with scipy
+blocked; neither ``numpy.random`` nor the ``secrets`` / ``hashlib`` /
+``_hashlib`` modules it brings in load on any command, nor do
+``numpy.polynomial`` and ``numpy.ma``, as the Gauss-Legendre literals equal
+``leggauss``'s bit for bit; calls whose first run sets something up lazily
+(the cached Gauss-Legendre nodes) give the same values cold in a fresh
 interpreter as warm; and no package module keeps an unused top-level import
 or private top-level name."""
 
@@ -145,7 +145,9 @@ print(" ".join(sorted(m for m in sys.modules if m in heavy or m.startswith(tuple
 """
 
 
-def test_cli_commands_load_no_scipy(tmp_path):
+def _command_args(tmp_path) -> list:
+    """``command=config`` arguments of ``_RUN_CLI``: check and params on every
+    catalog family, solve and validate on the double phase sweep."""
     args = []
     for kind, family in CATALOG_FAMILIES.items():
         schedule = LOG_PX_SCHEDULE if kind == "log_px_laplacian" else "mode = auto\nn = 2"
@@ -157,7 +159,11 @@ def test_cli_commands_load_no_scipy(tmp_path):
         args += [f"check={path}", f"params={path}"]
     path = tmp_path / "solve.cfg"
     path.write_text(SOLVE_CFG + "\n[sweep]\namplitudes = 0.5, 1, 2, 4, 8\n")
-    args += [f"solve={path}", f"validate={path}"]
+    return args + [f"solve={path}", f"validate={path}"]
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    args = _command_args(tmp_path)
     codes, modules, heavy = _run_fresh(["-c", _RUN_CLI, *args]).stdout.split("\n")[:3]
     assert codes.split() == ["0"] * len(args)
     assert modules == ""
@@ -166,6 +172,36 @@ def test_cli_commands_load_no_scipy(tmp_path):
     # literals, not leggauss (numpy.polynomial), and the 11M integral dedupes
     # without np.unique (numpy.ma)
     assert heavy == ""
+
+
+_SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+from pqlab.solver import Grid, harmonic_direct_solve
+harmonic_direct_solve(Grid(1.0, 17, lambda x, y: np.sin(3 * x) + y))
+"""
+
+
+def test_oracle_and_cli_commands_run_with_scipy_blocked(tmp_path):
+    args = _command_args(tmp_path)
+    codes = _run_fresh(["-c", _SCIPY_BLOCKED + _RUN_CLI, *args]).stdout.split("\n")[0]
+    assert codes.split() == ["0"] * len(args)
+
+
+def test_no_package_module_imports_scipy():
+    # every import statement, at the top level or inside a function
+    found = []
+    for path in sorted(Path(pqlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
@@ -180,9 +216,9 @@ def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
 def deferred_sites() -> dict:
     """One call to each function whose first call sets something up lazily:
     the cumulative integral builds and caches the Gauss-Legendre nodes from
-    their literals, the p = 2 solve loads numpy.fft, and the p = 2
-    oracle imports scipy; the exponential antiderivative and the power-sum
-    log are the other numpy replacements of scipy special functions."""
+    their literals, and the p = 2 solve loads numpy.fft; the exponential
+    antiderivative and the power-sum log are the other numpy replacements
+    of scipy special functions, and the p = 2 oracle is numpy only."""
     ball = Ball(0.5, 0.5, 0.35)
     t = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 37.0, 1e4])
     dp = paper_triple(

@@ -41,7 +41,7 @@ from pqlab.solver import (
     minimize,
     save_field,
 )
-from pqlab.solver import _cell_matrix, _Objective, _p2_stiffness_inverse
+from pqlab.solver import _Objective, _p2_stiffness_inverse
 
 RNG = np.random.default_rng(411)
 
@@ -53,6 +53,20 @@ def unit_grid(n=17, boundary=lambda x, y: 0.0 * x):
 def nodal_field(grid, fn):
     X, Y = grid.node_coords()
     return DiscreteField(grid, np.asarray(fn(X, Y), float))
+
+
+def _cell_matrix(n: int, h_aa, h_ab, h_bb):
+    """D_a^T (h_aa D_a + h_ab D_b) + D_b^T (h_ab D_a + h_bb D_b) over all n^2 nodes
+    (row-major) as scipy.sparse CSR: the sum over cells of h_aa a^2 + 2 h_ab a b
+    + h_bb b^2 on the diagonals (a, b) of ``_diagonals``.  The weights are scalars
+    or (n - 1) x (n - 1) cell arrays; scipy stores no zero that it computes."""
+    from scipy import sparse
+
+    up, low = sparse.eye(n - 1, n, 1), sparse.eye(n - 1, n)  # node i + 1, node i of cell i
+    Da = sparse.kron(up, up) - sparse.kron(low, low)
+    Db = sparse.kron(up, low) - sparse.kron(low, up)
+    Haa, Hab, Hbb = (sparse.diags(np.broadcast_to(h, (n - 1, n - 1)).ravel()) for h in (h_aa, h_ab, h_bb))
+    return (Da.T @ (Haa @ Da + Hab @ Db) + Db.T @ (Hab @ Da + Hbb @ Db)).tocsr()
 
 
 # --- energies -------------------------------------------------------------------
@@ -143,6 +157,28 @@ def test_gradient_zero_for_constant_field():
         assert np.max(np.abs(G)) == 0.0, fam.kind
 
 
+@pytest.mark.parametrize("n", [12, 33, 129])
+def test_direct_harmonic_solve_matches_sparse_stiffness_solve(n):
+    # the eigendecomposition solve against a sparse LU of the cell-assembled
+    # stiffness, at n = 12 on a grid off the unit square; both forward errors
+    # grow with the stiffness's condition number, ~ n^2
+    from scipy.sparse.linalg import spsolve
+
+    if n == 12:
+        g = Grid(side=0.7, n=12, boundary=lambda x, y: np.exp(x) * np.cos(y) + x * y, x0=-0.3, y0=1.1)
+    else:
+        g = unit_grid(n, boundary=lambda x, y: np.exp(x) * np.cos(y) + x * y)
+    u = harmonic_direct_solve(g).values.ravel()
+    inner = np.flatnonzero(~g.boundary_mask().ravel())
+    K = _cell_matrix(g.n, 0.5, 0.0, 0.5)[inner]
+    K_ii = K[:, inner].tocsc()
+    assert np.max(np.abs(K @ u)) <= 1e-13 * np.max(np.abs(K_ii @ u[inner]))
+    ref = u.copy()
+    ref[inner] = 0.0
+    ref[inner] = spsolve(K_ii, -(K @ ref))
+    assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_gradient_vanishes_at_direct_harmonic_solve():
     g = unit_grid(17, boundary=lambda x, y: x * x - y * y)
     u = harmonic_direct_solve(g)
@@ -173,10 +209,11 @@ def four_corner_forms(grid, family, u):
 def four_corner_hessian(grid, family, u, log_energy=None):
     """The Hessian-vector product and node scaling D assembled on (gx, gy): the
     cell block h^2 f_xixi of ``four_corner_forms``, scattered onto the four
-    corners of each cell."""
+    corners of each cell; both over E when ``log_energy`` is log E."""
     n, h = grid.n, grid.h
     q11, q12, q22 = four_corner_forms(grid, family, u)
-    scale = h * h * (1.0 if log_energy is None else math.exp(-log_energy))
+    over_E = 1.0 if log_energy is None else math.exp(-log_energy)
+    scale = h * h * over_E
 
     def product(v):
         V = np.zeros((n, n))
@@ -195,7 +232,7 @@ def four_corner_hessian(grid, family, u, log_energy=None):
         G[1:, :-1] -= cy
         return G[1:-1, 1:-1].ravel()
 
-    c = (q11 + q22) / 16
+    c = over_E * (q11 + q22) / 16
     return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
 
 
@@ -470,6 +507,17 @@ def test_log_domain_solve_never_saturates_after_the_start_guard(a, boundary, opt
     assert (trace.rescale_factor < 1.0) == rescaled and (rescaled or start >= 670)
     assert trace.iterations > 0 and np.all(np.diff(trace.energies) <= 0.0)
     assert peak(u.values) <= start + 2 * math.log(16) <= LOG_MAX - 20 + 2 * math.log(16)
+
+
+def test_log_domain_newton_steps_at_large_energy():
+    # E ~ 1e284: the node scaling D of the inner solve is in the Hessian's
+    # 1/E scale, or its curvature p.Hp underflows to 0 and every step falls
+    # back to -P g (275 steps and 2,941 backtracks in that case)
+    g = Grid(1.0, 17, lambda x, y: 18 * (x + y) + 0.2 * x * y)
+    _, trace = minimize(g, Exponential(Coefficient.constant(1.0), 2.0), opts=SolveOptions(max_iter=400))
+    assert trace.final_energy > 1e280
+    assert trace.iterations <= 30 and trace.backtracks <= 300
+    assert np.all(np.diff(trace.energies) <= 0.0)
 
 
 def test_minimize_comparison_principle_p3():

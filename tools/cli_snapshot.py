@@ -54,6 +54,8 @@ ERRORS = {
     "unknown-section": (DP, "validate", "[solver]", "[solvr]"),
     "sweep-both-keys": (DP, "validate", "amplitudes = 0.5, 1, 2, 4, 8",
                         "amplitudes = 0.5, 1, 2, 4, 8\npairs = (0.05, 0.45), (0.25, 0.45)"),
+    "sweep-no-keys": (DP, "validate", "amplitudes = 0.5, 1, 2, 4, 8", ""),
+    "schedule-n-3": (PX, "validate", "n = 2", "n = 3"),
 }
 
 
