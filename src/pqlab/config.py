@@ -40,7 +40,9 @@ Arithmetic expressions are allowed only in coefficient and boundary fields
 Parse errors carry the config line (and column, for expressions).  A section
 other than these seven, and a key that its section does not read, is a config
 error; [family] reads ``kind`` and the keys of that kind, a coefficient key
-``c`` with its ``c_lipschitz``.
+``c`` with its ``c_lipschitz``.  An anisotropic [family] takes ``q`` and
+either ``base_p`` (the base |xi|^p) or ``a11``, ``a12`` and ``a22`` (the
+base sum a_ij xi_i xi_j), not keys of both forms.
 """
 
 from __future__ import annotations
@@ -220,63 +222,45 @@ def load_config(path) -> ProblemConfig:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient(cfg: ProblemConfig, sect: str, key: str, required=True) -> Optional[Coefficient]:
-    expr = cfg.get(sect, key, "expr", required=required)
-    if expr is None:
-        return None
-    lip = cfg.get(sect, f"{key}_lipschitz", "float", 0.0)
-    return Coefficient(expr, lipschitz=lip, source=expr.source)
-
-
-# The [family] keys each kind reads besides ``kind``.
-_FAMILY_KEYS = {
-    "p_laplacian": ("p",),
-    "very_degenerate": ("p",),
-    "exponential": ("a", "a_lipschitz", "tau"),
-    "px_laplacian": ("p_expr", "p_expr_lipschitz"),
-    "log_px_laplacian": ("p_expr", "p_expr_lipschitz"),
-    "double_phase": ("p", "q", "a", "a_lipschitz"),
-    "multi_phase": ("p", "q", "a", "a_lipschitz", "b"),
-    "anisotropic": ("q", "base_p", "a11", "a11_lipschitz", "a12", "a12_lipschitz", "a22", "a22_lipschitz"),
-}
-
-
 def build_family(cfg: ProblemConfig) -> IntegrandFamily:
+    """The [family] of its ``kind``, each kind's keys named once in its read
+    schema; an anisotropic section is either ``base_p`` or the matrix form."""
     sect = cfg.require_section("family")
     kind = cfg.get("family", "kind", required=True)
     line = sect["kind"].line
-    if kind not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family kind {kind!r}", cfg.path, line)
-    _known_keys(cfg, "family", ("kind", *_FAMILY_KEYS[kind]))
-
-    def num(key):
-        return cfg.get("family", key, "float", required=True)
-
+    lip = ("float", 0.0)
     try:
-        if kind == "p_laplacian":
-            return PLaplacian(num("p"))
-        if kind == "very_degenerate":
-            return VeryDegenerate(num("p"))
+        if kind in ("p_laplacian", "very_degenerate"):
+            _, p = cfg.read("family", kind="str", p="float")
+            return (PLaplacian if kind == "p_laplacian" else VeryDegenerate)(p)
         if kind == "exponential":
-            return Exponential(_coefficient(cfg, "family", "a"), cfg.get("family", "tau", "float", 2.0))
-        if kind == "px_laplacian":
-            return PxLaplacian(_coefficient(cfg, "family", "p_expr"))
-        if kind == "log_px_laplacian":
-            return LogPxLaplacian(_coefficient(cfg, "family", "p_expr"))
+            _, a, a_lip, tau = cfg.read("family", kind="str", a="expr", a_lipschitz=lip, tau=("float", 2.0))
+            return Exponential(Coefficient(a, a_lip, a.source), tau)
+        if kind in ("px_laplacian", "log_px_laplacian"):
+            _, p, p_lip = cfg.read("family", kind="str", p_expr="expr", p_expr_lipschitz=lip)
+            return (PxLaplacian if kind == "px_laplacian" else LogPxLaplacian)(Coefficient(p, p_lip, p.source))
         if kind == "double_phase":
-            return DoublePhase(num("p"), num("q"), _coefficient(cfg, "family", "a"))
+            _, p, q, a, a_lip = cfg.read("family", kind="str", p="float", q="float", a="expr", a_lipschitz=lip)
+            return DoublePhase(p, q, Coefficient(a, a_lip, a.source))
         if kind == "multi_phase":
-            return MultiPhase(num("p"), num("q"), _coefficient(cfg, "family", "a"), num("b"))
+            _, p, q, a, a_lip, b = cfg.read(
+                "family", kind="str", p="float", q="float", a="expr", a_lipschitz=lip, b="float"
+            )
+            return MultiPhase(p, q, Coefficient(a, a_lip, a.source), b)
+        if kind == "anisotropic" and "base_p" in sect:
+            _, q, base_p = cfg.read("family", kind="str", q="float", base_p="float")
+            return Anisotropic(q, base_p=base_p)
         if kind == "anisotropic":
-            q = num("q")
-            if "base_p" in sect:
-                return Anisotropic(q, base_p=num("base_p"))
-            aij = tuple(_coefficient(cfg, "family", key) for key in ("a11", "a12", "a22"))
-            return Anisotropic(q, aij=aij)
+            _, q, *aij = cfg.read(
+                "family", kind="str", q="float", a11="expr", a11_lipschitz=lip,
+                a12="expr", a12_lipschitz=lip, a22="expr", a22_lipschitz=lip,
+            )
+            return Anisotropic(q, aij=tuple(Coefficient(a, L, a.source) for a, L in zip(aij[::2], aij[1::2])))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid family parameters: {exc}", cfg.path, line) from None
+    raise ConfigError(f"unknown family kind {kind!r}", cfg.path, line)
 
 
 def build_boundary(cfg: ProblemConfig):

@@ -385,7 +385,6 @@ def _power_sum_fn(terms) -> GrowthFn:
     terms = [(float(c), float(e)) for c, e in terms if c != 0]
 
     def fn(t):
-        t = np.asarray(t, float)
         out = np.zeros_like(t)
         for c, e in terms:
             out = out + c * np.power(t, e)
@@ -419,11 +418,9 @@ def _min_max_power_fns(coef_lo, coef_hi, e_small, e_big):
     """
 
     def lo(t):
-        t = np.asarray(t, float)
         return coef_lo * np.minimum(np.power(t, e_small), np.power(t, e_big))
 
     def hi(t):
-        t = np.asarray(t, float)
         return coef_hi * np.maximum(np.power(t, e_small), np.power(t, e_big))
 
     def _elog(e, lt):
@@ -694,27 +691,21 @@ class Exponential(RadialFamily):
         c3 = 2 * _SQRT_N * self.a.lipschitz * max(1.0, q)
 
         def g1(t):
-            t = np.asarray(t, float)
             return c1 * self._exp_guarded(p * t * t)
 
         def g1_log(t):
-            t = np.asarray(t, float)
             return math.log(c1) + p * t * t
 
         def g2(t):
-            t = np.asarray(t, float)
             return c2 * (1 + t * t) * self._exp_guarded(q * t * t)
 
         def g2_log(t):
-            t = np.asarray(t, float)
             return math.log(c2) + np.log1p(t * t) + q * t * t
 
         def g3(t):
-            t = np.asarray(t, float)
             return c3 * t * (1 + t * t) * self._exp_guarded(q * t * t)
 
         def g3_log(t):
-            t = np.asarray(t, float)
             return math.log(c3) + _log_t(t) + np.log1p(t * t) + q * t * t
 
         # int_0^t sqrt(c1) e^(p s^2 / 2) ds = sqrt(c1 pi/(2p)) erfi(sqrt(p/2) t);
@@ -722,11 +713,9 @@ class Exponential(RadialFamily):
         amp = math.sqrt(c1 * math.pi / (2 * p))
 
         def anti(t):
-            t = np.asarray(t, float)
             return amp * _erfi(np.sqrt(p / 2) * t)
 
         def anti_log(t):
-            t = np.asarray(t, float)
             xx = np.sqrt(p / 2) * t
             with np.errstate(divide="ignore"):
                 ld = np.where(xx > 0, np.log(np.maximum(_dawson(xx), 1e-300)), -np.inf)

@@ -256,7 +256,6 @@ class _Objective:
         self.log_domain = family.log_domain
         self.XC, self.YC = grid.cell_coords()
         self._frame = frame
-        self._V = np.zeros((grid.n, grid.n))  # zero-padded direction of the Hessian products
         self._last = (None, None, None)  # (evaluated point, gx, gy)
 
     def assemble(self, interior_flat: np.ndarray) -> np.ndarray:
@@ -283,28 +282,21 @@ class _Objective:
         return logE, _scatter(w * (cwx + cwy), w * (cwx - cwy)).ravel()
 
     def hessian(self, interior_flat: np.ndarray, value: float):
-        """(Hv, D): the energy Hessian as a map on interior vectors (cell blocks
-        h^2 f_xixi, over E in the log domain, where ``value`` is log E, so that
-        the Newton step is E's own), and per node the mean of the cell slope
-        (H11 + H22) / 2 over its four cells, halved and in the blocks' scale:
-        1 at p = 2.  On a cell's diagonals (a, b) the block is
+        """((h_aa, h_ab, h_bb), D): the energy Hessian's cell blocks h^2 f_xixi
+        on the cell diagonals (a, b) of ``_diagonals`` (over E in the log
+        domain, where ``value`` is log E, so that the Newton step is E's own),
+        and per node the mean of the cell slope (H11 + H22) / 2 over its four
+        cells, halved and in the blocks' scale: 1 at p = 2.  A cell's block is
         [[q(1, 1), q(1, 0) - q(0, 1)], [., q(1, -1)]] / 4, q the form of
         f_xixi: the cell's h^2 cancels the 1/h^2 of the differences."""
-        m = self.grid.n - 2
         z, gx, gy = self._last
         if z is not interior_flat:
             gx, gy = cell_gradients(self.grid, self.assemble(interior_flat))
         q11, qpp, qpm = self.family.hess_qf(self.XC, self.YC, gx, gy, *_DIAGONAL_DIRECTIONS)
         scale = 0.25 * (math.exp(-value) if self.log_domain else 1.0)
-        haa, hbb, hab = scale * qpp, scale * qpm, scale * (2 * q11 - 0.5 * (qpp + qpm))
-
-        def product(v):
-            self._V[1:-1, 1:-1] = v.reshape(m, m)
-            a, b = _diagonals(self._V)
-            return _scatter(haa * a + hab * b, hab * a + hbb * b).ravel()
-
-        c = (qpp + qpm) * (scale / 8)
-        return product, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
+        blocks = scale * qpp, scale * (2 * q11 - 0.5 * (qpp + qpm)), scale * qpm
+        c = (qpp + qpm) * (scale / 8)  # not from the blocks: in the log domain that rounds differently
+        return blocks, (c[:-1, :-1] + c[:-1, 1:] + c[1:, :-1] + c[1:, 1:]).ravel()
 
     def raw_grad_inf(self, value, grad_interior) -> float:
         """Infinity norm of the energy gradient (not the log-energy one); a
@@ -366,12 +358,16 @@ def _p2_stiffness_inverse(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _truncated_pcg(hess, D, g, forcing, precondition, trace):
-    """Inexact Newton direction: PCG on H d = -g from d = 0, preconditioned by
+def _truncated_pcg(blocks, D, g, forcing, precondition, trace):
+    """Inexact Newton direction: PCG on H d = -g from d = 0, H the Hessian of
+    the cell ``blocks`` (h_aa, h_ab, h_bb), preconditioned by
     D^{-1/2} P D^{-1/2} (P the p = 2 stiffness inverse), to relative residual
     ``forcing``.  Non-positive curvature on the first step falls back to -P g
     (Steihaug), later it keeps the iterate.  D has a floor for nodes whose
     four cells are flat (the very degenerate plateau)."""
+    haa, hab, hbb = blocks
+    m = haa.shape[0] - 1
+    V = np.zeros((m + 2, m + 2))  # zero-padded direction, one buffer for every product
     scale = 1.0 / np.sqrt(np.maximum(D, 1e-3 * float(np.max(D)) + 1e-300))
     d = np.zeros_like(g)
     r = g.copy()
@@ -380,7 +376,9 @@ def _truncated_pcg(hess, D, g, forcing, precondition, trace):
     p = -z
     stop = forcing * math.sqrt(_dot(g, g))
     for k in range(_INNER_MAX):
-        Hp = hess(p)
+        V[1:-1, 1:-1] = p.reshape(m, m)
+        a, b = _diagonals(V)
+        Hp = _scatter(haa * a + hab * b, hab * a + hbb * b).ravel()
         trace.hessian_products += 1
         curv = _dot(p, Hp)
         if not curv > 0:

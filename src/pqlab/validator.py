@@ -185,9 +185,8 @@ def measure(
     t2, t3, t4 = float(schedule.theta2), float(schedule.theta3), float(schedule.theta4)
     sup_sq = st.sup_grad**2
     e_r = st.outer_energy
-    c_hat = _implied_constant(sup_sq, gap, t2, e_r, t1)
-    c_hat_v = _implied_constant(st.v_integral, gap, t0, e_r, t3)
-    c_hat_w = _implied_constant(st.w22_weighted, gap, t4, e_r, t3)
+    log_c_hat = _implied_log_constant(sup_sq, gap, t2, e_r, t1)
+    log_c_hat_v = _implied_log_constant(st.v_integral, gap, t0, e_r, t3)
     return MeasureRecord(
         amplitude=problem.amplitude,
         sup_grad_sq=sup_sq,
@@ -198,12 +197,12 @@ def measure(
         v_integral=st.v_integral,
         rho=rho,
         R=R,
-        c_hat=c_hat,
-        c_hat_v=c_hat_v,
-        c_hat_w22=c_hat_w,
+        c_hat=_exp_clamped(log_c_hat),
+        c_hat_v=_exp_clamped(log_c_hat_v),
+        c_hat_w22=_exp_clamped(_implied_log_constant(st.w22_weighted, gap, t4, e_r, t3)),
         converged=problem.trace.converged,
-        log_c_hat=_implied_log_constant(sup_sq, gap, t2, e_r, t1),
-        log_c_hat_v=_implied_log_constant(st.v_integral, gap, t0, e_r, t3),
+        log_c_hat=log_c_hat,
+        log_c_hat_v=log_c_hat_v,
     )
 
 
@@ -235,10 +234,6 @@ def format_constant(value: float, log_value: float, digits: int, width: int) -> 
         if len(text) <= width:
             break
     return text
-
-
-def _implied_constant(quantity, gap, gap_exp, energy, e_exp) -> float:
-    return _exp_clamped(_implied_log_constant(quantity, gap, gap_exp, energy, e_exp))
 
 
 def _ols_slope(logx: np.ndarray, logy: np.ndarray) -> float:
@@ -276,11 +271,7 @@ class EstimateReport:
     records: list
     s1: Optional[float]
     s3: Optional[float]
-    theta0: float
-    theta1: float
-    theta2: float
-    theta3: float
-    theta4: float
+    schedule: MoserSchedule     # its theta1, theta3 are the slopes' bounds
     slope1_ok: Optional[bool]   # None: the slope could not be fitted
     slope3_ok: Optional[bool]
     ratio_ok: Optional[bool]    # None: fewer than two constants to compare
@@ -306,13 +297,15 @@ class EstimateReport:
         lines.append("-" * 78)
         s1 = "skipped" if self.s1 is None else f"{self.s1:.6g}"
         s3 = "skipped" if self.s3 is None else f"{self.s3:.6g}"
+        sc = self.schedule
+        t0, t1, t2, t3, t4 = map(float, (sc.theta0, sc.theta1, sc.theta2, sc.theta3, sc.theta4))
         lines.append(
-            f"fitted slopes: s1 = {s1} (theta1 = {self.theta1:.6g}), "
-            f"s3 = {s3} (theta3 = {self.theta3:.6g})"
+            f"fitted slopes: s1 = {s1} (theta1 = {t1:.6g}), "
+            f"s3 = {s3} (theta3 = {t3:.6g})"
         )
         lines.append(
-            f"predicted exponents: theta0={self.theta0:.6g} theta1={self.theta1:.6g} "
-            f"theta2={self.theta2:.6g} theta3={self.theta3:.6g} theta4={self.theta4:.6g}"
+            f"predicted exponents: theta0={t0:.6g} theta1={t1:.6g} "
+            f"theta2={t2:.6g} theta3={t3:.6g} theta4={t4:.6g}"
         )
         lines.append(
             "pass flags: "
@@ -385,11 +378,7 @@ def sweep_amplitudes(
         records=records,
         s1=s1,
         s3=s3,
-        theta0=float(schedule.theta0),
-        theta1=t1,
-        theta2=float(schedule.theta2),
-        theta3=t3,
-        theta4=float(schedule.theta4),
+        schedule=schedule,
         slope1_ok=None if s1 is None else s1 <= t1 + SLOPE_TOL,
         slope3_ok=None if s3 is None else s3 <= t3 + SLOPE_TOL,
         ratio_ok=_ratio_flag(good, lambda r: r.log_c_hat),

@@ -728,6 +728,62 @@ def test_family_keys_of_the_kind_and_unknown_kind(tmp_path, capsys):
     assert "[boundary] takes expr only, not 'x0'" in capsys.readouterr().err
 
 
+# each kind's [family] keys in the order its schema reads them, and the
+# message's list of them
+FAMILY_SCHEMAS = {
+    "p_laplacian": ("p = 3", "kind and p"),
+    "very_degenerate": ("p = 3", "kind and p"),
+    "exponential": ("a = 1 + x\na_lipschitz = 1\ntau = 2", "kind, a, a_lipschitz and tau"),
+    "px_laplacian": ("p_expr = 2.5 + 0.2*x\np_expr_lipschitz = 0.2", "kind, p_expr and p_expr_lipschitz"),
+    "log_px_laplacian": ("p_expr = 2.5 + 0.2*x\np_expr_lipschitz = 0.2", "kind, p_expr and p_expr_lipschitz"),
+    "double_phase": ("p = 2\nq = 3\na = x^2 + y^2\na_lipschitz = 3", "kind, p, q, a and a_lipschitz"),
+    "multi_phase": ("p = 2\nq = 3\na = x^2 + y^2\na_lipschitz = 3\nb = 0.5", "kind, p, q, a, a_lipschitz and b"),
+    "anisotropic-base_p": ("q = 3\nbase_p = 2.5", "kind, q and base_p"),
+    "anisotropic-aij": (
+        "q = 2.5\na11 = 1\na11_lipschitz = 0\na12 = 0.1\na12_lipschitz = 0\na22 = 0.5 + 0.1*x\na22_lipschitz = 0.1",
+        "kind, q, a11, a11_lipschitz, a12, a12_lipschitz, a22 and a22_lipschitz",
+    ),
+}
+
+
+@pytest.mark.parametrize("schema", FAMILY_SCHEMAS)
+def test_family_message_lists_exactly_the_keys_its_kind_reads(schema):
+    keys, names = FAMILY_SCHEMAS[schema]
+    kind = schema.split("-")[0]
+    text = f"[family]\nkind = {kind}\n{keys}\n"
+    assert build_family(parse_config(text)).kind == kind
+    with pytest.raises(ConfigError) as exc:
+        build_family(parse_config(text + "stray = 1\n"))
+    assert exc.value.reason == f"[family] takes {names} only, not 'stray'"
+    assert names.replace(" and ", ", ").split(", ") == ["kind"] + [line.split(" = ")[0] for line in keys.splitlines()]
+    # every key the message names is read: a value no kind parses is an error at its line
+    for line_no, line in enumerate(keys.splitlines(), start=3):
+        with pytest.raises(ConfigError) as exc:
+            build_family(parse_config(text.replace(line, line.split(" = ")[0] + " = (")))
+        assert exc.value.line == line_no, line
+
+
+@pytest.mark.parametrize("command", ["check", "params", "solve", "validate"])
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("q = 2.5\n", "q = 2.5\nbase_p = 2\n", "a11"),
+        ("a11 = 1.0\na12 = 0.0\na22 = 1.0\n", "base_p = 2\na11_lipschitz = 1\n", "a11_lipschitz"),
+    ],
+    ids=["base_p-and-aij", "base_p-and-a11_lipschitz"],
+)
+def test_anisotropic_family_takes_one_form(tmp_path, capsys, command, old, new, key):
+    # base_p won and the matrix keys were dropped: check read |xi|^2 + |xi_2|^q
+    # and exited 0
+    text = ANISO.format(q=2.5).replace("n = 3", "n = 2").replace(old, new)
+    path = cfg_file(tmp_path, text)
+    rc = main([command, path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    line = next(i for i, row in enumerate(text.splitlines(), start=1) if row.startswith(f"{key} = "))
+    message = f"[family] takes kind, q and base_p only, not {key!r}"
+    assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: {message}\n")
+
+
 def test_sweep_with_amplitudes_and_pairs_is_a_config_error(tmp_path, capsys):
     # validate ran the amplitude sweep, ignored the pairs and exited 0
     text = BASE_P2.replace(

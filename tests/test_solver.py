@@ -41,7 +41,7 @@ from pqlab.solver import (
     minimize,
     save_field,
 )
-from pqlab.solver import _Objective, _p2_stiffness_inverse
+from pqlab.solver import SolveTrace, _Objective, _p2_stiffness_inverse, _truncated_pcg
 
 RNG = np.random.default_rng(411)
 
@@ -267,7 +267,7 @@ def test_hessian_matches_four_corner_assembly(fam):
     objective = _Objective(g, fam, g.boundary_values())
     z = u[1:-1, 1:-1].ravel()
     F = objective(z)[0]
-    product, D = objective.hessian(z, F)
+    blocks, D = objective.hessian(z, F)
     ref_product, ref_D = four_corner_hessian(g, fam, u, F if fam.log_domain else None)
     # the sparse assembly of the same forms, polarized onto the cell diagonals:
     # gx, gy = (a + b) / 2h, (a - b) / 2h and the cell's h^2 give
@@ -277,10 +277,11 @@ def test_hessian_matches_four_corner_assembly(fam):
     K = _cell_matrix(g.n, s * (q11 + 2 * q12 + q22) / 4, s * (q11 - q22) / 4, s * (q11 - 2 * q12 + q22) / 4)
     interior = np.flatnonzero(~g.boundary_mask().ravel())
     K_ii = K[interior][:, interior]
+    H_ii = _cell_matrix(g.n, *blocks)[interior][:, interior]
     for _ in range(3):
         v = rng.standard_normal(z.size)
         ref = ref_product(v)
-        assert np.max(np.abs(product(v) - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
+        assert np.max(np.abs(H_ii @ v - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
         assert np.max(np.abs(K_ii @ v - ref)) <= 1e-13 * np.max(np.abs(ref)), fam.kind
     np.testing.assert_allclose(D, ref_D, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref_D)))
 
@@ -293,13 +294,31 @@ def test_hessian_after_another_point_matches_a_fresh_objective():
     objective = _Objective(g, fam, g.boundary_values())
     F1 = objective(z1)[0]
     F2 = objective(z2)[0]
-    v = rng.standard_normal(z1.size)
     # z1 is no longer the last point evaluated, and a copy of z2 is another array
     for z, F in ((z1, F1), (z2, F2), (z2.copy(), F2)):
-        product, D = objective.hessian(z, F)
-        ref_product, ref_D = _Objective(g, fam, g.boundary_values()).hessian(z, F)
-        np.testing.assert_array_equal(product(v), ref_product(v))
+        blocks, D = objective.hessian(z, F)
+        ref_blocks, ref_D = _Objective(g, fam, g.boundary_values()).hessian(z, F)
+        for block, ref_block in zip(blocks, ref_blocks, strict=True):
+            np.testing.assert_array_equal(block, ref_block)
         np.testing.assert_array_equal(D, ref_D)
+
+
+def test_inner_solve_direction_solves_the_assembled_hessian():
+    # the PCG's own product: at a tight forcing its direction d solves H d = -g
+    # for H the sparse assembly of the objective's cell blocks
+    fam = DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0))
+    g = unit_grid(13, boundary=lambda x, y: 1.2 * x + 0.8 * y)
+    rng = np.random.default_rng(9)
+    z = bilinear_interpolant(g).values[1:-1, 1:-1].ravel() + 0.05 * rng.standard_normal(121)
+    objective = _Objective(g, fam, g.boundary_values())
+    F, grad = objective(z)
+    blocks, D = objective.hessian(z, F)
+    trace = SolveTrace()
+    d = _truncated_pcg(blocks, D, grad, 1e-12, _p2_stiffness_inverse(g.n), trace)
+    interior = np.flatnonzero(~g.boundary_mask().ravel())
+    H_ii = _cell_matrix(g.n, *blocks)[interior][:, interior]
+    assert np.linalg.norm(H_ii @ d + grad) <= 1e-10 * np.linalg.norm(grad)
+    assert 1 <= trace.hessian_products < 121
 
 
 def test_equal_geometries_share_read_only_coordinates():

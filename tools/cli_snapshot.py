@@ -56,6 +56,7 @@ ERRORS = {
                         "amplitudes = 0.5, 1, 2, 4, 8\npairs = (0.05, 0.45), (0.25, 0.45)"),
     "sweep-no-keys": (DP, "validate", "amplitudes = 0.5, 1, 2, 4, 8", ""),
     "schedule-n-3": (PX, "validate", "n = 2", "n = 3"),
+    "family-both-forms": ("check-catalog/anisotropic", "check", "q = 2.5", "q = 2.5\nbase_p = 2"),
 }
 
 
