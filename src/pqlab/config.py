@@ -42,7 +42,8 @@ other than these seven, and a key that its section does not read, is a config
 error; [family] reads ``kind`` and the keys of that kind, a coefficient key
 ``c`` with its ``c_lipschitz``.  An anisotropic [family] takes ``q`` and
 either ``base_p`` (the base |xi|^p) or ``a11``, ``a12`` and ``a22`` (the
-base sum a_ij xi_i xi_j), not keys of both forms.
+base sum a_ij xi_i xi_j), not keys of both forms.  A value that a family,
+the grid or the solver options reject is an error at its key's line.
 """
 
 from __future__ import annotations
@@ -224,43 +225,42 @@ def load_config(path) -> ProblemConfig:
 
 def build_family(cfg: ProblemConfig) -> IntegrandFamily:
     """The [family] of its ``kind``, each kind's keys named once in its read
-    schema; an anisotropic section is either ``base_p`` or the matrix form."""
-    sect = cfg.require_section("family")
-    kind = cfg.get("family", "kind", required=True)
-    line = sect["kind"].line
+    schema; an anisotropic section is either ``base_p`` or the matrix form.
+    A value the family's constructor rejects is a ConfigError at its key
+    (:func:`_checked`)."""
+    cfg.require_section("family")
+    return _checked(cfg, "family", lambda: _family(cfg, cfg.get("family", "kind", required=True)))
+
+
+def _family(cfg: ProblemConfig, kind: str) -> IntegrandFamily:
     lip = ("float", 0.0)
-    try:
-        if kind in ("p_laplacian", "very_degenerate"):
-            _, p = cfg.read("family", kind="str", p="float")
-            return (PLaplacian if kind == "p_laplacian" else VeryDegenerate)(p)
-        if kind == "exponential":
-            _, a, a_lip, tau = cfg.read("family", kind="str", a="expr", a_lipschitz=lip, tau=("float", 2.0))
-            return Exponential(Coefficient(a, a_lip, a.source), tau)
-        if kind in ("px_laplacian", "log_px_laplacian"):
-            _, p, p_lip = cfg.read("family", kind="str", p_expr="expr", p_expr_lipschitz=lip)
-            return (PxLaplacian if kind == "px_laplacian" else LogPxLaplacian)(Coefficient(p, p_lip, p.source))
-        if kind == "double_phase":
-            _, p, q, a, a_lip = cfg.read("family", kind="str", p="float", q="float", a="expr", a_lipschitz=lip)
-            return DoublePhase(p, q, Coefficient(a, a_lip, a.source))
-        if kind == "multi_phase":
-            _, p, q, a, a_lip, b = cfg.read(
-                "family", kind="str", p="float", q="float", a="expr", a_lipschitz=lip, b="float"
-            )
-            return MultiPhase(p, q, Coefficient(a, a_lip, a.source), b)
-        if kind == "anisotropic" and "base_p" in sect:
-            _, q, base_p = cfg.read("family", kind="str", q="float", base_p="float")
-            return Anisotropic(q, base_p=base_p)
-        if kind == "anisotropic":
-            _, q, *aij = cfg.read(
-                "family", kind="str", q="float", a11="expr", a11_lipschitz=lip,
-                a12="expr", a12_lipschitz=lip, a22="expr", a22_lipschitz=lip,
-            )
-            return Anisotropic(q, aij=tuple(Coefficient(a, L, a.source) for a, L in zip(aij[::2], aij[1::2])))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid family parameters: {exc}", cfg.path, line) from None
-    raise ConfigError(f"unknown family kind {kind!r}", cfg.path, line)
+    if kind in ("p_laplacian", "very_degenerate"):
+        _, p = cfg.read("family", kind="str", p="float")
+        return (PLaplacian if kind == "p_laplacian" else VeryDegenerate)(p)
+    if kind == "exponential":
+        _, a, a_lip, tau = cfg.read("family", kind="str", a="expr", a_lipschitz=lip, tau=("float", 2.0))
+        return Exponential(Coefficient(a, a_lip, a.source), tau)
+    if kind in ("px_laplacian", "log_px_laplacian"):
+        _, p, p_lip = cfg.read("family", kind="str", p_expr="expr", p_expr_lipschitz=lip)
+        return (PxLaplacian if kind == "px_laplacian" else LogPxLaplacian)(Coefficient(p, p_lip, p.source))
+    if kind == "double_phase":
+        _, p, q, a, a_lip = cfg.read("family", kind="str", p="float", q="float", a="expr", a_lipschitz=lip)
+        return DoublePhase(p, q, Coefficient(a, a_lip, a.source))
+    if kind == "multi_phase":
+        _, p, q, a, a_lip, b = cfg.read(
+            "family", kind="str", p="float", q="float", a="expr", a_lipschitz=lip, b="float"
+        )
+        return MultiPhase(p, q, Coefficient(a, a_lip, a.source), b)
+    if kind == "anisotropic" and "base_p" in cfg.section("family"):
+        _, q, base_p = cfg.read("family", kind="str", q="float", base_p="float")
+        return Anisotropic(q, base_p=base_p)
+    if kind == "anisotropic":
+        _, q, *aij = cfg.read(
+            "family", kind="str", q="float", a11="expr", a11_lipschitz=lip,
+            a12="expr", a12_lipschitz=lip, a22="expr", a22_lipschitz=lip,
+        )
+        return Anisotropic(q, aij=tuple(Coefficient(a, L, a.source) for a, L in zip(aij[::2], aij[1::2])))
+    raise ConfigError(f"unknown family kind {kind!r}", cfg.path, cfg.section("family")["kind"].line)
 
 
 def build_boundary(cfg: ProblemConfig):
@@ -270,9 +270,12 @@ def build_boundary(cfg: ProblemConfig):
 
 def _checked(cfg: ProblemConfig, sect: str, make):
     """make(), whose ValueError names the rejected field first: that is the
-    [sect] key, so the error is raised again as a ConfigError at its line."""
+    [sect] key, so the error is raised again as a ConfigError at its line.
+    A ConfigError from make's own reads passes through."""
     try:
         return make()
+    except ConfigError:
+        raise
     except ValueError as exc:
         entry = cfg.section(sect).get(str(exc).split()[0])
         raise ConfigError(str(exc), cfg.path, entry.line if entry else 0) from None

@@ -18,19 +18,29 @@ fitted M = sup ratio, and its verdict asks only that the ratio stay bounded.
 Ratios for log-domain families (the exponential class) are formed in log
 space throughout, so the tail probes at t = 10^k never overflow.
 
-The sampled checks (sandwich, growth-A, 12M) reduce their x samples one
-block of about ``_X_BLOCK_ELEMENTS`` elements at a time into the report of
-the whole sample array, so their memory does not grow with the x count.
+The sampled checks (sandwich, growth-A, 12M) sample x and t = |xi|.  The
+sandwich tests the extreme eigenvalues of the 2x2 Hessian at each sample,
+so it holds for every lam at once; nothing samples lam.  A radial family
+(``family.radial``: f depends on xi through |xi| alone) is sampled along
+the one direction of xi where the sampled quantity is exact: xi = (t, 0)
+for the sandwich, whose eigenvalues g_tt and g_t/t do not depend on the
+direction and whose Hessian is diagonal there, and for 12M, whose f does
+not depend on it; xi = (t, t)/sqrt(2) for growth-A, whose
+sum_i |f_{xi_i x_k}| = |d_{x_k}(g_t/t)| |xi|_1 peaks on the diagonal.
+Other families (anisotropic) take the spec's seeded directions.  The
+checks reduce their x samples one block of about ``_X_BLOCK_ELEMENTS``
+(x, t, direction) entries at a time into the report of the whole sample
+array, so their memory does not grow with the x count.
 
 The x samples and directions are seeded uniforms: the doubles numpy's
 ``np.random.default_rng(seed).random(k)`` returns, bit for bit, computed
 here (``_uniforms``) so that the checks never import ``numpy.random``.
 
 Everything family-specific comes from the family (:mod:`pqlab.integrand`):
-its triple, its Hessian t-cap and its log-domain flag.  The growth-function
-layer (GrowthFn, GrowthTriple) lives there and is re-exported here.  The
-checks import no scipy, as no module of the package does: quadrature,
-logsumexp and the Dawson function are numpy.
+its triple, its Hessian t-cap and its radial and log-domain flags.  The
+growth-function layer (GrowthFn, GrowthTriple) lives there and is
+re-exported here.  The checks import no scipy, as no module of the package
+does: quadrature, logsumexp and the Dawson function are numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +68,16 @@ _RATIO_TOL = 1e-9   # pointwise conditions (sandwich)
 _FD_TOL = 1e-6      # conditions verified through finite differences
 _TAIL_AGREE = 1e-3  # relative agreement declaring a stabilized tail
 _X_BLOCK_ELEMENTS = 8192  # element budget of one x block of a sampled check
+# The one direction of xi at which a radial family's sampled quantity is
+# exact: along an axis for the Hessian and f, on the diagonal for growth-A.
+_AXIS = (np.array([1.0]), np.array([0.0]))
+_DIAGONAL = (np.array([math.sqrt(0.5)]), np.array([math.sqrt(0.5)]))
+# lam = (1, 0), (0, 1), (1, 1) on a leading axis, stacked as the solver's
+# _DIAGONAL_DIRECTIONS are: QF reads h11, h22 and h11 + 2 h12 + h22
+_HESSIAN_LAMBDAS = (
+    np.array([1.0, 0.0, 1.0])[:, None, None, None],
+    np.array([0.0, 1.0, 1.0])[:, None, None, None],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +233,8 @@ class SampleSpec:
     """Sampling plan for the pointwise condition checks.
 
     The jitter of the x samples is drawn from ``default_rng(seed)`` and the
-    directions from ``default_rng(seed + 1 + offset)``: numpy's uniforms,
-    computed by ``_uniforms`` without ``numpy.random``.
+    directions from ``default_rng(seed + 1)``: numpy's uniforms, computed by
+    ``_uniforms`` without ``numpy.random``.
     """
 
     ball: Ball
@@ -234,9 +254,9 @@ class SampleSpec:
             np.concatenate([gy, self.ball.cy + r * np.sin(th)]),
         )
 
-    def directions(self, count=None, offset=0):
-        k = self.n_dirs if count is None else count
-        th = 2 * math.pi * _uniforms(self.seed + 1 + offset, k)
+    def directions(self):
+        """n_dirs seeded unit vectors (cos, sin)."""
+        th = 2 * math.pi * _uniforms(self.seed + 1, self.n_dirs)
         return np.cos(th), np.sin(th)
 
     def t_grid(self, t_cap: Optional[float] = None):
@@ -330,45 +350,64 @@ def _sandwich_ratios(lo_bound, qf, hi_bound) -> np.ndarray:
     return ratios
 
 
+def _hessian_extremes(h11, h22, hd):
+    """(lambda_min, lambda_max) of the symmetric 2x2 H = [[h11, h12], [h12, h22]]
+    whose form on (1, 1) is hd, so h12 = (hd - h11 - h22) / 2.
+
+    lambda = (h11 + h22)/2 -+ hypot(d, h12), d = (h11 - h22)/2, is formed as
+    min(h11, h22) - c and max(h11, h22) + c, c = h12 (h12 / (hypot(d, h12) + |d|)).
+    No two entries are multiplied (h11 h22 - h12^2 overflows where the
+    exponential density nears float range), and a diagonal H, as every
+    radial family has along xi = (t, 0), returns its entries bit for bit.
+    A NaN or infinite entry makes h12, and so both eigenvalues, NaN."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        h12 = 0.5 * (hd - h11 - h22)
+        d = 0.5 * (h11 - h22)
+    r = np.hypot(d, h12)
+    c = h12 * (h12 / np.where(r > 0, r + np.abs(d), 1.0))
+    return np.minimum(h11, h22) - c, np.maximum(h11, h22) + c
+
+
 def check_ellipticity_sandwich(
     family: IntegrandFamily, triple: GrowthTriple, spec: SampleSpec
 ) -> ConditionReport:
-    """Pointwise sandwich g1 |lam|^2 <= QF <= g2 |lam|^2 on random samples;
-    QF is the Hessian form of the scaled density ``triple.f_scale * f``.
+    """Pointwise sandwich g1 |lam|^2 <= QF <= g2 |lam|^2 over every lam at
+    once: at each sampled (x, t, direction) the extreme eigenvalues of
+    H = ``triple.f_scale`` D^2 f must lie in [g1(t), g2(t)].
 
-    Axes are (x sample, t, direction, lam); lam enters ``hess_qf`` as
-    (1, 1, 1, n_lam) and the bounds g1 |lam|^2, g2 |lam|^2 are (1, n_t, 1, n_lam).
-    QF and the ratios, at QF's own shape broadcast with the bounds, exist one
-    x block at a time (:func:`_x_blocks`); the first maximum in (x, t,
-    direction, lam) order wins, a NaN first as under ``np.argmax``.  Where QF
-    does not depend on x (p-Laplacian, very degenerate) its one x row stands
-    for all x.
+    H comes from one ``hess_qf`` call with lam stacked as (1, 0), (0, 1),
+    (1, 1) on a leading axis, its eigenvalues from :func:`_hessian_extremes`;
+    each eigenvalue is rated by the masked rule of :func:`_sandwich_ratios`
+    and the larger rating counts.  A radial family's Hessian at xi has the
+    eigenvalues g_tt and g_t/t whatever the direction of xi, so it is
+    sampled along xi = (t, 0) alone, where H is diagonal; other families
+    take the spec's directions.  Axes are (x sample, t, direction), one x
+    block at a time (:func:`_x_blocks`; the stack makes three QF arrays of
+    a block's size); the first maximum in that order wins, a NaN first as
+    under ``np.argmax``.  Where H does not depend on x (p-Laplacian, very
+    degenerate) its one x row stands for all x.
     """
     xs, ys = spec.x_samples()
-    ux, uy = spec.directions()
-    lx, ly = spec.directions(offset=7)
+    ux, uy = _AXIS if family.radial else spec.directions()
     cap = family.hessian_t_cap(spec.ball)
     tg = spec.t_grid(cap)
     tg = tg[tg > 0]
-    T = tg[None, :, None, None]
-    GX = T * ux[None, None, :, None]
-    GY = T * uy[None, None, :, None]
-    LX = lx[None, None, None, :]
-    LY = ly[None, None, None, :]
-    lam2 = LX**2 + LY**2
-    lo_bound = triple.g1(tg)[None, :, None, None] * lam2
-    hi_bound = triple.g2(tg)[None, :, None, None] * lam2
+    GX = tg[:, None] * ux
+    GY = tg[:, None] * uy
+    g1v = triple.g1(tg)[:, None]
+    g2v = triple.g2(tg)[:, None]
     worst, worst_t = -math.inf, math.nan  # every ratio is >= 0 or NaN
-    for blk in _x_blocks(xs.size, tg.size * ux.size * lx.size):
+    for blk in _x_blocks(xs.size, tg.size * ux.size):
         try:
-            qf = triple.f_scale * family.hess_qf(
-                xs[blk, None, None, None], ys[blk, None, None, None], GX, GY, LX, LY
+            h = triple.f_scale * family.hess_qf(
+                xs[blk, None, None], ys[blk, None, None], GX, GY, *_HESSIAN_LAMBDAS
             )
         except (ProfileDomainError, SaturationError) as exc:
             return ConditionReport(
                 "ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc)
             )
-        ratios = _sandwich_ratios(lo_bound, qf, hi_bound)
+        lo, hi = _hessian_extremes(*h)
+        ratios = np.maximum(_sandwich_ratios(g1v, lo, g2v), _sandwich_ratios(g1v, hi, g2v))
         i = int(np.argmax(ratios))
         r = float(ratios.flat[i])
         if not math.isnan(worst) and (math.isnan(r) or r > worst):
@@ -386,12 +425,15 @@ def check_growth_A(
     """sum_i |f_{xi_i x_k}| <= g3(|xi|) for the scaled density
     ``triple.f_scale * f``; the mixed derivative taken by central
     differences in x of the analytic xi-gradient, all directions and t of
-    one x block at a time (:func:`_x_blocks`).  The report keeps the first
-    maximum in (x, direction, axis, t) order; where the gradient does not
-    depend on x, both differences vanish alike on every row and the first
-    block stands for all x."""
+    one x block at a time (:func:`_x_blocks`).  A radial family's xi-gradient
+    is (g_t/t)(x, t) xi, so the sum is |d_{x_k}(g_t/t)| |xi|_1, largest on
+    the diagonal, where |xi|_1 = sqrt(2) t: it is sampled along
+    xi = (t, t)/sqrt(2) alone; other families take the spec's directions.
+    The report keeps the first maximum in (x, direction, axis, t) order;
+    where the gradient does not depend on x, both differences vanish alike
+    on every row and the first block stands for all x."""
     xs, ys = spec.x_samples()
-    ux, uy = spec.directions()
+    ux, uy = _DIAGONAL if family.radial else spec.directions()
     tg = spec.t_grid(family.hessian_t_cap(spec.ball))
     tg = tg[tg > 0]
     g3v = triple.g3(tg)
@@ -452,12 +494,13 @@ def check_12M(
     family: IntegrandFamily, triple: GrowthTriple, params: ExponentParams, spec: SampleSpec
 ) -> ConditionReport:
     """g2(|xi|)^(2 gamma - 1)|xi|^(2 gamma) <= M (1 + f)^beta with the worst
-    x in the ball and the worst sampled direction.  f is evaluated one x
-    block at a time (:func:`_x_blocks`) and the running minimum over x and
-    directions kept; where f does not depend on x, the first block stands
-    for all x."""
+    x in the ball and the worst sampled direction; a radial f depends on
+    |xi| alone, so it is sampled along xi = (t, 0) alone, other families
+    along the spec's directions.  f is evaluated one x block at a time
+    (:func:`_x_blocks`) and the running minimum over x and directions kept;
+    where f does not depend on x, the first block stands for all x."""
     xs, ys = spec.x_samples()
-    ux, uy = spec.directions()
+    ux, uy = _AXIS if family.radial else spec.directions()
     gamma = float(params.gamma)
     beta = float(params.beta)
     scale = triple.f_scale

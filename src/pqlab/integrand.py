@@ -594,7 +594,7 @@ class PLaplacian(_PowerSum):
 
     def __init__(self, p: float):
         if p < 2:
-            raise ValueError(f"p-Laplacian family requires p >= 2, got {p}")
+            raise ValueError(f"p must be at least 2 for the p-Laplacian family, got {p}")
         self.p = float(p)
 
     def describe(self):
@@ -628,7 +628,7 @@ class Exponential(RadialFamily):
 
     def __init__(self, a: Coefficient, tau: float = 2.0):
         if tau < 2:
-            raise ValueError(f"exponential family requires tau >= 2, got {tau}")
+            raise ValueError(f"tau must be at least 2 for the exponential family, got {tau}")
         self.a = a
         self.oscillating_coefficient = a
         self.tau = float(tau)
@@ -861,7 +861,7 @@ class DoublePhase(_PowerSum):
 
     def __init__(self, p: float, q: float, a: Coefficient):
         if not 2 <= p <= q:
-            raise ValueError(f"double phase requires 2 <= p <= q, got p={p}, q={q}")
+            raise ValueError(f"p must satisfy 2 <= p <= q for double phase, got p={p}, q={q}")
         self.p = float(p)
         self.q = float(q)
         self.a = a
@@ -902,7 +902,7 @@ class MultiPhase(DoublePhase):
     def __init__(self, p: float, q: float, a: Coefficient, b: float):
         super().__init__(p, q, a)
         if b < 0:
-            raise ValueError(f"multi phase requires b >= 0, got {b}")
+            raise ValueError(f"b must be non-negative for multi phase, got {b}")
         self.b = float(b)
         self.r = 2 * self.q - self.p
 
@@ -929,7 +929,7 @@ class VeryDegenerate(RadialFamily):
 
     def __init__(self, p: float):
         if p < 2:
-            raise ValueError(f"very degenerate family requires p >= 2, got {p}")
+            raise ValueError(f"p must be at least 2 for the very degenerate family, got {p}")
         self.p = float(p)
 
     def describe(self):
@@ -986,11 +986,13 @@ class Anisotropic(IntegrandFamily):
         base_p: Optional[float] = None,
     ):
         if q < 2:
-            raise ValueError(f"anisotropic family requires q >= 2, got {q}")
+            raise ValueError(f"q must be at least 2 for the anisotropic family, got {q}")
         if (aij is None) == (base_p is None):
             raise ValueError("supply exactly one of aij or base_p")
         if base_p is not None and not 2 <= base_p <= q:
-            raise ValueError(f"anisotropic base requires 2 <= p <= q, got p={base_p}")
+            raise ValueError(
+                f"base_p must satisfy 2 <= base_p <= q for the anisotropic family, got base_p={base_p}, q={q}"
+            )
         self.q = float(q)
         self.aij = aij
         self.base_p = None if base_p is None else float(base_p)

@@ -784,6 +784,33 @@ def test_anisotropic_family_takes_one_form(tmp_path, capsys, command, old, new, 
     assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: {message}\n")
 
 
+VERY_DEGENERATE_P15 = BASE_P2.replace("kind = p_laplacian\np = 2", "kind = very_degenerate\np = 1.5")
+ANISO_BASE_P4 = (
+    ANISO.format(q=3).replace("n = 3", "n = 2").replace("a11 = 1.0\na12 = 0.0\na22 = 1.0\n", "base_p = 4\n")
+)
+
+
+@pytest.mark.parametrize("command", ["check", "params", "solve", "validate"])
+@pytest.mark.parametrize(
+    "text, key, message",
+    [
+        (VERY_DEGENERATE_P15, "p", "p must be at least 2 for the very degenerate family, got 1.5"),
+        (
+            ANISO_BASE_P4, "base_p",
+            "base_p must satisfy 2 <= base_p <= q for the anisotropic family, got base_p=4.0, q=3.0",
+        ),
+    ],
+    ids=["very_degenerate-p", "anisotropic-base_p"],
+)
+def test_rejected_family_value_is_anchored_at_its_key(tmp_path, capsys, command, text, key, message):
+    # both were anchored at the kind line, as "invalid family parameters: ..."
+    path = cfg_file(tmp_path, text)
+    rc = main([command, path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    line = next(i for i, row in enumerate(text.splitlines(), start=1) if row.startswith(f"{key} = "))
+    assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: {message}\n")
+
+
 def test_sweep_with_amplitudes_and_pairs_is_a_config_error(tmp_path, capsys):
     # validate ran the amplitude sweep, ignored the pairs and exited 0
     text = BASE_P2.replace(

@@ -202,14 +202,68 @@ def test_sandwich_and_growth_A_compare_against_scaled_density():
     assert ratio == pytest.approx(2.5 * check_growth_A(fam, unscaled, SPEC).worst_ratio, rel=1e-12)
 
 
+AXIS = (np.array([1.0]), np.array([0.0]))
+DIAGONAL = (np.array([math.sqrt(0.5)]), np.array([math.sqrt(0.5)]))
+
+
 def sandwich_reference(family, triple, spec):
-    """The sandwich on lam materialized to the full (x, t, direction, lam)
-    shape; check_ellipticity_sandwich must match it exactly."""
+    """The sandwich on the 2x2 Hessians assembled over the whole (x, t,
+    direction) product from three ``hess_qf`` calls, their eigenvalues by
+    ``np.linalg.eigvalsh``; a radial family along xi = (t, 0) alone.
+
+    Returns the report and the t at which some ratio comes within 1e-12
+    relative of the worst: where g2 or g1 equals an eigenvalue over a range
+    of t, the ratio is 1 there to the last bit, and eigvalsh's rounding and
+    the check's pick different first maxima."""
     xs, ys = spec.x_samples()
-    ux, uy = spec.directions()
-    lx, ly = spec.directions(offset=7)
+    ux, uy = AXIS if family.radial else spec.directions()
     cap = family.hessian_t_cap(spec.ball)
     tg = spec.t_grid(cap)
+    tg = tg[tg > 0]
+    shape = (xs.size, tg.size, ux.size)
+    X, Y = xs[:, None, None], ys[:, None, None]
+    GX, GY = tg[None, :, None] * ux, tg[None, :, None] * uy
+    try:
+        h11, h22, hd = (
+            np.broadcast_to(triple.f_scale * family.hess_qf(X, Y, GX, GY, lx, ly), shape)
+            for lx, ly in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        )
+    except (ProfileDomainError, SaturationError) as exc:
+        return ConditionReport("ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc)), []
+    h12 = (hd - h11 - h22) / 2
+    H = np.stack([np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+    # eigvalsh does not propagate a NaN entry: a matrix with a NaN or inf
+    # entry reads NaN eigenvalues
+    finite = np.all(np.isfinite(H), axis=(-2, -1))
+    eig = np.linalg.eigvalsh(np.where(finite[..., None, None], H, 0.0))
+    eig[~finite] = np.nan
+    lo_bound = triple.g1(tg)[None, :, None, None]
+    hi_bound = triple.g2(tg)[None, :, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_lo = np.where(lo_bound <= 0, 0.0, np.where(eig > 0, lo_bound / eig, np.inf))
+        r_hi = np.where(eig <= 0, 0.0, np.where(hi_bound > 0, eig / hi_bound, np.inf))
+    r_lo[np.isnan(eig)] = np.nan
+    ratios = np.max(np.maximum(r_lo, r_hi), axis=-1)  # NaN wins, as np.max keeps it
+    worst_flat = int(np.argmax(ratios))
+    worst = float(ratios.ravel()[worst_flat])
+    worst_t = float(tg[np.unravel_index(worst_flat, shape)[1]])
+    verdict = "pass" if worst <= 1 + _RATIO_TOL else "fail"
+    notes = "" if cap is None else f"t capped at {tg[-1]:.3g} (density representability)"
+    with np.errstate(invalid="ignore"):
+        tied = tg[np.any(ratios >= worst * (1 - 1e-12), axis=(0, 2))]
+    return ConditionReport("ellipticity-sandwich", verdict, worst, worst_t, notes=notes), list(tied)
+
+
+def sampled_sandwich_reference(family, triple, spec):
+    """The sandwich on n_dirs seeded lam (``default_rng(seed + 8)``) and the
+    spec's directions, QF materialized to the full (x, t, direction, lam)
+    shape: the sampled rule, which the eigenvalue sandwich must never read
+    lower than."""
+    xs, ys = spec.x_samples()
+    ux, uy = spec.directions()
+    th = 2 * math.pi * _uniforms(spec.seed + 8, spec.n_dirs)
+    lx, ly = np.cos(th), np.sin(th)
+    tg = spec.t_grid(family.hessian_t_cap(spec.ball))
     tg = tg[tg > 0]
     X = xs[:, None, None, None]
     Y = ys[:, None, None, None]
@@ -218,30 +272,42 @@ def sandwich_reference(family, triple, spec):
     GY = T * uy[None, None, :, None]
     LX = np.broadcast_to(lx[None, None, None, :], (len(xs), len(tg), len(ux), len(lx)))
     LY = np.broadcast_to(ly[None, None, None, :], LX.shape)
-    try:
-        qf = triple.f_scale * family.hess_qf(X, Y, GX, GY, LX, LY)
-    except (ProfileDomainError, SaturationError) as exc:
-        return ConditionReport("ellipticity-sandwich", "inconclusive", math.nan, math.nan, notes=str(exc))
-    g1v = triple.g1(tg)[None, :, None, None]
-    g2v = triple.g2(tg)[None, :, None, None]
+    qf = triple.f_scale * family.hess_qf(X, Y, GX, GY, LX, LY)
     lam2 = LX**2 + LY**2
-    lo_bound = g1v * lam2
-    hi_bound = g2v * lam2
+    lo_bound = triple.g1(tg)[None, :, None, None] * lam2
+    hi_bound = triple.g2(tg)[None, :, None, None] * lam2
     with np.errstate(divide="ignore", invalid="ignore"):
         r_lo = np.where(lo_bound <= 0, 0.0, np.where(qf > 0, lo_bound / qf, np.inf))
         r_hi = np.where(qf <= 0, 0.0, np.where(hi_bound > 0, qf / hi_bound, np.inf))
-    ratios = np.maximum(r_lo, r_hi)
-    worst_flat = int(np.argmax(ratios))
-    worst = float(ratios.ravel()[worst_flat])
-    worst_t = float(np.broadcast_to(T, ratios.shape).ravel()[worst_flat])
-    verdict = "pass" if worst <= 1 + _RATIO_TOL else "fail"
-    notes = "" if cap is None else f"t capped at {tg[-1]:.3g} (density representability)"
-    return ConditionReport("ellipticity-sandwich", verdict, worst, worst_t, notes=notes)
+    return float(np.max(np.maximum(r_lo, r_hi)))
 
 
-class SingularHessian(PLaplacian):
+def assert_matches_sandwich_reference(family, triple, spec):
+    """The check against :func:`sandwich_reference`: the same verdict and
+    notes, worst_ratio within 1e-12 relative, and the same worst_t, or at a
+    tie one of the tied t; returns the check's report."""
+    rep = check_ellipticity_sandwich(family, triple, spec)
+    ref, tied = sandwich_reference(family, triple, spec)
+    assert (rep.condition, rep.verdict, rep.notes) == (ref.condition, ref.verdict, ref.notes), (rep, ref)
+    assert rep.worst_ratio == pytest.approx(ref.worst_ratio, rel=1e-12, nan_ok=True), (rep, ref)
+    assert repr(rep.worst_t) == repr(ref.worst_t) or rep.worst_t in tied, (rep, ref)
+    return rep
+
+
+class SingularHessian(DoublePhase):
+    """Double phase whose Hessian form is singular at one point; records the
+    x-block shapes it is called with."""
+
+    def __init__(self, point):
+        super().__init__(2.0, 3.0, A_QUAD)
+        self.point = point
+        self.calls = []
+
     def hess_qf(self, x, y, gx, gy, lx, ly):
-        raise ProfileDomainError("Hessian form singular at the origin")
+        self.calls.append(np.shape(x))
+        if np.any((x == self.point[0]) & (y == self.point[1])):
+            raise ProfileDomainError("Hessian form singular at the last sample")
+        return super().hess_qf(x, y, gx, gy, lx, ly)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -249,13 +315,31 @@ def test_sandwich_matches_materialized_reference(seed):
     spec = dataclasses.replace(SPEC, seed=seed)
     for fam, _params in catalog_cases():
         triple = paper_triple(fam, BALL)
-        rep = check_ellipticity_sandwich(fam, triple, spec)
-        assert rep == sandwich_reference(fam, triple, spec), fam.kind
+        rep = assert_matches_sandwich_reference(fam, triple, spec)
         assert ("t capped at" in rep.notes) == isinstance(fam, Exponential)
-    fam = SingularHessian(3.0)
+        # exact extremes never read below the sampled lam and directions
+        assert rep.worst_ratio >= sampled_sandwich_reference(fam, triple, spec) * (1 - 1e-12), fam.kind
+    # singular at the last x sample: the report comes from a later x block
+    spec = dataclasses.replace(WIDE_SPEC, seed=seed)
+    xs, ys = spec.x_samples()
+    fam = SingularHessian((xs[-1], ys[-1]))
     rep = check_ellipticity_sandwich(fam, paper_triple(fam, BALL), spec)
-    assert (rep.verdict, rep.notes) == ("inconclusive", "Hessian form singular at the origin")
+    assert len(fam.calls) > 1 and sum(shape[0] for shape in fam.calls) == xs.size
+    assert (rep.verdict, rep.notes) == ("inconclusive", "Hessian form singular at the last sample")
     assert math.isnan(rep.worst_ratio) and math.isnan(rep.worst_t)
+
+
+def test_sandwich_fails_a_g2_cut_below_the_top_eigenvalue():
+    # g2 = p (p - 1) t^(p - 2) is the p-Laplacian Hessian's top eigenvalue
+    # g_tt; cut 0.01% below it, 6 seeded lam and directions read 0.99179 to
+    # 0.99992 at seeds 0-5 (sampled_sandwich_reference), a pass
+    fam = PLaplacian(3.0)
+    triple = paper_triple(fam, BALL)
+    cut = dataclasses.replace(triple, g2=GrowthFn(lambda t: 0.9999 * triple.g2(t)))
+    for seed in range(6):
+        rep = check_ellipticity_sandwich(fam, cut, SampleSpec(ball=BALL, seed=seed))
+        assert rep.verdict == "fail", (seed, rep)
+        assert rep.worst_ratio == pytest.approx(1 / 0.9999, rel=1e-12)
 
 
 def masked_ratios(lo_bound, qf, hi_bound):
@@ -318,50 +402,68 @@ def traced_peak(fn):
 
 
 LOG_PX = LogPxLaplacian(Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)"))
+# log-px is among the radial catalog families with the largest peak; the
+# anisotropic matrix case is the one the checks still sample along the
+# spec's directions, so x blocks bound its memory
+STREAMED = [LOG_PX, Anisotropic(2.5, aij=(Coefficient.constant(1.0), Coefficient.constant(0.1),
+                                          Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x")))]
 
 
 def test_sandwich_peak_memory_on_cli_sampling():
-    # the CLI sampling plan: 37 x samples, 160 t, 6 directions, 6 lam; log-px
-    # is among the catalog families with the largest peak
-    triple = paper_triple(LOG_PX, BALL)
-    peak = traced_peak(lambda: check_ellipticity_sandwich(LOG_PX, triple, SampleSpec(ball=BALL, seed=1)))
-    # QF and its ratios on the whole (x, t, direction, lam) product reach
-    # ~5.2 MB; one x block at a time ~0.55 MB
-    assert peak < 2e6, peak
+    # the CLI sampling plan: 37 x samples, 160 t, 6 directions; the
+    # anisotropic sandwich on the whole (lam, x, t, direction) product
+    # reaches ~2.6 MB, one x block ~0.8 MB
+    for fam in STREAMED:
+        triple = paper_triple(fam, BALL)
+        peak = traced_peak(lambda: check_ellipticity_sandwich(fam, triple, SampleSpec(ball=BALL, seed=1)))
+        assert peak < 2e6, (fam.kind, peak)
 
 
 def test_sandwich_peak_memory_does_not_grow_with_the_plan():
-    # 4x the CLI plan (320 t, 12 directions): the whole product reaches ~41 MB,
-    # one x block ~3.7 MB
-    triple = paper_triple(LOG_PX, BALL)
+    # 4x the CLI plan (320 t, 12 directions): the whole anisotropic product
+    # reaches ~10 MB, one x block ~0.9 MB
     spec = SampleSpec(ball=BALL, n_t=320, n_dirs=12, seed=1)
-    peak = traced_peak(lambda: check_ellipticity_sandwich(LOG_PX, triple, spec))
-    assert peak < 6e6, peak
+    for fam in STREAMED:
+        triple = paper_triple(fam, BALL)
+        peak = traced_peak(lambda: check_ellipticity_sandwich(fam, triple, spec))
+        assert peak < 6e6, (fam.kind, peak)
 
 
 def test_growth_A_peak_memory_on_cli_sampling():
-    # all x samples at once reach ~3.4 MB, one x block ~1 MB
-    triple = paper_triple(LOG_PX, BALL)
-    peak = traced_peak(lambda: check_growth_A(LOG_PX, triple, SampleSpec(ball=BALL, seed=1)))
-    assert peak < 1.5e6, peak
+    # all x samples at once reach ~3.7 MB on the anisotropic case, one x
+    # block ~1 MB
+    for fam in STREAMED:
+        triple = paper_triple(fam, BALL)
+        peak = traced_peak(lambda: check_growth_A(fam, triple, SampleSpec(ball=BALL, seed=1)))
+        assert peak < 1.5e6, (fam.kind, peak)
+
+
+def test_12M_peak_memory_on_cli_sampling():
+    # all x samples at once reach ~0.94 MB on the anisotropic case, one x
+    # block ~0.46 MB
+    params = anisotropic_params(2, F(5, 2), 3)  # the memory is f's: any exponents do
+    for fam in STREAMED:
+        triple = paper_triple(fam, BALL)
+        peak = traced_peak(lambda: check_12M(fam, triple, params, SampleSpec(ball=BALL, seed=1)))
+        assert peak < 7e5, (fam.kind, peak)
 
 
 def test_hess_qf_broadcasts_lambda():
-    # lam as (1, 1, 1, k) must give, element for element, what lam
-    # materialized to the full (x, t, direction, lam) shape gives
+    # lam as (k, 1, 1, 1), the sandwich's (1, 0), (0, 1), (1, 1) followed by
+    # seeded unit vectors, must give, element for element, what lam
+    # materialized to the full (lam, x, t, direction) shape gives
     spec = SampleSpec(ball=BALL, seed=4)
     xs, ys = spec.x_samples()
     ux, uy = spec.directions()
-    lx, ly = spec.directions(offset=7)
+    th = 2 * math.pi * _uniforms(12, 6)
+    lx = np.concatenate([[1.0, 0.0, 1.0], np.cos(th)])
+    ly = np.concatenate([[0.0, 1.0, 1.0], np.sin(th)])
     fams = [fam for fam, _params in catalog_cases()] + [Anisotropic(3.0, base_p=2.0)]
     for fam in fams:
-        T = spec.t_grid(fam.hessian_t_cap(BALL))[None, :, None, None]
-        args = (
-            xs[:, None, None, None], ys[:, None, None, None],
-            T * ux[None, None, :, None], T * uy[None, None, :, None],
-        )
-        shape = (len(xs), T.size, len(ux), len(lx))
-        LX, LY = lx[None, None, None, :], ly[None, None, None, :]
+        T = spec.t_grid(fam.hessian_t_cap(BALL))[:, None]
+        args = (xs[:, None, None], ys[:, None, None], T * ux, T * uy)
+        shape = (len(lx), len(xs), T.size, len(ux))
+        LX, LY = lx[:, None, None, None], ly[:, None, None, None]
         thin = np.broadcast_to(fam.hess_qf(*args, LX, LY), shape)
         full = fam.hess_qf(*args, np.broadcast_to(LX, shape), np.broadcast_to(LY, shape))
         assert np.array_equal(thin, full), fam.describe()
@@ -425,10 +527,9 @@ def test_sample_spec_draws_the_default_rng_samples(seed, n_x):
     xs, ys = spec.x_samples()
     assert np.array_equal(xs, np.concatenate([gx, BALL.cx + r * np.cos(th)]))
     assert np.array_equal(ys, np.concatenate([gy, BALL.cy + r * np.sin(th)]))
-    for count, offset in ((None, 0), (None, 7), (3, 2)):
-        th = np.random.default_rng(seed + 1 + offset).uniform(0, 2 * math.pi, count or spec.n_dirs)
-        ux, uy = spec.directions(count, offset=offset)
-        assert np.array_equal(ux, np.cos(th)) and np.array_equal(uy, np.sin(th))
+    th = np.random.default_rng(seed + 1).uniform(0, 2 * math.pi, spec.n_dirs)
+    ux, uy = spec.directions()
+    assert np.array_equal(ux, np.cos(th)) and np.array_equal(uy, np.sin(th))
 
 
 @pytest.mark.parametrize("ball", [BALL, Ball(0.0, 0.0, 1.0), Ball(-0.3, 0.7, 0.05)])
@@ -467,9 +568,10 @@ def test_growth_A_exponential_and_px():
 
 
 def growth_A_reference(family, triple, spec):
-    """The per-point loop over (x sample, direction, axis) that check_growth_A batches."""
+    """The per-point loop over (x sample, direction, axis) that check_growth_A
+    batches; a radial family along xi = (t, t)/sqrt(2) alone."""
     xs, ys = spec.x_samples()
-    ux, uy = spec.directions()
+    ux, uy = DIAGONAL if family.radial else spec.directions()
     tg = spec.t_grid(family.hessian_t_cap(spec.ball))
     tg = tg[tg > 0]
     g3v = triple.g3(tg)
@@ -503,17 +605,34 @@ def test_growth_A_matches_per_point_loop(seed):
         assert check_growth_A(fam, triple, spec) == growth_A_reference(fam, triple, spec), fam.kind
 
 
+def test_growth_A_fails_a_g3_cut_below_the_diagonal_peak():
+    # double phase: sum_i |f_{xi_i x_k}| = q |d_k a| t^(q - 2) |xi|_1, which
+    # peaks on the diagonal at 2 * 0.85 * sqrt(2) q t^(q - 1) = (1.7 / 3) g3;
+    # 6 seeded directions of xi read 0.55604 at seed 2, a pass under 0.561 g3
+    fam = DoublePhase(2.0, 3.0, A_QUAD)
+    triple = paper_triple(fam, BALL)
+    spec = SampleSpec(ball=BALL, seed=2)
+    assert check_growth_A(fam, triple, spec).worst_ratio == pytest.approx(1.7 / 3, rel=1e-6)
+    cut = dataclasses.replace(triple, g3=GrowthFn(lambda t: 0.561 * triple.g3(t)))
+    rep = check_growth_A(fam, cut, spec)
+    assert rep.verdict == "fail" and rep.worst_ratio == pytest.approx(1.7 / 3 / 0.561, rel=1e-6)
+
+
 # x blocks: the streamed checks against their whole-array references, with
 # sample counts that are no multiple of a block and NaN / inf only at the
 # last x samples, so the winner must come from a later block
 
 A_QUAD = Coefficient(lambda x, y: x * x + y * y, 3.0, "x^2+y^2")
+# 105 x samples: a radial family's sandwich and growth-A take blocks of 51
+# rows, its 12M blocks of 50, so the last 10 samples span two blocks of each
+WIDE_SPEC = SampleSpec(ball=BALL, n_x=80, seed=1)
 BLOCK_EDGE_SPECS = [  # 38 x samples at n_x = 13, 37 at the CLI default n_x = 12
     SampleSpec(ball=BALL, n_x=13, seed=0),
     SampleSpec(ball=BALL, n_x=13, seed=3),
     SampleSpec(ball=BALL, seed=5),
+    WIDE_SPEC,
 ]
-TAIL = 10  # poisoned samples: spans two growth-A / 12M blocks and five sandwich blocks
+TAIL = 10  # poisoned samples
 TAIL_POISONS = {
     "inf": (math.inf,) * TAIL,
     "nan-last": (math.inf,) * (TAIL - 1) + (math.nan,),
@@ -586,13 +705,14 @@ def test_x_blocks_tile_the_sample_axis():
 def test_sandwich_matches_reference_at_block_edges(spec):
     for fam, _params in catalog_cases():
         triple = paper_triple(fam, BALL)
-        rep = check_ellipticity_sandwich(fam, triple, spec)
-        assert same_report(rep, sandwich_reference(fam, triple, spec)), fam.kind
+        assert_matches_sandwich_reference(fam, triple, spec)
     for name, values in TAIL_POISONS.items():
-        fam = poisoned_tail(spec, values)
+        # an infinite QF has no eigenvalues (h12 = inf - inf is NaN); a zero
+        # QF where g1 > 0 rates inf
+        fam = poisoned_tail(spec, [0.0 if v == math.inf else v for v in values])
         triple = paper_triple(fam, BALL)
         rep = check_ellipticity_sandwich(fam, triple, spec)
-        assert same_report(rep, sandwich_reference(fam, triple, spec)), name
+        assert same_report(rep, sandwich_reference(fam, triple, spec)[0]), name
         # the first NaN wins, else the first inf: the last sample or the first
         # poisoned one, each from its own t
         assert math.isnan(rep.worst_ratio) == (name != "inf"), name
@@ -807,9 +927,10 @@ def test_power_sum_log_is_scipy_logsumexp_bit_for_bit():
 
 def check_12M_reference(family, triple, params, spec):
     """check_12M on every x sample at once, the worst over x and directions
-    taken by one np.min; check_12M must match it exactly."""
+    taken by one np.min, a radial family along xi = (t, 0) alone;
+    check_12M must match it exactly."""
     xs, ys = spec.x_samples()
-    ux, uy = spec.directions()
+    ux, uy = AXIS if family.radial else spec.directions()
     gamma = float(params.gamma)
     beta = float(params.beta)
 
@@ -843,7 +964,7 @@ def test_12M_matches_whole_array_reference(seed):
 
 @pytest.mark.parametrize("name", sorted(TAIL_POISONS))
 def test_12M_keeps_a_nan_from_a_later_block(name):
-    spec = BLOCK_EDGE_SPECS[0]
+    spec = WIDE_SPEC
     params = double_phase_params(2, 3, 2)
     for cls in (PoisonedTail, PoisonedLogTail):
         fam = poisoned_tail(spec, TAIL_POISONS[name], cls)
@@ -965,8 +1086,9 @@ GOLDEN_ROWS = Path(__file__).with_name("golden_check_rows.txt")
 
 def test_catalog_report_rows_match_golden():
     # row() text of the whole table on the CLI sampling plan, every catalog
-    # case at seeds 0 and 1, recorded from the code before the triples and
-    # exponent recipes moved onto the families; compared exactly
+    # case at seeds 0 and 1, compared exactly; the 11M, 12M, A3 and bound
+    # rows were recorded before the triples and exponent recipes moved onto
+    # the families, the sandwich and growth-A rows when they took exact extremes
     lines = []
     for seed in (0, 1):
         for fam, params in catalog_cases():

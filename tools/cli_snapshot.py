@@ -57,6 +57,7 @@ ERRORS = {
     "sweep-no-keys": (DP, "validate", "amplitudes = 0.5, 1, 2, 4, 8", ""),
     "schedule-n-3": (PX, "validate", "n = 2", "n = 3"),
     "family-both-forms": ("check-catalog/anisotropic", "check", "q = 2.5", "q = 2.5\nbase_p = 2"),
+    "family-value-anchor": ("check-catalog/very_degenerate", "check", "p = 3", "p = 1.5"),
 }
 
 
