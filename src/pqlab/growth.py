@@ -271,20 +271,18 @@ def _grid_tail_report(
     log_ratio_at,               # callable t-array -> log(LHS/RHS) array (M excluded)
 ) -> ConditionReport:
     """The grid-and-tail verdict of one condition; ``t_grid`` is {0} followed
-    by increasing t > 0, as ``default_t_grid`` and ``SampleSpec.t_grid`` give."""
-    pos = t_grid[1:]
-    d = np.asarray(log_ratio_at(pos), float)
-    keep = ~np.isnan(d)  # NaN encodes 0 <= M * 0: satisfied, drop the sample
-    pos, d = pos[keep], d[keep]
-    d0 = float(np.asarray(log_ratio_at(np.array([0.0])))[0])
+    by increasing t > 0, as ``default_t_grid`` and ``SampleSpec.t_grid`` give.
+    ``log_ratio_at`` is called once, on the grid followed by the 13 tail
+    probes, and the origin, the grid and the probes are split out of it."""
+    probes = 10.0 * math.sqrt(10.0) ** np.arange(13)
+    ratios = np.asarray(log_ratio_at(np.concatenate([t_grid, probes])), float)
+    d, dp = ratios[: t_grid.size], ratios[t_grid.size :]
     # +inf is a degenerate origin: RHS vanishes at exactly t = 0 while the
     # LHS does not; the conditions are checked on t > 0 plus the tail
-    skipped_origin = d0 == np.inf
-    if not (skipped_origin or math.isnan(d0)):
-        pos = np.concatenate([[0.0], pos])
-        d = np.concatenate([[d0], d])
-    probes = 10.0 * math.sqrt(10.0) ** np.arange(13)
-    dp = np.asarray(log_ratio_at(probes), float)
+    skipped_origin = d[0] == np.inf
+    keep = ~np.isnan(d)  # NaN encodes 0 <= M * 0: satisfied, drop the sample
+    keep[0] &= not skipped_origin
+    pos, d = t_grid[keep], d[keep]
     tail = _classify_log_tail(dp)
 
     finite = d[np.isfinite(d)]

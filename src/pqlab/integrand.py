@@ -17,9 +17,10 @@ so callers (the condition checkers) can switch to log-domain arithmetic.
 Family protocol: the checks, the solver, the schedule resolver and the
 validator use a family only through what it supplies here, never through
 its type.  A family must supply ``value``, ``grad`` and ``hess_qf`` (a
-radial family subclasses ``RadialFamily``, supplies ``profile_value``,
-``profile_dt``, ``profile_dtt`` and ``profile_slope`` and inherits them;
-``radial`` is False on the base class and True on ``RadialFamily``),
+radial family subclasses ``RadialFamily``, supplies the three profile
+methods ``profile_value`` (g), ``profile_slope`` (g_t/t) and
+``profile_dtt`` (g_tt) and inherits them; ``radial`` is False on the base
+class and True on ``RadialFamily``),
 ``triple(ball)`` - its growth triple with honest constants on the ball -
 and ``auto_params(ball, n, two_star, *, alpha, delta)`` - its exponent
 recipe, an ExponentParams or a ParamRejection.  It may override
@@ -151,8 +152,13 @@ class Coefficient:
         return value
 
     def range_on_ball(self, ball: Ball) -> tuple[float, float]:
+        """(min, max) over ``ball.sample_points()``; a ValueError naming the
+        coefficient when a sample is not finite."""
         xs, ys = ball.sample_points()
-        vals = self(xs, ys)
+        with np.errstate(all="ignore"):
+            vals = self(xs, ys)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"coefficient {self.source} is not finite on the ball")
         return float(np.min(vals)), float(np.max(vals))
 
     def __repr__(self):
@@ -504,14 +510,14 @@ class IntegrandFamily:
 
 
 class RadialFamily(IntegrandFamily):
-    """Radial families implement profile_* and inherit the decomposition."""
+    """A density g(x, |xi|) given by three profile methods: ``profile_value``
+    (g), ``profile_slope`` (g_t/t) and ``profile_dtt`` (g_tt), the two
+    eigenvalues of its xi-Hessian.  ``value``, ``grad`` and ``hess_qf`` come
+    from them through the radial decomposition."""
 
     radial = True
 
     def profile_value(self, x, y, t):
-        raise NotImplementedError
-
-    def profile_dt(self, x, y, t):
         raise NotImplementedError
 
     def profile_dtt(self, x, y, t):
@@ -570,9 +576,6 @@ class _PowerSum(RadialFamily):
 
     def profile_value(self, x, y, t):
         return self._power_sum(x, y, t, 0, 0)
-
-    def profile_dt(self, x, y, t):
-        return self._power_sum(x, y, t, 1, 1)
 
     def profile_dtt(self, x, y, t):
         return self._power_sum(x, y, t, 2, 2)
@@ -651,12 +654,6 @@ class Exponential(RadialFamily):
 
     def profile_value(self, x, y, t):
         return self._exp_guarded(self.a(x, y) * np.power(np.asarray(t, float), self.tau))
-
-    def profile_dt(self, x, y, t):
-        t = np.asarray(t, float)
-        a = self.a(x, y)
-        s = a * np.power(t, self.tau)
-        return a * self.tau * np.power(t, self.tau - 1) * self._exp_guarded(s)
 
     def profile_dtt(self, x, y, t):
         t = np.asarray(t, float)
@@ -750,10 +747,6 @@ class PxLaplacian(RadialFamily):
     def profile_value(self, x, y, t):
         return np.power(np.asarray(t, float), self.pfun(x, y))
 
-    def profile_dt(self, x, y, t):
-        p = self.pfun(x, y)
-        return p * np.power(np.asarray(t, float), p - 1)
-
     def profile_dtt(self, x, y, t):
         p = self.pfun(x, y)
         # np.power(0, 0) == 1 gives the correct p = 2 limit at t = 0
@@ -791,12 +784,6 @@ class LogPxLaplacian(RadialFamily):
     def profile_value(self, x, y, t):
         t = np.asarray(t, float)
         return np.power(t, self.pfun(x, y)) * np.log1p(t * t)
-
-    def profile_dt(self, x, y, t):
-        t = np.asarray(t, float)
-        p = self.pfun(x, y)
-        ell = np.log1p(t * t)
-        return np.power(t, p - 1) * (p * ell + 2 * t * t / (1 + t * t))
 
     def profile_dtt(self, x, y, t):
         t = np.asarray(t, float)
@@ -840,8 +827,8 @@ class LogPxLaplacian(RadialFamily):
         envelope = 1.0 + np.power(ts, q - 1 + float(OMEGA))
         worst = 0.0
         for dx, dy in ((h, 0.0), (0.0, h)):
-            gp = self.profile_dt(X + dx, Y + dy, ts)
-            gm = self.profile_dt(X - dx, Y - dy, ts)
+            gp = ts * self.profile_slope(X + dx, Y + dy, ts)
+            gm = ts * self.profile_slope(X - dx, Y - dy, ts)
             mixed = math.sqrt(2.0) * np.abs(gp - gm) / (2 * h)
             worst = max(worst, float(np.max(mixed / envelope)))
         return max(worst, 1e-6)
@@ -874,6 +861,9 @@ class DoublePhase(_PowerSum):
 
     def triple(self, ball):
         ranges = [(e, (1.0, 1.0) if c is None else c.range_on_ball(ball)) for e, c in self._terms()]
+        a_lo = ranges[1][1][0]  # the q term carries a
+        if a_lo < 0:
+            raise ValueError(f"a = {self.a.source} must be non-negative on the ball, got {a_lo:.6g}")
         g1 = _power_sum_fn([(lo * e, e - 2) for e, (lo, _hi) in ranges])
         g2 = _power_sum_fn([(hi * e * (e - 1), e - 2) for e, (_lo, hi) in ranges])
         g3 = _power_sum_fn([(_SQRT_N * self.a.lipschitz * self.q, self.q - 1)])
@@ -938,10 +928,6 @@ class VeryDegenerate(RadialFamily):
     def profile_value(self, x, y, t):
         s = np.maximum(np.asarray(t, float) - 1.0, 0.0)
         return np.power(s, self.p) / self.p
-
-    def profile_dt(self, x, y, t):
-        s = np.maximum(np.asarray(t, float) - 1.0, 0.0)
-        return np.power(s, self.p - 1)
 
     def profile_dtt(self, x, y, t):
         t = np.asarray(t, float)
@@ -1124,7 +1110,7 @@ def radial_bounds(family: IntegrandFamily, x, t: float):
     if t <= 0:
         raise ProfileDomainError("radial bounds need t > 0")
     px, py = float(x[0]), float(x[1])
-    s = float(family.profile_dt(px, py, t) / t)
+    s = float(family.profile_slope(px, py, t))
     r = float(family.profile_dtt(px, py, t))
     if not (math.isfinite(s) and math.isfinite(r)):
         raise ProfileDomainError(f"profile not finite at t={t}")
@@ -1134,8 +1120,9 @@ def radial_bounds(family: IntegrandFamily, x, t: float):
     for _ in range(24):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                d = family.profile_dtt(px, py, t_scan) * t_scan - family.profile_dt(px, py, t_scan)
-                scale = np.abs(family.profile_dt(px, py, t_scan))
+                slope = family.profile_slope(px, py, t_scan)
+                d = family.profile_dtt(px, py, t_scan) - slope
+                scale = np.abs(slope) * t_scan
             finite = np.isfinite(d) & np.isfinite(scale)
             if np.all(finite):
                 break
@@ -1144,7 +1131,8 @@ def radial_bounds(family: IntegrandFamily, x, t: float):
             t_scan = t_scan[t_scan <= t_scan[-1] / 2.0]
         if t_scan.size < 8:
             raise ProfileDomainError("profile not representable on any usable t range")
-    rel = d / (np.maximum(scale, 1e-300) * t_scan + 1e-300)
+    # d/dt (g_t/t) = (g_tt - g_t/t) / t, relative to g_t/t
+    rel = d / np.maximum(scale, 1e-300)
     tol = 1e-9
     if np.all(rel >= -tol):
         case = "ii"

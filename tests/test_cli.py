@@ -681,6 +681,37 @@ def test_check_and_validate_double_phase_auto(tmp_path, capsys):
     assert "slope1=ok" in out and "ratio=ok" in out
 
 
+MULTI_PHASE = DOUBLE_PHASE.replace("kind = double_phase", "kind = multi_phase").replace(
+    "a_lipschitz = 3.0", "a_lipschitz = 3.0\nb = 0.5"
+)
+NEGATIVE_A = "a = x - 2 must be non-negative on the ball, got -1.85"
+NOT_FINITE = "coefficient log(x - 2) is not finite on the ball"
+
+
+@pytest.mark.parametrize(
+    "command, text, old, new, message",
+    [
+        ("check", DOUBLE_PHASE, "a = x^2 + y^2", "a = x - 2", f"growth triple rejected: {NEGATIVE_A}"),
+        ("check", MULTI_PHASE, "a = x^2 + y^2", "a = x - 2", f"growth triple rejected: {NEGATIVE_A}"),
+        ("validate", DOUBLE_PHASE, "a = x^2 + y^2", "a = x - 2", f"growth triple rejected: {NEGATIVE_A}"),
+        ("check", DOUBLE_PHASE, "a = x^2 + y^2", "a = log(x - 2)", f"growth triple rejected: {NOT_FINITE}"),
+        ("params", PX_CHECK, "p_expr = 2.5 + 0.2*x", "p_expr = log(x - 2)", f"rejected: resolve_params: {NOT_FINITE}"),
+        ("check", PX_CHECK, "p_expr = 2.5 + 0.2*x", "p_expr = log(x - 2)",
+         f"parameter recipe rejected: resolve_params: {NOT_FINITE}"),
+    ],
+    ids=["check-dp-negative", "check-mp-negative", "validate-dp-negative", "check-dp-nan", "params-px-nan",
+         "check-px-nan"],
+)
+def test_coefficient_negative_or_not_finite_on_the_ball_is_rejected(tmp_path, capsys, command, text, old, new,
+                                                                     message):
+    # one line, exit 2 and an empty stderr: a negative a would reach math.log
+    # in the 11M log form and make the energy unbounded below, and a NaN
+    # coefficient would drop every 11M, 12M and A3 sample as 0 <= M * 0
+    rc = main([command, cfg_file(tmp_path, text.replace(old, new)), "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    assert (rc, cap.out, cap.err) == (2, message + "\n", "")
+
+
 @pytest.mark.parametrize(
     "command, old, new",
     [

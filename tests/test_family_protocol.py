@@ -1,6 +1,7 @@
 """The family protocol: a family defined outside the catalog, here and only
 here, runs through the condition checks, the schedule resolver, the solver
-and the validator without any of them knowing its type."""
+and the validator without any of them knowing its type.  As a radial family
+it supplies the three profile methods g, g_t/t and g_tt and nothing else."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 from pqlab.config import parse_config, resolve_schedule
 from pqlab.exponents import ExponentParams, double_phase_params
 from pqlab.growth import GrowthFn, GrowthTriple, SampleSpec, paper_triple, run_all_checks
-from pqlab.integrand import Ball, RadialFamily
+from pqlab.integrand import Ball, RadialFamily, radial_bounds
 from pqlab.solver import Grid, SolveOptions
 from pqlab.validator import ProblemTemplate, measure
 
@@ -25,10 +26,6 @@ class QuadQuartic(RadialFamily):
     def profile_value(self, x, y, t):
         t = np.asarray(t, float)
         return t * t + t**4
-
-    def profile_dt(self, x, y, t):
-        t = np.asarray(t, float)
-        return 2 * t + 4 * t**3
 
     def profile_dtt(self, x, y, t):
         t = np.asarray(t, float)
@@ -75,3 +72,10 @@ def test_outside_family_solves_and_measures():
     assert rec.sup_grad_sq > 0 and rec.w22_weighted > 0
     assert rec.g1_at_zero == 2.0
 
+
+
+def test_outside_family_radial_bounds():
+    # g_t/t = 2 + 4 t^2 rises in t (case ii) and lies below g_tt = 2 + 12 t^2
+    fam = QuadQuartic()
+    assert radial_bounds(fam, (0.5, 0.5), 2.0) == (18.0, 50.0, "ii")
+    assert radial_bounds(fam, (0.3, 0.7), 0.5) == (3.0, 5.0, "ii")

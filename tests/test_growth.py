@@ -131,6 +131,27 @@ def synthetic_A3(log_ratio):
     return check_A3(GrowthTriple(g1=one, g2=one, g3=g3), GAMMA1)
 
 
+def test_grid_tail_report_calls_its_ratio_once():
+    # one call on the grid followed by the 13 tail probes; the origin, the
+    # grid and the probes are split out of it
+    grid = default_t_grid()
+    probes = 10.0 * math.sqrt(10.0) ** np.arange(13)
+    calls = []
+
+    def log_ratio(t):
+        calls.append(np.array(t))
+        # +inf at the origin (skipped), t/(1+t) on the grid, 0 past it
+        with np.errstate(divide="ignore"):
+            return np.where(t == 0, np.inf, np.where(t > 1e3, -np.inf, np.log(t / (1 + t))))
+
+    rep = _grid_tail_report("A3", grid, log_ratio)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.concatenate([grid, probes]))
+    assert (rep.verdict, rep.worst_t, rep.tail_limit_estimate) == ("pass", 1e3, 0.0)
+    assert rep.notes == "t=0 sample skipped (bound degenerate at the origin)"
+    assert rep.worst_ratio == rep.fitted_M == pytest.approx(1e3 / (1 + 1e3), rel=1e-12)
+
+
 def test_grid_tail_report_inconclusive_on_an_oscillating_tail():
     # sin(pi log10 t) at the probes t = 10^(1 + k/2): 0, -1, 0, 1, ... neither
     # settles nor grows, so the tail is neither bounded nor diverging

@@ -11,8 +11,9 @@ Each command gets ``OUTDIR/<workload>/<config>/<command>/`` holding
 ``stdout.txt`` (stdout and stderr), ``exit_code.txt`` and ``out/``, the
 report and field files written through ``--out``.
 
-The config-error paths are snapshot too: each case of ``ERRORS`` replaces
-one line of a benchmark config (the replacement may add a line), and gets
+The config-error and rejection paths are snapshot too: each case of
+``ERRORS`` replaces one line of a benchmark config (the replacement may add
+a line), and gets
 ``OUTDIR/config-errors/<case>/`` with the edited ``problem.cfg`` and the
 same three entries.  The OUTDIR prefix is replaced by the word OUTDIR in
 every file, so snapshots of two checkouts compare with
@@ -58,6 +59,12 @@ ERRORS = {
     "schedule-n-3": (PX, "validate", "n = 2", "n = 3"),
     "family-both-forms": ("check-catalog/anisotropic", "check", "q = 2.5", "q = 2.5\nbase_p = 2"),
     "family-value-anchor": ("check-catalog/very_degenerate", "check", "p = 3", "p = 1.5"),
+    # coefficients negative or not finite on the ball: typed rejections, exit 2
+    "dp-a-negative": ("check-catalog/double_phase", "check", "a = x^2 + y^2", "a = x - 2"),
+    "mp-a-negative": ("check-catalog/multi_phase", "check", "a = x^2 + y^2", "a = x - 2"),
+    "dp-a-negative-validate": (DP, "validate", "a = x^2 + y^2", "a = x - 2"),
+    "dp-a-nan": ("check-catalog/double_phase", "check", "a = x^2 + y^2", "a = log(x - 2)"),
+    "px-p-nan": ("check-catalog/px_laplacian", "params", "p_expr = 2.5 + 0.2*x", "p_expr = log(x - 2)"),
 }
 
 
