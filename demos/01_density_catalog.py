@@ -19,9 +19,6 @@ from pqlab import (
     PxLaplacian,
     SaturationError,
     VeryDegenerate,
-    eval_f,
-    eval_grad_xi,
-    hessian_quadratic_form,
     radial_bounds,
 )
 
@@ -48,7 +45,7 @@ p_var = Coefficient(lambda px, py: 2.0 + 0.2 * px, lipschitz=0.2, source="2+0.2*
 families = [
     PLaplacian(2.0),
     PLaplacian(3.0),
-    Exponential(a_lin, 2.0),
+    Exponential(a_lin),
     PxLaplacian(p_var),
     DoublePhase(2.0, 3.0, a_quad),
     MultiPhase(2.0, 3.0, a_quad, 0.5),
@@ -57,15 +54,15 @@ families = [
 ]
 
 for fam in families:
-    f = eval_f(fam, x, xi)
-    g = eval_grad_xi(fam, x, xi)
-    qf = hessian_quadratic_form(fam, x, xi, lam)
+    f = float(fam.value(*x, *xi))
+    g = np.array(fam.grad(*x, *xi), float)
+    qf = float(fam.hess_qf(*x, *xi, *lam))
     # finite-difference check of the analytic gradient
     h = 1e-5 * max(1.0, float(np.hypot(*xi)))
     fd = np.array(
         [
-            (eval_f(fam, x, xi + [h, 0]) - eval_f(fam, x, xi - [h, 0])) / (2 * h),
-            (eval_f(fam, x, xi + [0, h]) - eval_f(fam, x, xi - [0, h])) / (2 * h),
+            (fam.value(*x, xi[0] + h, xi[1]) - fam.value(*x, xi[0] - h, xi[1])) / (2 * h),
+            (fam.value(*x, xi[0], xi[1] + h) - fam.value(*x, xi[0], xi[1] - h)) / (2 * h),
         ]
     )
     rel = np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g)))
@@ -79,9 +76,8 @@ print("THE QUADRATIC-FORM IDENTITY FOR |xi|^p")
 print("=" * 72)
 for p in (2.0, 3.0, 4.0):
     fam = PLaplacian(p)
-    unit = np.array([1.0, 0.0])
-    aligned = hessian_quadratic_form(fam, x, unit, unit)
-    orth = hessian_quadratic_form(fam, x, unit, np.array([0.0, 1.0]))
+    aligned = float(fam.hess_qf(*x, 1.0, 0.0, 1.0, 0.0))
+    orth = float(fam.hess_qf(*x, 1.0, 0.0, 0.0, 1.0))
     print(f"  p = {p:g}: aligned direction gives p(p-1) = {aligned:g}, orthogonal gives p = {orth:g}")
 
 print("\n" + "=" * 72)
@@ -90,7 +86,7 @@ print("=" * 72)
 for label, fam, t in (
     ("t^3 (p >= 2)", PLaplacian(3.0), 2.0),
     ("t^1.5 (1 < p < 2)", SubquadraticPower(1.5), 1.0),
-    ("exp(t^2)", Exponential(Coefficient.constant(1.0), 2.0), 1.3),
+    ("exp(t^2)", Exponential(Coefficient.constant(1.0)), 1.3),
 ):
     lo, up, case = radial_bounds(fam, x, t)
     print(f"  {label:<22} case ({case}):  {lo:.6g} <= QF/|lam|^2 <= {up:.6g}   at t = {t:g}")
@@ -98,8 +94,8 @@ for label, fam, t in (
 print("\n" + "=" * 72)
 print("LOG-SPACE SATURATION GUARD")
 print("=" * 72)
-fam = Exponential(Coefficient.constant(1.0), 2.0)
+fam = Exponential(Coefficient.constant(1.0))
 try:
-    eval_f(fam, x, np.array([40.0, 0.0]))
+    fam.value(*x, 40.0, 0.0)
 except SaturationError as exc:
     print(f"  exp(|xi|^2) at |xi| = 40 raises instead of returning inf:\n    {exc}")

@@ -39,7 +39,6 @@ from pqlab import (
     px_delta,
     run_all_checks,
     sobolev_context,
-    tail_limit,
 )
 from pqlab.exponents import ExponentParams
 
@@ -57,7 +56,7 @@ p_var = Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)")
 cases = [
     (PLaplacian(3.0), default_params(2, 2, 0)),
     (DoublePhase(2.0, 3.0, a_quad), double_phase_params(2, 3, 2)),
-    (Exponential(a_lin, 2.0), auto_exponential_params(*a_lin.range_on_ball(ball), n=2)),
+    (Exponential(a_lin), auto_exponential_params(*a_lin.range_on_ball(ball), n=2)),
     (PxLaplacian(p_var), auto_px_params(*p_var.range_on_ball(ball), n=2)),
 ]
 for fam, params in cases:
@@ -98,15 +97,3 @@ ctx2 = sobolev_context(2, alpha=F(5, 2), gamma=1 + d)
 rep2 = check_A3(px_triple, ExponentParams(F(5, 2), F(5, 4) + d, 1 + d, d, ctx2))
 print(f"  gamma = 1:           {rep1.verdict}  (ratio diverges along the tail)")
 print(f"  gamma = 1 + {float(d):.4g}: {rep2.verdict}  (minimal delta balances the exponents)")
-
-print("\n" + "=" * 78)
-print("TAIL ESTIMATION")
-print("=" * 78)
-for label, h in (
-    ("t^2/(1+t^2)  -> 1", lambda t: t * t / (1 + t * t)),
-    ("sqrt(t)      -> diverges", lambda t: np.sqrt(t)),
-    ("constant 7/2", lambda t: 3.5),
-):
-    res = tail_limit(h, 1.0)
-    verdict = "diverging" if res.diverging else (f"limit ~ {res.estimate:.6g}" if res.stabilized else "inconclusive")
-    print(f"  {label:<26} {verdict}")

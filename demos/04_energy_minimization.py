@@ -63,7 +63,7 @@ print(f"  on B_0.2 / B_0.35: sup|Du| = {st.sup_grad:.6g}, "
 print("\n" + "=" * 72)
 print("EXPONENTIAL DENSITY: LOG-DOMAIN SOLVE AND AUTO-RESCALE")
 print("=" * 72)
-fam = Exponential(Coefficient.constant(1.0), 2.0)
+fam = Exponential(Coefficient.constant(1.0))
 g = Grid(1.0, 33, boundary=lambda x, y: 0.5 * (x + y))
 u, tr = minimize(g, fam, opts=SolveOptions(tolerance=1e-9, max_iter=8000))
 print(f"  moderate amplitude: iterations = {tr.iterations}, final energy = {tr.final_energy:.8g}")

@@ -60,7 +60,7 @@ print("\n" + "=" * 78)
 print("AMPLITUDE SWEEP: EXPONENTIAL exp((0.5 + 0.1x)|Du|^2)")
 print("=" * 78)
 a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x")
-ex = Exponential(a_lin, 2.0)
+ex = Exponential(a_lin)
 ball = Ball(0.5, 0.5, 0.35)
 lo, hi = a_lin.range_on_ball(ball)
 exp_params = auto_exponential_params(lo, hi, n=2)

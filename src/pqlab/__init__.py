@@ -51,7 +51,6 @@ from .growth import (
     check_growth_A,
     paper_triple,
     run_all_checks,
-    tail_limit,
 )
 from .integrand import (
     Anisotropic,
@@ -68,9 +67,6 @@ from .integrand import (
     RadialFamily,
     SaturationError,
     VeryDegenerate,
-    eval_f,
-    eval_grad_xi,
-    hessian_quadratic_form,
     radial_bounds,
 )
 from .solver import (

@@ -238,8 +238,8 @@ def _family(cfg: ProblemConfig, kind: str) -> IntegrandFamily:
         _, p = cfg.read("family", kind="str", p="float")
         return (PLaplacian if kind == "p_laplacian" else VeryDegenerate)(p)
     if kind == "exponential":
-        _, a, a_lip, tau = cfg.read("family", kind="str", a="expr", a_lipschitz=lip, tau=("float", 2.0))
-        return Exponential(Coefficient(a, a_lip, a.source), tau)
+        _, a, a_lip = cfg.read("family", kind="str", a="expr", a_lipschitz=lip)
+        return Exponential(Coefficient(a, a_lip, a.source))
     if kind in ("px_laplacian", "log_px_laplacian"):
         _, p, p_lip = cfg.read("family", kind="str", p_expr="expr", p_expr_lipschitz=lip)
         return (PxLaplacian if kind == "px_laplacian" else LogPxLaplacian)(Coefficient(p, p_lip, p.source))
@@ -265,7 +265,7 @@ def _family(cfg: ProblemConfig, kind: str) -> IntegrandFamily:
 
 def build_boundary(cfg: ProblemConfig):
     (expr,) = cfg.read("boundary", expr="expr")
-    return lambda x, y: expr(x, y)
+    return expr
 
 
 def _checked(cfg: ProblemConfig, sect: str, make):

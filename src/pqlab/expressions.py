@@ -15,15 +15,24 @@ numpy arrays of any broadcastable shape.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-_FUNCTIONS = {
-    "exp": lambda a: np.exp(a),
-    "log": lambda a: np.log(a),
-    "min": lambda a, b: np.minimum(a, b),
-    "max": lambda a, b: np.maximum(a, b),
+# op: (arity, callable) of every operator and function node (op, *children).
+# Unary minus is "u-", not a name, so no expression can call it.
+_OPERATIONS = {
+    "+": (2, operator.add),
+    "-": (2, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, operator.truediv),
+    "^": (2, np.power),
+    "u-": (1, operator.neg),
+    "exp": (1, np.exp),
+    "log": (1, np.log),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
 }
-_ARITY = {"exp": 1, "log": 1, "min": 2, "max": 2}
 _VARIABLES = ("x", "y")
 
 
@@ -108,24 +117,10 @@ def _eval(node, x, y):
         return node[1]
     if op == "var":
         return x if node[1] == "x" else y
-    if op == "neg":
-        return -_eval(node[1], x, y)
-    if op == "call":
-        args = [_eval(a, x, y) for a in node[2]]
-        return _FUNCTIONS[node[1]](*args)
-    a = _eval(node[1], x, y)
-    b = _eval(node[2], x, y)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return np.power(a, b)
-    raise AssertionError(op)
+    arity, fn = _OPERATIONS[op]
+    if arity == 1:
+        return fn(_eval(node[1], x, y))
+    return fn(_eval(node[1], x, y), _eval(node[2], x, y))
 
 
 class _Parser:
@@ -160,7 +155,7 @@ class _Parser:
     def unary(self):
         if self.peek().kind == "-":
             self.take()
-            return ("neg", self.unary())
+            return ("u-", self.unary())
         return self.power()
 
     def power(self):
@@ -178,7 +173,7 @@ class _Parser:
         if tok.kind == "name":
             self.take()
             if self.peek().kind == "(":
-                if tok.text not in _FUNCTIONS:
+                if tok.text not in _OPERATIONS:
                     raise ExpressionError(f"unknown function {tok.text!r}", tok.pos)
                 self.take("(")
                 args = [self.expr()]
@@ -186,11 +181,10 @@ class _Parser:
                     self.take()
                     args.append(self.expr())
                 self.take(")")
-                if len(args) != _ARITY[tok.text]:
-                    raise ExpressionError(
-                        f"{tok.text} takes {_ARITY[tok.text]} argument(s), got {len(args)}", tok.pos
-                    )
-                return ("call", tok.text, args)
+                arity = _OPERATIONS[tok.text][0]
+                if len(args) != arity:
+                    raise ExpressionError(f"{tok.text} takes {arity} argument(s), got {len(args)}", tok.pos)
+                return (tok.text, *args)
             if tok.text in _VARIABLES:
                 return ("var", tok.text)
             raise ExpressionError(f"unknown name {tok.text!r}", tok.pos)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -118,27 +118,6 @@ def _classify_log_tail(logs: np.ndarray) -> TailResult:
         if fast or steady:
             return TailResult(math.inf, False, True, tuple(logs))
     return TailResult(math.exp(min(float(logs[-1]), 700.0)), False, False, tuple(logs))
-
-
-def tail_limit(h: Callable, t0: float):
-    """Estimate lim h(t) for t -> inf by geometric probing: 13 probes from
-    t0, two per decade.
-
-    Returns (estimate, stabilized); estimate is math.inf when the probes
-    grow monotonically by more than a factor 2 per decade.  The full
-    classification is available on the returned TailResult.
-    """
-    ts = max(float(t0), 1e-6) * math.sqrt(10.0) ** np.arange(13)
-    vals = np.array([float(h(t)) for t in ts], float)
-    with np.errstate(divide="ignore"):
-        logs = np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -np.inf)
-    res = _classify_log_tail(logs)
-    if res.diverging:
-        return TailResult(math.inf, False, True, tuple(vals))
-    if res.stabilized:
-        # report the plain mean of the last probes, not the log-space value
-        return TailResult(float(np.mean(vals[-3:])), True, False, tuple(vals))
-    return TailResult(float(vals[-1]), False, False, tuple(vals))
 
 
 # ---------------------------------------------------------------------------

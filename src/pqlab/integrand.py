@@ -10,9 +10,10 @@ decomposition
 where g(x, t) is the radial profile.  All evaluators are vectorized over
 numpy arrays and pure: a family is immutable once built.
 
-The exponential family stores the density in log space and refuses to
-silently return IEEE infinities; it raises :class:`SaturationError` instead
-so callers (the condition checkers) can switch to log-domain arithmetic.
+The exponential family exp(a(x) |xi|^2) stores the density in log space
+and refuses to silently return IEEE infinities; it raises
+:class:`SaturationError` instead so callers (the condition checkers) can
+switch to log-domain arithmetic.
 
 Family protocol: the checks, the solver, the schedule resolver and the
 validator use a family only through what it supplies here, never through
@@ -25,7 +26,9 @@ class and True on ``RadialFamily``),
 and ``auto_params(ball, n, two_star, *, alpha, delta)`` - its exponent
 recipe, an ExponentParams or a ParamRejection.  It may override
 the class defaults ``log_domain`` (minimize and check through log f, which
-needs ``log_value`` and ``grad_coeff_over_f``),
+needs ``log_value`` and ``grad_coeff_over_f``; ``minimize``'s start guard
+scales a too steep initial state by (2 / peak log f)^(1/2), which brings a
+log-density quadratic in |xi| to a peak of 2),
 ``oscillating_coefficient`` (the coefficient whose oscillation on a ball the
 schedule's theta must cover) and ``hessian_t_cap(ball)``.  The p-Laplacian,
 double phase and multi phase families share one power-sum profile
@@ -151,14 +154,18 @@ class Coefficient:
             self._memo = (x, y, value)
         return value
 
-    def range_on_ball(self, ball: Ball) -> tuple[float, float]:
-        """(min, max) over ``ball.sample_points()``; a ValueError naming the
-        coefficient when a sample is not finite."""
-        xs, ys = ball.sample_points()
+    def on_ball(self, ball: Ball) -> np.ndarray:
+        """The values at ``ball.sample_points()``; a ValueError naming the
+        coefficient when one is not finite."""
         with np.errstate(all="ignore"):
-            vals = self(xs, ys)
+            vals = self(*ball.sample_points())
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"coefficient {self.source} is not finite on the ball")
+        return vals
+
+    def range_on_ball(self, ball: Ball) -> tuple[float, float]:
+        """(min, max) of :meth:`on_ball`."""
+        vals = self.on_ball(ball)
         return float(np.min(vals)), float(np.max(vals))
 
     def __repr__(self):
@@ -620,7 +627,7 @@ class PLaplacian(_PowerSum):
 
 
 class Exponential(RadialFamily):
-    """f(x, xi) = exp(a(x) |xi|^tau), a > 0 locally Lipschitz, tau >= 2.
+    """f(x, xi) = exp(a(x) |xi|^2), a > 0 locally Lipschitz.
 
     Stored in log space: ``log_value`` never overflows, the linear
     evaluators raise :class:`SaturationError` past exp(LOG_MAX).
@@ -629,22 +636,19 @@ class Exponential(RadialFamily):
     kind = "exponential"
     log_domain = True
 
-    def __init__(self, a: Coefficient, tau: float = 2.0):
-        if tau < 2:
-            raise ValueError(f"tau must be at least 2 for the exponential family, got {tau}")
+    def __init__(self, a: Coefficient):
         self.a = a
         self.oscillating_coefficient = a
-        self.tau = float(tau)
 
     def describe(self):
-        return f"exponential(a={self.a.source}, tau={self.tau:g})"
+        return f"exponential(a={self.a.source}, tau=2)"
 
     def hessian_t_cap(self, ball: Ball) -> Optional[float]:
-        return 0.9 * ((LOG_MAX - 60.0) / max(self.a.range_on_ball(ball)[1], 1e-12)) ** (1.0 / self.tau)
+        return 0.9 * ((LOG_MAX - 60.0) / max(self.a.range_on_ball(ball)[1], 1e-12)) ** 0.5
 
     def log_value(self, x, y, gx, gy):
         t = np.hypot(gx, gy)
-        return self.a(x, y) * np.power(t, self.tau)
+        return self.a(x, y) * np.power(t, 2.0)
 
     def _exp_guarded(self, logv):
         m = float(np.max(logv)) if np.size(logv) else 0.0
@@ -653,33 +657,23 @@ class Exponential(RadialFamily):
         return np.exp(logv)
 
     def profile_value(self, x, y, t):
-        return self._exp_guarded(self.a(x, y) * np.power(np.asarray(t, float), self.tau))
+        return self._exp_guarded(self.a(x, y) * np.power(np.asarray(t, float), 2.0))
 
     def profile_dtt(self, x, y, t):
         t = np.asarray(t, float)
         a = self.a(x, y)
-        tau = self.tau
-        s = a * np.power(t, tau)
-        poly = a * tau * (tau - 1) * np.power(t, tau - 2) + (a * tau) ** 2 * np.power(t, 2 * tau - 2)
-        return poly * self._exp_guarded(s)
+        return (2.0 * a + (2.0 * a) ** 2 * np.power(t, 2.0)) * self._exp_guarded(a * np.power(t, 2.0))
 
     def profile_slope(self, x, y, t):
-        t = np.asarray(t, float)
         a = self.a(x, y)
-        s = a * np.power(t, self.tau)
-        if self.tau == 2:
-            return 2.0 * a * self._exp_guarded(s)
-        return a * self.tau * np.power(t, self.tau - 2) * self._exp_guarded(s)
+        return 2.0 * a * self._exp_guarded(a * np.power(np.asarray(t, float), 2.0))
 
     def grad_coeff_over_f(self, x, y, gx, gy):
-        """(grad f)/f = tau a |xi|^(tau-2) xi; finite for any xi."""
-        t = np.hypot(gx, gy)
-        w = self.a(x, y) * self.tau * np.power(t, self.tau - 2) if self.tau != 2 else 2.0 * self.a(x, y)
+        """(grad f)/f = 2 a xi; finite for any xi."""
+        w = 2.0 * self.a(x, y)
         return w * gx, w * gy
 
     def triple(self, ball):
-        if self.tau != 2:
-            raise ValueError("the triple catalog certifies the exponential class at tau = 2 only")
         p, q = self.a.range_on_ball(ball)
         if p <= 0:
             raise ValueError("exponential coefficient must be positive on the ball")
@@ -726,8 +720,6 @@ class Exponential(RadialFamily):
         )
 
     def auto_params(self, ball, n, two_star, *, alpha, delta):
-        if self.tau != 2:
-            return ParamRejection("auto_exponential_params", f"the recipe certifies tau = 2 only, got {self.tau:g}")
         lo, hi = self.a.range_on_ball(ball)
         return auto_exponential_params(lo, hi, n, two_star)
 
@@ -1040,10 +1032,9 @@ class Anisotropic(IntegrandFamily):
         return head + tail
 
     def eigen_range_on_ball(self, ball: Ball) -> tuple[float, float]:
-        """(min, max) eigenvalue of the 2x2 matrix (a_ij) over the ball."""
-        a11, a12, a22 = self.aij
-        xs, ys = ball.sample_points()
-        m, d, o = a11(xs, ys), a22(xs, ys), a12(xs, ys)
+        """(min, max) eigenvalue of the 2x2 matrix (a_ij) over the ball; a
+        ValueError naming a coefficient that is not finite there."""
+        m, o, d = (c.on_ball(ball) for c in self.aij)
         mid = (m + d) / 2
         rad = np.sqrt(((m - d) / 2) ** 2 + o * o)
         return float(np.min(mid - rad)), float(np.max(mid + rad))
@@ -1074,27 +1065,6 @@ class Anisotropic(IntegrandFamily):
 # ---------------------------------------------------------------------------
 # Module-level operations on points
 # ---------------------------------------------------------------------------
-
-
-def eval_f(family: IntegrandFamily, x, xi) -> float:
-    """Energy density f(x, xi) at a single point."""
-    px, py = float(x[0]), float(x[1])
-    return float(family.value(px, py, float(xi[0]), float(xi[1])))
-
-
-def eval_grad_xi(family: IntegrandFamily, x, xi) -> np.ndarray:
-    """Analytic xi-gradient of f at a single point."""
-    px, py = float(x[0]), float(x[1])
-    fx, fy = family.grad(px, py, float(xi[0]), float(xi[1]))
-    return np.array([float(fx), float(fy)])
-
-
-def hessian_quadratic_form(family: IntegrandFamily, x, xi, lam) -> float:
-    """sum_ij f_{xi_i xi_j}(x, xi) lam_i lam_j at a single point."""
-    px, py = float(x[0]), float(x[1])
-    return float(
-        family.hess_qf(px, py, float(xi[0]), float(xi[1]), float(lam[0]), float(lam[1]))
-    )
 
 
 def radial_bounds(family: IntegrandFamily, x, t: float):

@@ -19,9 +19,10 @@ one step.  Log-domain families (the exponential class) are minimized through
 the logarithm of the energy (same minimizer, overflow-free) with the energy's
 own Newton steps.  ``minimize``'s start guard is the one place saturation
 is handled: it rescales an initial state whose peak cell log-density exceeds
-LOG_MAX - 20, with a warning in the trace.  No step raises log E, which is
-at least every cell log-density + 2 ln h, so no cell reaches LOG_MAX while
-n <= 22,027.  Amplitude sweeps warm-start each amplitude from the previous
+LOG_MAX - 20 by (2 / peak)^(1/2), which brings a log-density quadratic in
+|xi| to a peak of 2, with a warning in the trace.  No step raises log E,
+which is at least every cell log-density + 2 ln h, so no cell reaches
+LOG_MAX while n <= 22,027.  Amplitude sweeps warm-start each amplitude from the previous
 solved field, scaled by the amplitude ratio.
 
 Energy, gradient and Hessian-vector assembly and the solver's inner products
@@ -467,9 +468,9 @@ def minimize(
         if not math.isfinite(smax):
             raise ValueError("initial state too steep: its peak log-density exceeds float range")
         if smax > LOG_MAX - 20:
-            # bring the peak log-density down to order one so the gradient
-            # tolerance stays reachable in double precision
-            factor = (2.0 / smax) ** (1.0 / family.tau)
+            # a log-density quadratic in |xi| peaks at 2 after this rescale,
+            # so the gradient tolerance stays reachable in double precision
+            factor = (2.0 / smax) ** 0.5
             grid = grid.scaled_boundary(factor)
             bvals = grid.boundary_values()
             u = DiscreteField(grid, factor * u.values)

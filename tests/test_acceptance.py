@@ -48,9 +48,6 @@ from pqlab.integrand import (
     PLaplacian,
     PxLaplacian,
     VeryDegenerate,
-    eval_f,
-    eval_grad_xi,
-    hessian_quadratic_form,
     radial_bounds,
 )
 from pqlab.solver import (
@@ -174,7 +171,7 @@ def test_A4_nonuniform_classes():
 
         # exponential exp((0.5 + 0.1 x) |xi|^2)
         a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, lipschitz=0.1, source="0.5+0.1*x")
-        ex = Exponential(a_lin, 2.0)
+        ex = Exponential(a_lin)
         lo, hi = a_lin.range_on_ball(ball)
         ex_params = auto_exponential_params(
             F(lo).limit_denominator(10**9), F(hi).limit_denominator(10**9), n=2
@@ -238,7 +235,7 @@ def test_A6_numerical_hygiene():
         families = [
             PLaplacian(2.0),
             PLaplacian(3.0),
-            Exponential(a_lin, 2.0),
+            Exponential(a_lin),
             PxLaplacian(p_var),
             LogPxLaplacian(p_var),
             DoublePhase(2.0, 3.0, a_quad),
@@ -257,11 +254,11 @@ def test_A6_numerical_hygiene():
                 th = rng.uniform(0, 2 * math.pi)
                 xi = r * np.array([math.cos(th), math.sin(th)])
                 step = 1e-5 * max(1.0, r)
-                ana = eval_grad_xi(fam, x, xi)
+                ana = np.array(fam.grad(*x, *xi), float)
                 num = np.array(
                     [
-                        (eval_f(fam, x, xi + [step, 0]) - eval_f(fam, x, xi - [step, 0])) / (2 * step),
-                        (eval_f(fam, x, xi + [0, step]) - eval_f(fam, x, xi - [0, step])) / (2 * step),
+                        (fam.value(*x, xi[0] + step, xi[1]) - fam.value(*x, xi[0] - step, xi[1])) / (2 * step),
+                        (fam.value(*x, xi[0], xi[1] + step) - fam.value(*x, xi[0], xi[1] - step)) / (2 * step),
                     ]
                 )
                 scale = max(1.0, float(np.linalg.norm(ana)))
@@ -278,7 +275,7 @@ def test_A6_numerical_hygiene():
                 xi = t * np.array([math.cos(th), math.sin(th)])
                 lam = rng.normal(size=2)
                 lo, up, _case = radial_bounds(fam, x, t)
-                qf = hessian_quadratic_form(fam, x, xi, lam)
+                qf = fam.hess_qf(*x, *xi, *lam)
                 l2 = float(lam @ lam)
                 slack = 1e-12 * max(1.0, abs(up) * l2)
                 assert lo * l2 - slack <= qf <= up * l2 + slack, fam.describe()
@@ -291,11 +288,11 @@ def test_A6_numerical_hygiene():
                 if t < 1e-3:
                     continue
                 expected = p * (t**2 * (lam @ lam) + (p - 2) * (xi @ lam) ** 2) * t ** (p - 4)
-                got = hessian_quadratic_form(fam, (0.3, 0.7), xi, lam)
+                got = fam.hess_qf(0.3, 0.7, *xi, *lam)
                 assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
         # energy descent on every solve; nested-ball sup monotonicity on each
-        for fam in (PLaplacian(2.0), DoublePhase(2.0, 3.0, a_quad), Exponential(a_lin, 2.0)):
+        for fam in (PLaplacian(2.0), DoublePhase(2.0, 3.0, a_quad), Exponential(a_lin)):
             tpl = ProblemTemplate(
                 family=fam, grid=Grid(1.0, 33, lambda x, y: np.sin(2 * x) + 0.5 * y),
                 opts=SolveOptions(tolerance=1e-7, max_iter=8000),

@@ -1,7 +1,10 @@
 """Config parsing and the CLI exit-code matrix."""
 
 import gc
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,7 +363,6 @@ def test_params_exponential_steep_coefficient_exit2(tmp_path, capsys):
 kind = exponential
 a = 0.2 + 2*x
 a_lipschitz = 2.0
-tau = 2
 
 [ball]
 center = 0.5, 0.5
@@ -416,10 +418,6 @@ RECIPE_DECLINES = {
         pytest.param(cmd, *case, id=f"{cmd}-{name}")
         for name, case in RECIPE_DECLINES.items()
         for cmd in ("check", "params", "validate")
-    ]
-    + [
-        pytest.param(cmd, "kind = exponential\na = 1\ntau = 3", "n = 2", id=f"{cmd}-exp-tau3")
-        for cmd in ("check", "params", "validate")
     ],
 )
 def test_declined_values_are_typed_rejections(tmp_path, capsys, command, family, schedule):
@@ -429,6 +427,18 @@ def test_declined_values_are_typed_rejections(tmp_path, capsys, command, family,
     out = capsys.readouterr().out
     assert rc == 2, out
     assert "rejected: " in out and len(out.splitlines()) == 1, out
+
+
+@pytest.mark.parametrize("command", ["check", "params", "validate"])
+def test_exponential_tau_is_a_config_error(tmp_path, capsys, command):
+    # the exponential class is exp(a |xi|^2): [family] has no tau to decline
+    text = DECLINED.format(family="kind = exponential\na = 1\ntau = 3", schedule="n = 2")
+    path = cfg_file(tmp_path, text)
+    rc = main([command, path, "--out", str(tmp_path / "o")])
+    cap = capsys.readouterr()
+    line = text.splitlines().index("tau = 3") + 1
+    reason = "[family] takes kind, a and a_lipschitz only, not 'tau'"
+    assert (rc, cap.out, cap.err) == (1, "", f"config error: {path}:{line}: {reason}\n")
 
 
 def test_solve_p2_exit0_and_field_file(tmp_path, capsys):
@@ -474,7 +484,6 @@ def test_solve_exponential_saturation_autorescale_warning(tmp_path, capsys):
 [family]
 kind = exponential
 a = 1.0
-tau = 2
 
 [grid]
 side = 1.0
@@ -506,7 +515,6 @@ EXPONENTIAL = """
 [family]
 kind = exponential
 a = 1.0
-tau = 2
 
 [grid]
 side = {side}
@@ -698,9 +706,10 @@ NOT_FINITE = "coefficient log(x - 2) is not finite on the ball"
         ("params", PX_CHECK, "p_expr = 2.5 + 0.2*x", "p_expr = log(x - 2)", f"rejected: resolve_params: {NOT_FINITE}"),
         ("check", PX_CHECK, "p_expr = 2.5 + 0.2*x", "p_expr = log(x - 2)",
          f"parameter recipe rejected: resolve_params: {NOT_FINITE}"),
+        ("check", ANISO.format(q=2.5), "a11 = 1.0", "a11 = log(x - 2)", f"growth triple rejected: {NOT_FINITE}"),
     ],
     ids=["check-dp-negative", "check-mp-negative", "validate-dp-negative", "check-dp-nan", "params-px-nan",
-         "check-px-nan"],
+         "check-px-nan", "check-aniso-nan"],
 )
 def test_coefficient_negative_or_not_finite_on_the_ball_is_rejected(tmp_path, capsys, command, text, old, new,
                                                                      message):
@@ -716,7 +725,7 @@ def test_coefficient_negative_or_not_finite_on_the_ball_is_rejected(tmp_path, ca
     "command, old, new",
     [
         ("check", "a_lipschitz = 3.0", "a_lipshitz = 3.0"),  # left L = 0, g3 = 0: growth-A fail inf
-        ("check", "a = x^2 + y^2", "a = x^2 + y^2\ntau = 2"),  # an exponential key
+        ("check", "a = x^2 + y^2", "a = x^2 + y^2\nb = 0.5"),  # a multi phase key
         ("check", "R = 0.35", "R = 0.35\nradius = 0.3"),
         ("solve", "n = 33", "n = 33\nnx = 17"),
         ("solve", "expr = x*y + 0.5*(x + y)", "expr = x*y + 0.5*(x + y)\nexpression = x"),
@@ -764,7 +773,7 @@ def test_family_keys_of_the_kind_and_unknown_kind(tmp_path, capsys):
 FAMILY_SCHEMAS = {
     "p_laplacian": ("p = 3", "kind and p"),
     "very_degenerate": ("p = 3", "kind and p"),
-    "exponential": ("a = 1 + x\na_lipschitz = 1\ntau = 2", "kind, a, a_lipschitz and tau"),
+    "exponential": ("a = 1 + x\na_lipschitz = 1", "kind, a and a_lipschitz"),
     "px_laplacian": ("p_expr = 2.5 + 0.2*x\np_expr_lipschitz = 0.2", "kind, p_expr and p_expr_lipschitz"),
     "log_px_laplacian": ("p_expr = 2.5 + 0.2*x\np_expr_lipschitz = 0.2", "kind, p_expr and p_expr_lipschitz"),
     "double_phase": ("p = 2\nq = 3\na = x^2 + y^2\na_lipschitz = 3", "kind, p, q, a and a_lipschitz"),
@@ -918,11 +927,10 @@ def test_exit_code_matrix_over_verdicts():
 
 def test_tail_inconclusive_encoded_as_not_stabilized():
     # rising toward a limit at log rate: neither stabilized nor diverging
-    import numpy as np
+    from pqlab.growth import _classify_log_tail
 
-    from pqlab.growth import tail_limit
-
-    res = tail_limit(lambda t: 2.0 - 1.0 / np.log10(t), 10.0)
+    t = 10.0 * np.sqrt(10.0) ** np.arange(13)  # the checks' 13 tail probes
+    res = _classify_log_tail(np.log(2.0 - 1.0 / np.log10(t)))
     assert not res.stabilized and not res.diverging
 
 
@@ -955,3 +963,15 @@ def test_reports_are_deterministic(tmp_path, capsys):
     ra = (tmp_path / "a" / "check_report.txt").read_bytes()
     rb = (tmp_path / "b" / "check_report.txt").read_bytes()
     assert ra == rb
+
+
+def test_snapshot_of_benchmark_configs_and_error_cases_raises_nowhere(tmp_path):
+    # tools/cli_snapshot.py records an exception escaping main as "raised ..."
+    # in exit_code.txt; every config-error case must end in exit 1 or 2
+    script = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    run = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    codes = {f.parent.relative_to(tmp_path).as_posix(): f.read_text().strip() for f in tmp_path.rglob("exit_code.txt")}
+    assert {k.split("/")[0] for k in codes} == {"solve-ladder", "check-catalog", "validate-sweep", "config-errors"}
+    assert {k: v for k, v in codes.items() if v.startswith("raised")} == {}
+    assert {k: v for k, v in codes.items() if k.startswith("config-errors") and v not in ("1", "2")} == {}

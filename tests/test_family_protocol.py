@@ -1,17 +1,19 @@
 """The family protocol: a family defined outside the catalog, here and only
 here, runs through the condition checks, the schedule resolver, the solver
 and the validator without any of them knowing its type.  As a radial family
-it supplies the three profile methods g, g_t/t and g_tt and nothing else."""
+it supplies the three profile methods g, g_t/t and g_tt and nothing else; a
+log-domain one adds log f and (grad f)/f."""
 
 import math
 
 import numpy as np
+import pytest
 
 from pqlab.config import parse_config, resolve_schedule
 from pqlab.exponents import ExponentParams, double_phase_params
 from pqlab.growth import GrowthFn, GrowthTriple, SampleSpec, paper_triple, run_all_checks
 from pqlab.integrand import Ball, RadialFamily, radial_bounds
-from pqlab.solver import Grid, SolveOptions
+from pqlab.solver import Grid, SolveOptions, minimize
 from pqlab.validator import ProblemTemplate, measure
 
 BALL = Ball(0.5, 0.5, 0.35)
@@ -48,6 +50,29 @@ class QuadQuartic(RadialFamily):
         return double_phase_params(2, 3, n, two_star, third_phase=True)
 
 
+class LogQuad(RadialFamily):
+    """f(xi) = exp(|xi|^2), minimized through log f = |xi|^2."""
+
+    kind = "log_quad"
+    log_domain = True
+
+    def log_value(self, x, y, gx, gy):
+        return gx * gx + gy * gy
+
+    def grad_coeff_over_f(self, x, y, gx, gy):
+        return 2 * gx, 2 * gy
+
+    def profile_value(self, x, y, t):
+        return np.exp(np.asarray(t, float) ** 2)
+
+    def profile_dtt(self, x, y, t):
+        t = np.asarray(t, float)
+        return (2 + 4 * t * t) * np.exp(t * t)
+
+    def profile_slope(self, x, y, t):
+        return 2 * self.profile_value(x, y, t)
+
+
 def test_outside_family_passes_the_condition_suite():
     fam = QuadQuartic()
     params = resolve_schedule(AUTO, fam, BALL).params
@@ -79,3 +104,12 @@ def test_outside_family_radial_bounds():
     fam = QuadQuartic()
     assert radial_bounds(fam, (0.5, 0.5), 2.0) == (18.0, 50.0, "ii")
     assert radial_bounds(fam, (0.3, 0.7), 0.5) == (3.0, 5.0, "ii")
+
+
+def test_outside_log_domain_family_through_the_start_guard():
+    # |D(30 x)|^2 = 900 is past LOG_MAX - 20: the start guard rescales the
+    # boundary data by (2 / 900)^(1/2), reading nothing but the protocol
+    field, trace = minimize(Grid(1.0, 17, lambda x, y: 30 * x), LogQuad())
+    assert trace.rescale_factor == pytest.approx((2.0 / 900.0) ** 0.5, rel=1e-12)
+    assert trace.stop_reason == "converged"
+    assert np.all(np.isfinite(field.values))

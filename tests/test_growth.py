@@ -44,7 +44,6 @@ from pqlab.growth import (
     exponent_bound_reports,
     paper_triple,
     run_all_checks,
-    tail_limit,
 )
 from pqlab.integrand import (
     Anisotropic,
@@ -74,22 +73,30 @@ def power_fn(c, e):
     return GrowthFn(lambda t: c * np.power(np.asarray(t, float), e))
 
 
-# --- tail_limit ----------------------------------------------------------------
+# --- tail classification -------------------------------------------------------
+
+
+def classify_tail(h, t0):
+    """The tail of h classified as the checks classify a ratio's: log h at
+    13 probes from t0, two per decade."""
+    ts = t0 * math.sqrt(10.0) ** np.arange(13)
+    with np.errstate(divide="ignore"):
+        return _classify_log_tail(np.log([float(h(t)) for t in ts]))
 
 
 def test_tail_limit_rational_limit_one():
-    est, stab = tail_limit(lambda t: t * t / (1 + t * t), 1.0)[:2]
+    est, stab = classify_tail(lambda t: t * t / (1 + t * t), 1.0)[:2]
     assert stab and est == pytest.approx(1.0, rel=1e-3)
 
 
 def test_tail_limit_diverging_power():
-    res = tail_limit(lambda t: math.sqrt(t), 1.0)
+    res = classify_tail(lambda t: math.sqrt(t), 1.0)
     assert res.diverging and math.isinf(res.estimate)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 17.5])
 def test_tail_limit_constant(c):
-    est, stab = tail_limit(lambda t: c, 5.0)[:2]
+    est, stab = classify_tail(lambda t: c, 5.0)[:2]
     assert stab and est == pytest.approx(c, abs=1e-12)
 
 
@@ -98,7 +105,7 @@ def test_tail_limit_anisotropic_ratio_p_equals_q():
     def h(t):
         return t**1.5 / ((1 + t) * (1 + t) ** 0.5)
 
-    res = tail_limit(h, 10.0)
+    res = classify_tail(h, 10.0)
     assert res.stabilized and math.isfinite(res.estimate)
 
 
@@ -203,7 +210,7 @@ def test_sandwich_fails_for_subquadratic_upper_bound():
 
 
 def test_sandwich_exponential_catalog():
-    fam = Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x"), 2.0)
+    fam = Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x"))
     triple = paper_triple(fam, BALL)
     rep = check_ellipticity_sandwich(fam, triple, SPEC)
     assert rep.verdict == "pass"
@@ -581,7 +588,7 @@ def test_growth_A_x_independent_passes_with_zero_g3():
 
 
 def test_growth_A_exponential_and_px():
-    fam = Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x"), 2.0)
+    fam = Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x"))
     assert check_growth_A(fam, paper_triple(fam, BALL), SPEC).verdict == "pass"
     pfun = Coefficient(lambda x, y: 2.0 + 0.1 * (x + y), 0.2, "2+0.1*(x+y)")
     fam2 = PxLaplacian(pfun)
@@ -810,7 +817,7 @@ def test_quadrature_matches_closed_form_antiderivative():
             closed = float(triple.sqrt_g1_antiderivative(t))
             quad = triple.sqrt_g1_quadrature(float(t))
             assert quad == pytest.approx(closed, rel=1e-8)
-    fam = Exponential(Coefficient.constant(0.8), 2.0)
+    fam = Exponential(Coefficient.constant(0.8))
     triple = paper_triple(fam, BALL)
     for t in rng.uniform(0.05, 5.0, 20):
         closed = float(triple.sqrt_g1_antiderivative(t))
@@ -1089,7 +1096,7 @@ def catalog_cases():
     cases.append((fam, double_phase_params(2, 3, 2)))
     fam = MultiPhase(2.0, 3.0, a_quad, 0.4)
     cases.append((fam, double_phase_params(2, 3, 2, third_phase=True)))
-    exp_fam = Exponential(a_lin, 2.0)
+    exp_fam = Exponential(a_lin)
     lo, hi = a_lin.range_on_ball(BALL)
     cases.append((exp_fam, auto_exponential_params(F(lo).limit_denominator(10**9),
                                                    F(hi).limit_denominator(10**9), n=2)))
@@ -1168,7 +1175,7 @@ def test_catalog_triples_sampled_valid():
     fams = [
         PLaplacian(2.0),
         PLaplacian(3.5),
-        Exponential(a_lin, 2.0),
+        Exponential(a_lin),
         PxLaplacian(pfun),
         DoublePhase(2.0, 3.0, a_quad),
         MultiPhase(2.0, 3.0, a_quad, 0.5),

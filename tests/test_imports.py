@@ -224,7 +224,7 @@ def deferred_sites() -> dict:
     dp = paper_triple(
         DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0)), ball
     )
-    ex = paper_triple(Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1), 2.0), ball)
+    ex = paper_triple(Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1)), ball)
     grid = Grid(1.0, 17, lambda x, y: np.sin(3 * x) + y)
     return {
         "sqrt_g1_integral": dp.sqrt_g1_integral(t),

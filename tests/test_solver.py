@@ -113,7 +113,7 @@ def test_energy_saturation_propagates():
     g = unit_grid(9, boundary=lambda x, y: 50.0 * x)
     u = nodal_field(g, lambda x, y: 50.0 * x)
     with pytest.raises(SaturationError):
-        discrete_energy(g, Exponential(Coefficient.constant(1.0), 2.0), u.values)
+        discrete_energy(g, Exponential(Coefficient.constant(1.0)), u.values)
 
 
 # --- gradient consistency --------------------------------------------------------
@@ -124,7 +124,7 @@ def grad_families():
         PLaplacian(2.0),
         PLaplacian(3.0),
         DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0)),
-        Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1), 2.0),
+        Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1)),
         PxLaplacian(Coefficient(lambda x, y: 2.0 + 0.2 * x, 0.2)),
         VeryDegenerate(2.0),
     ]
@@ -245,7 +245,7 @@ def kernel_families():
         PLaplacian(3.5),
         DoublePhase(2.0, 3.0, a_quad),
         MultiPhase(2.0, 3.0, a_quad, 0.7),
-        Exponential(a_lin, 2.0),  # log domain
+        Exponential(a_lin),  # log domain
         PxLaplacian(p_var),
         LogPxLaplacian(p_var),
         VeryDegenerate(2.0),
@@ -466,7 +466,7 @@ def test_minimize_energy_descent_along_trace():
     for fam in (
         PLaplacian(3.0),
         DoublePhase(2.0, 3.0, Coefficient(lambda x, y: x * x + y * y, 3.0)),
-        Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1), 2.0),
+        Exponential(Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1)),
     ):
         _, trace = minimize(g, fam, opts=SolveOptions(tolerance=1e-7, max_iter=4000))
         en = np.array(trace.energies)
@@ -475,7 +475,7 @@ def test_minimize_energy_descent_along_trace():
 
 def test_minimize_exponential_beats_affine_interpolant():
     g = unit_grid(33, boundary=lambda x, y: 0.5 * (x + y))
-    fam = Exponential(Coefficient.constant(1.0), 2.0)
+    fam = Exponential(Coefficient.constant(1.0))
     u, trace = minimize(g, fam, opts=SolveOptions(tolerance=1e-9, max_iter=8000))
     assert trace.converged
     affine = bilinear_interpolant(g)
@@ -484,7 +484,7 @@ def test_minimize_exponential_beats_affine_interpolant():
 
 def test_minimize_exponential_autorescale_on_saturation():
     g = unit_grid(17, boundary=lambda x, y: 60.0 * (x + y))
-    fam = Exponential(Coefficient.constant(1.0), 2.0)
+    fam = Exponential(Coefficient.constant(1.0))
     u, trace = minimize(g, fam, opts=SolveOptions(tolerance=1e-9, max_iter=8000))
     assert trace.rescale_factor < 1.0
     assert trace.warnings
@@ -516,7 +516,7 @@ def test_log_domain_solve_never_saturates_after_the_start_guard(a, boundary, opt
     # no accepted step raises log E, and log E >= s_c + 2 ln h for every cell, so
     # no cell log-density s_c passes the guarded start's peak by more than
     # 2 ln(n - 1): the Hessian of a later step cannot saturate
-    fam = Exponential(a, 2.0)
+    fam = Exponential(a)
     u, trace = minimize(Grid(1.0, 17, boundary), fam, opts=opts)
 
     def peak(values):
@@ -533,7 +533,7 @@ def test_log_domain_newton_steps_at_large_energy():
     # 1/E scale, or its curvature p.Hp underflows to 0 and every step falls
     # back to -P g (275 steps and 2,941 backtracks in that case)
     g = Grid(1.0, 17, lambda x, y: 18 * (x + y) + 0.2 * x * y)
-    _, trace = minimize(g, Exponential(Coefficient.constant(1.0), 2.0), opts=SolveOptions(max_iter=400))
+    _, trace = minimize(g, Exponential(Coefficient.constant(1.0)), opts=SolveOptions(max_iter=400))
     assert trace.final_energy > 1e280
     assert trace.iterations <= 30 and trace.backtracks <= 300
     assert np.all(np.diff(trace.energies) <= 0.0)

@@ -127,7 +127,7 @@ def test_measure_translation_invariance_affine():
 
 def test_oscillation_guard_rejects_stale_theta():
     a = Coefficient(lambda x, y: 0.5 + 0.4 * x, 0.4, "0.5+0.4*x")
-    fam = Exponential(a, 2.0)
+    fam = Exponential(a)
     g = Grid(1.0, 17, boundary=lambda x, y: 0.1 * (x + y))
     from pqlab.solver import bilinear_interpolant
 
@@ -144,7 +144,7 @@ def test_oscillation_guard_rejects_stale_theta():
 
 def test_oscillation_theta_and_radius():
     a = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1, "0.5+0.1*x")
-    fam = Exponential(a, 2.0)
+    fam = Exponential(a)
     from pqlab.integrand import Ball
 
     ball = Ball(0.5, 0.5, 0.35)
@@ -239,7 +239,7 @@ def test_sweep_cold_start_after_zero_amplitude(monkeypatch):
 
 def test_sweep_cold_start_after_rescaled_member(monkeypatch):
     a_lin = Coefficient(lambda x, y: 0.5 + 0.1 * x, 0.1)
-    ex = Exponential(a_lin, 2.0)
+    ex = Exponential(a_lin)
     lo, hi = a_lin.range_on_ball(Ball(0.5, 0.5, 0.35))
     params = auto_exponential_params(F(lo).limit_denominator(10**9), F(hi).limit_denominator(10**9), n=2)
     sched = moser_exponents(params, *select_mu_nu(params))

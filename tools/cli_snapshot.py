@@ -65,6 +65,9 @@ ERRORS = {
     "dp-a-negative-validate": (DP, "validate", "a = x^2 + y^2", "a = x - 2"),
     "dp-a-nan": ("check-catalog/double_phase", "check", "a = x^2 + y^2", "a = log(x - 2)"),
     "px-p-nan": ("check-catalog/px_laplacian", "params", "p_expr = 2.5 + 0.2*x", "p_expr = log(x - 2)"),
+    "aniso-a11-nan": ("check-catalog/anisotropic", "check", "a11 = 1", "a11 = log(x - 2)"),
+    # no [family] key tau: the exponential class is exp(a |xi|^2)
+    "exp-tau-key": ("check-catalog/exponential", "check", "a_lipschitz = 0.1", "a_lipschitz = 0.1\ntau = 2"),
 }
 
 
